@@ -50,6 +50,19 @@ def check_cap(order: int) -> None:
         )
 
 
+def check_power_cap(base: int, exp: int) -> None:
+    """check_cap(base**exp) that refuses a huge exponent before computing the
+    power: for |base| >= 2 it exceeds the cap once exp passes the cap's bit
+    length."""
+    if abs(base) > 1 and exp > GROUP_ORDER_CAP.bit_length():
+        raise ExhaustiveCapError(
+            f"group order {base}^{exp} exceeds the exhaustive-verification cap "
+            f"{GROUP_ORDER_CAP}"
+        )
+    if exp > 0:
+        check_cap(base**exp)
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory (trial division is plenty for the sizes we handle)
 # ---------------------------------------------------------------------------

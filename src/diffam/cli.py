@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import prod
 
 from .admissibility import (
     dds_counting_identity,
@@ -33,6 +34,7 @@ from .algebra import (
     GroupDescriptor,
     ScalarAction,
     build_ring,
+    check_cap,
     cyclic_group,
     unit_subgroup_of_order,
 )
@@ -58,6 +60,7 @@ from .designs import (
     Report,
     classify_family,
     dm_to_hdm,
+    family_params,
     normalize_dm,
     verify_dds,
     verify_df,
@@ -157,6 +160,7 @@ def _parse_factors(text: str) -> list[int]:
         raise ValueError(f"bad --factors value {text!r}") from exc
     if not factors:
         raise ValueError(f"bad --factors value {text!r}")
+    check_cap(prod(f for f in factors if f > 1))  # before any factor is factored
     return factors
 
 
@@ -204,18 +208,8 @@ def _require_flag(args, flag: str):
 # ---------------------------------------------------------------------------
 
 
-def _family_params(family: Family, lam: int) -> dict:
-    params: dict = {"v": family.v, "lambda": lam}
-    k = family.uniform_k()
-    if k is not None:
-        params["k"] = k
-    else:
-        params["K"] = list(family.block_sizes())
-    return params
-
-
 def _family_design(kind: str, family: Family, lam: int) -> DesignFile:
-    return DesignFile(kind, family.group, _family_params(family, lam), family.blocks)
+    return DesignFile(kind, family.group, family_params(family, lam), family.blocks)
 
 
 def _matrix_design(kind: str, mat: DiffMatrix) -> DesignFile:
@@ -231,6 +225,7 @@ def _orbit_inputs(args):
         return ring.additive_group(), unit_subgroup_of_order(ring, k)
     if args.v is not None:
         mult = _require_flag(args, "--mult")
+        check_cap(args.v)  # before ScalarAction walks the multiplier's order
         group = cyclic_group(args.v)
         return group, ScalarAction(group, mult)
     raise ValueError("orbit constructions need --v with --mult, or --factors with --k")

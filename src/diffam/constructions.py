@@ -26,6 +26,7 @@ from .algebra import (
     abelian_iso,
     build_field,
     check_cap,
+    check_power_cap,
     cyclic_group,
     factorize,
     fixed_point_witness,
@@ -88,9 +89,8 @@ def _require(report, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def orbit_ddf(group: GroupDescriptor, action) -> Family:
-    """The orbits of a semiregular order-k automorphism group on the nonzero
-    elements, returned as a verified (v, k, k-1) disjoint difference family."""
+def _require_semiregular(group: GroupDescriptor, action) -> None:
+    """Raise NotSemiregularError carrying the fixed-point witness, if any."""
     witness = fixed_point_witness(group, action)
     if witness is not None:
         x, j = witness
@@ -99,6 +99,12 @@ def orbit_ddf(group: GroupDescriptor, action) -> Family:
             f"(automorphism index {j})",
             witness,
         )
+
+
+def orbit_ddf(group: GroupDescriptor, action) -> Family:
+    """The orbits of a semiregular order-k automorphism group on the nonzero
+    elements, returned as a verified (v, k, k-1) disjoint difference family."""
+    _require_semiregular(group, action)
     blocks = orbits(group, action)
     family = Family(group, blocks)
     k = family.uniform_k()
@@ -119,14 +125,7 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
     fall into pairs {B, -B} whose halves each cover every nonzero element
     (k-1)/2 times.
     """
-    witness = fixed_point_witness(group, action)
-    if witness is not None:
-        x, j = witness
-        raise NotSemiregularError(
-            f"action is not semiregular: nonzero element {x} is fixed "
-            f"(automorphism index {j})",
-            witness,
-        )
+    _require_semiregular(group, action)
     all_orbits = orbits(group, action)
     v = group.order
     k = len(all_orbits[0]) if all_orbits else 1
@@ -189,6 +188,7 @@ def furino_ddf(base, k: int, half: bool = False) -> Family:
         raise ConstructionError(f"block size must be positive, got {k}")
     if isinstance(base, int):
         v = base
+        check_cap(v)
         if v < 1:
             raise ConstructionError(f"group order must be positive, got {v}")
         for p in factorize(v) if v > 1 else ():
@@ -315,6 +315,7 @@ def trivial_ds(k: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
     """The nonzero elements of Z_{k+1}: a (k+1, k, k-1) difference set."""
     if k < 1:
         raise ConstructionError(f"block size must be positive, got {k}")
+    check_cap(k + 1)
     group = cyclic_group(k + 1)
     dset = tuple((i,) for i in range(1, k + 1))
     _require(verify_ds(dset, group, DSParams(k + 1, k, k - 1)), "trivial difference set")
@@ -370,6 +371,8 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
         )
     if hdm_h.group != family_h.group:
         raise ConstructionError("matrix and second family live over different groups")
+    big = product_group(family_g.group, family_h.group)
+    check_cap(big.order)
     _require(verify_df(family_g, k - 1), "first factor family")
     _require(verify_df(family_h, k - 1), "second factor family")
     if classify_family(family_g) == "plain" or classify_family(family_h) == "plain":
@@ -377,8 +380,6 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
     g0 = _one_uncovered(family_g, "first factor family")
     h0 = _one_uncovered(family_h, "second factor family")
     _require(verify_hdm(hdm_h), "homogeneous difference matrix")
-    big = product_group(family_g.group, family_h.group)
-    check_cap(big.order)
     blocks: list[tuple[Element, ...]] = []
     width = hdm_h.columns
     for block_a in family_g.blocks:
@@ -403,6 +404,7 @@ def result1_ddf(k: int, ring: RingDescriptor) -> Family:
     orders congruent to 1 mod k: the trivial difference set, the unit-orbit
     family over R, and the unit multiplication table composed via the
     product construction."""
+    check_cap((k + 1) * ring.order)
     dset, zk = trivial_ds(k)
     family_g = Family(zk, [dset])
     family_h = furino_ddf(ring, k, half=False)
@@ -422,13 +424,13 @@ def singer_ds(q: int, m: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
     The trace of alpha^i is scale-invariant under GF(q)* (trace is
     GF(q)-linear), so membership depends only on i mod v.
     """
+    check_power_cap(q, m)  # before prime_power trial-divides q
     pp = prime_power(q)
     if pp is None:
         raise ConstructionError(f"{q} is not a prime power")
     if m < 3:
         raise ConstructionError(f"need dimension >= 3, got {m}")
     p, a = pp
-    check_cap(q**m)
     ext = build_field(p, a * m)
     alpha = ext.primitive_element()
     v = (q**m - 1) // (q - 1)
@@ -466,31 +468,21 @@ def dds_from_ds(
     block = tuple(sorted(set(dset)))
     if len(block) != len(tuple(dset)):
         raise ConstructionError("difference set input has repeated elements")
-    from .designs import _single_block_counts  # single source for the count engine
-
-    counts = _single_block_counts(group, block)
-    zero = group.zero
-    lam: int | None = None
-    for x in group.elements():
-        if x == zero:
-            continue
-        c = counts.get(x, 0)
-        if lam is None:
-            lam = c
-        elif c != lam:
-            raise ConstructionError(
-                f"input is not a difference set: counts {lam} and {c} both occur"
-            )
-    if lam is None:
-        lam = 0  # trivial group; no nonzero differences to balance
-    k = len(block)
-    base_params = DSParams(group.order, k, lam)
-    _require(verify_ds(block, group, base_params), "difference set input")
     big = product_group(group, cyclic_group(h))
     check_cap(big.order)
+    v, k = group.order, len(block)
+    # a difference set's lambda is fixed by lambda*(v-1) = k*(k-1); the one
+    # verify_ds call below certifies that every count really equals it
+    if v > 1 and k * (k - 1) % (v - 1):
+        raise ConstructionError(
+            f"input is not a difference set: k*(k-1) = {k * (k - 1)} is not "
+            f"a multiple of v-1 = {v - 1}"
+        )
+    lam = k * (k - 1) // (v - 1) if v > 1 else 0
+    _require(verify_ds(block, group, DSParams(v, k, lam)), "difference set input")
     lifted = tuple(x + (j,) for x in block for j in range(h))
-    subgroup = tuple(zero + (j,) for j in range(h))
-    params = DDSParams(group.order, h, k * h, k * h, lam * h)
+    subgroup = tuple(group.zero + (j,) for j in range(h))
+    params = DDSParams(v, h, k * h, k * h, lam * h)
     _require(verify_dds(lifted, big, subgroup, params), "lifted divisible set")
     return DDSConstruction(tuple(sorted(lifted)), big, subgroup, params)
 
@@ -507,6 +499,7 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
     Requires e | q - 1, gcd(d, e) = 1, and 1 <= h <= e; those conditions
     make n integral and the two groups isomorphic.
     """
+    check_power_cap(q, d)  # before prime_power trial-divides q
     if prime_power(q) is None:
         raise ConstructionError(f"{q} is not a prime power")
     if d < 3:

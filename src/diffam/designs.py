@@ -31,6 +31,7 @@ __all__ = [
     "Report",
     "DiffMatrix",
     "delta_multiset",
+    "family_params",
     "verify_df",
     "classify_family",
     "extend_to_pdf",
@@ -183,34 +184,50 @@ class Report:
         return self.ok
 
 
-def verify_df(family: Family, lam: int) -> Report:
-    """Exhaustively check that every nonzero element occurs exactly lam times
-    in the difference multiset."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    counts = delta_multiset(family).counts
-    zero = family.group.zero
-    deviations = {}
-    for x in family.group.elements():
-        if x == zero:
-            continue
-        c = counts.get(x, 0)
-        if c != lam:
-            deviations[x] = c
+def family_params(family: Family, lam: int) -> dict:
+    """The parameters a df report and a df design file declare: v, lambda,
+    and k for uniform blocks or else the block-size multiset K."""
     params: dict = {"v": family.v, "lambda": lam}
     k = family.uniform_k()
     if k is not None:
         params["k"] = k
     else:
         params["K"] = list(family.block_sizes())
-    ok = not deviations
-    message = (
-        ""
-        if ok
-        else f"{len(deviations)} of {family.v - 1} nonzero elements deviate "
-        f"from lambda={lam}"
-    )
-    return Report(ok, "df", params, deviations, message)
+    return params
+
+
+def _scan(
+    kind: str,
+    params: dict,
+    family: Family,
+    lam: int,
+    subgroup: set | frozenset = frozenset(),
+    lam1: int = 0,
+) -> Report:
+    """Count the family's differences and compare every nonzero element's
+    count with lam, or with lam1 on the given subgroup.  Deviations are
+    listed in canonical element order; the failure message names lam only
+    when there is no subgroup."""
+    counts = delta_multiset(family).counts
+    deviations = {}
+    for x in family.group.nonzero_elements():
+        c = counts.get(x, 0)
+        if c != (lam1 if x in subgroup else lam):
+            deviations[x] = c
+    message = ""
+    if deviations:
+        message = f"{len(deviations)} of {family.v - 1} nonzero elements deviate"
+        if not subgroup:
+            message += f" from lambda={lam}"
+    return Report(not deviations, kind, params, deviations, message)
+
+
+def verify_df(family: Family, lam: int) -> Report:
+    """Exhaustively check that every nonzero element occurs exactly lam times
+    in the difference multiset."""
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    return _scan("df", family_params(family, lam), family, lam)
 
 
 def classify_family(family: Family) -> str:
@@ -233,52 +250,28 @@ def extend_to_pdf(family: Family) -> Family:
     return Family(family.group, list(family.blocks) + extra)
 
 
-def _single_block_counts(group: GroupDescriptor, block: Sequence[Element]) -> dict:
-    check_cap(group.order)
-    sub = group.sub
-    counts: Counter = Counter()
-    for i, x in enumerate(block):
-        for y in block[i + 1 :]:
-            counts[sub(x, y)] += 1
-            counts[sub(y, x)] += 1
-    return counts
+def _set_family(group: GroupDescriptor, dset: Iterable[Element]) -> tuple[Family, int]:
+    """A (divisible) difference set as a one-block family, and its size k;
+    the empty set is the empty family."""
+    block = tuple(dset)
+    return Family(group, [block] if block else []), len(block)
 
 
 def verify_ds(
     dset: Iterable[Element], group: GroupDescriptor, params: DSParams
 ) -> Report:
     """Exhaustively check a (v, k, lambda) difference set."""
-    block = tuple(sorted(dset))
-    for x in block:
-        group.validate_element(x)
-    if any(block[i] == block[i + 1] for i in range(len(block) - 1)):
-        raise ValueError("difference set has a repeated element")
-    rparams = {"v": group.order, "k": len(block), "lambda": params.lam}
-    if group.order != params.v or len(block) != params.k:
+    family, k = _set_family(group, dset)
+    rparams = {"v": group.order, "k": k, "lambda": params.lam}
+    if group.order != params.v or k != params.k:
         return Report(
             False,
             "ds",
             rparams,
             {},
-            f"declared {params}, found v={group.order}, k={len(block)}",
+            f"declared {params}, found v={group.order}, k={k}",
         )
-    counts = _single_block_counts(group, block)
-    zero = group.zero
-    deviations = {}
-    for x in group.elements():
-        if x == zero:
-            continue
-        c = counts.get(x, 0)
-        if c != params.lam:
-            deviations[x] = c
-    ok = not deviations
-    message = (
-        ""
-        if ok
-        else f"{len(deviations)} of {group.order - 1} nonzero elements deviate "
-        f"from lambda={params.lam}"
-    )
-    return Report(ok, "ds", rparams, deviations, message)
+    return _scan("ds", rparams, family, params.lam)
 
 
 def _check_subgroup(group: GroupDescriptor, members: Sequence[Element]) -> set:
@@ -307,11 +300,7 @@ def verify_dds(
 ) -> Report:
     """Exhaustively check an (m, n, k, lambda1, lambda2) divisible difference
     set relative to the given subgroup of order n."""
-    block = tuple(sorted(dset))
-    for x in block:
-        group.validate_element(x)
-    if any(block[i] == block[i + 1] for i in range(len(block) - 1)):
-        raise ValueError("divisible difference set has a repeated element")
+    family, k = _set_family(group, dset)
     nset = _check_subgroup(group, n_subgroup)
     if len(nset) != params.n:
         raise ValueError(
@@ -320,7 +309,7 @@ def verify_dds(
     rparams = {
         "m": params.m,
         "n": params.n,
-        "k": len(block),
+        "k": k,
         "lambda1": params.lam1,
         "lambda2": params.lam2,
     }
@@ -332,27 +321,9 @@ def verify_dds(
             {},
             f"group order {group.order} != m*n = {params.m * params.n}",
         )
-    if len(block) != params.k:
-        return Report(
-            False, "dds", rparams, {}, f"declared k={params.k}, found {len(block)}"
-        )
-    counts = _single_block_counts(group, block)
-    zero = group.zero
-    deviations = {}
-    for x in group.elements():
-        if x == zero:
-            continue
-        expected = params.lam1 if x in nset else params.lam2
-        c = counts.get(x, 0)
-        if c != expected:
-            deviations[x] = c
-    ok = not deviations
-    message = (
-        ""
-        if ok
-        else f"{len(deviations)} of {group.order - 1} nonzero elements deviate"
-    )
-    return Report(ok, "dds", rparams, deviations, message)
+    if k != params.k:
+        return Report(False, "dds", rparams, {}, f"declared k={params.k}, found {k}")
+    return _scan("dds", rparams, family, params.lam2, nset, params.lam1)
 
 
 # ---------------------------------------------------------------------------

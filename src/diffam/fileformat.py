@@ -26,7 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import Element, FieldDescriptor, GroupDescriptor
+from .algebra import (
+    Element,
+    FieldDescriptor,
+    GroupDescriptor,
+    check_cap,
+    check_power_cap,
+)
 from .designs import DiffMatrix, Family
 
 KINDS = ("df", "ddf", "pdf", "ds", "dds", "dm", "hdm")
@@ -48,17 +54,26 @@ def group_to_obj(group: GroupDescriptor) -> dict:
     return {"factors": factors}
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: a JSON boolean parses to a Python bool, which is
+    an int subclass but never a valid count, order or coordinate."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def group_from_obj(obj) -> GroupDescriptor:
     if not isinstance(obj, dict) or not isinstance(obj.get("factors"), list):
         raise ValueError("group must be an object with a 'factors' list")
     factors = []
+    order = 1
     for i, fac in enumerate(obj["factors"]):
         if not isinstance(fac, dict) or len(fac) != 1:
             raise ValueError(f"group factor {i} must be a one-key object")
         if "cyclic" in fac:
             n = fac["cyclic"]
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ValueError(f"group factor {i}: bad cyclic order {n!r}")
+            order *= n
+            check_cap(order)
             factors.append(n)
         elif "field" in fac:
             fd = fac["field"]
@@ -68,13 +83,16 @@ def group_from_obj(obj) -> GroupDescriptor:
                 p, n, modulus = fd["p"], fd["n"], fd["modulus"]
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"group factor {i}: field needs p, n, modulus") from exc
-            if not (isinstance(p, int) and isinstance(n, int)):
+            if not (_is_int(p) and _is_int(n)):
                 raise ValueError(f"group factor {i}: p and n must be integers")
-            if not isinstance(modulus, list) or not all(
-                isinstance(c, int) for c in modulus
-            ):
+            if not isinstance(modulus, list) or not all(_is_int(c) for c in modulus):
                 raise ValueError(f"group factor {i}: modulus must be an integer list")
+            # refuse an over-cap field before is_prime trial-divides p
+            check_cap(order * p)
+            check_power_cap(p, n)
             factors.append(FieldDescriptor(p, n, modulus))  # validates irreducibility
+            order *= factors[-1].q
+            check_cap(order)
         else:
             raise ValueError(f"group factor {i}: expected 'cyclic' or 'field'")
     return GroupDescriptor(factors)
@@ -99,15 +117,13 @@ def element_from_obj(group: GroupDescriptor, obj) -> Element:
     coords = []
     for i, (fac, coord) in enumerate(zip(group.factors, obj)):
         if isinstance(fac, FieldDescriptor):
-            if not isinstance(coord, list) or not all(
-                isinstance(c, int) for c in coord
-            ):
+            if not isinstance(coord, list) or not all(_is_int(c) for c in coord):
                 raise ValueError(
                     f"coordinate {i} must be a coefficient list for {fac!r}"
                 )
             coords.append(fac.element(coord))  # range-checks the coefficients
         else:
-            if not isinstance(coord, int) or not 0 <= coord < fac:
+            if not _is_int(coord) or not 0 <= coord < fac:
                 raise ValueError(f"coordinate {i} out of range for Z_{fac}: {coord!r}")
             coords.append(coord)
     return tuple(coords)
@@ -140,10 +156,10 @@ def _params_to_obj(params: dict) -> dict:
     out = {}
     for key, value in params.items():
         if isinstance(value, list):
-            if not all(isinstance(x, int) for x in value):
+            if not all(_is_int(x) for x in value):
                 raise ValueError(f"parameter {key} must be an integer list")
             out[key] = list(value)
-        elif isinstance(value, int):
+        elif _is_int(value):
             out[key] = value
         else:
             raise ValueError(f"parameter {key} has unsupported value {value!r}")
@@ -238,6 +254,8 @@ def loads_design(text: str) -> DesignFile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"design file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("design file is nested too deeply to parse") from exc
     return design_from_obj(obj)
 
 

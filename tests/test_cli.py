@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from diffam import algebra, cli, constructions
 from diffam.algebra import abelian_iso, build_ring, cyclic_group
 from diffam.cli import main
 from diffam.constructions import dds_from_ds, singer_ds, units_hdm
@@ -137,6 +138,39 @@ def test_construct_orbit_respects_exhaustive_cap(tmp_path):
     )
     assert rc == 2
     assert "exceeds the exhaustive-verification cap 1000000" in err
+
+
+def test_construct_cyclic_cap_precedes_unit_search(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError(f"called with {args!r}")
+
+    monkeypatch.setattr(cli, "ScalarAction", never)
+    monkeypatch.setattr(constructions, "_least_semiregular_unit", never)
+    cap = "error: group order 1000000009 exceeds the exhaustive-verification cap 1000000\n"
+    for argv in (
+        ["orbit", "--v", 1000000009, "--mult", 2],
+        ["orbit-split", "--v", 1000000009, "--mult", 2],
+        ["furino", "--v", 1000000009, "--k", 3],
+    ):
+        rc, out, err = run(["construct", *argv, "--out", tmp_path / "x.json"])
+        assert (rc, out, err) == (2, "", cap)
+
+
+def test_construct_refuses_over_cap_flags_before_work(tmp_path, monkeypatch):
+    monkeypatch.setattr(algebra, "factorize", lambda n: pytest.fail(f"factorize({n})"))
+    monkeypatch.setattr(constructions, "cyclic_group", lambda n: pytest.fail(f"Z_{n}"))
+    for argv, order in (
+        (["furino", "--factors", 10**30 + 57, "--k", 2], str(10**30 + 57)),
+        (["cyclotomic-half", "--factors", "1009,1013", "--k", 3], "1022117"),
+        (["singer", "--q", 2, "--m", 3 * 10**8], "2^300000000"),
+        (["result3star", "--q", 2, "--d", 10**8, "--e", 1, "--h", 1], "2^100000000"),
+        (["trivial-ds", "--k", 10**9], "1000000001"),
+    ):
+        rc, out, err = run(["construct", *argv, "--out", tmp_path / "x.json"])
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: group order {order} exceeds the exhaustive-verification cap 1000000\n"
+        )
 
 
 def test_construct_cyclotomic_with_sigma_override(tmp_path):
@@ -472,6 +506,40 @@ def test_verify_missing_and_malformed_files(tmp_path):
     rc, out, err = run(["verify", bad])
     assert rc == 2
     assert "error: design file is not valid JSON:" in err
+
+    bad.write_text("[" * 100000)
+    rc, out, err = run(["verify", bad])
+    assert (rc, out, err) == (2, "", "error: design file is nested too deeply to parse\n")
+
+    z7 = {"factors": [{"cyclic": 7}]}
+    design = {"kind": "ds", "group": z7, "params": {"v": 7, "k": 3, "lambda": True}}
+    bad.write_text(json.dumps({**design, "blocks": [[[1], [2], [4]]]}))
+    rc, out, err = run(["verify", bad])
+    assert (rc, out, err) == (2, "", "error: parameter lambda has unsupported value True\n")
+
+    design["params"]["lambda"] = 1
+    bad.write_text(json.dumps({**design, "blocks": [[[True], [2], [4]]]}))
+    rc, out, err = run(["verify", bad])
+    assert (rc, out, err) == (2, "", "error: coordinate 0 out of range for Z_7: True\n")
+
+
+def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):
+    monkeypatch.setattr(algebra, "is_prime", lambda n: pytest.fail(f"is_prime({n})"))
+    path = tmp_path / "big.json"
+    for field, order in (
+        ({"p": 10**30 + 57, "n": 1, "modulus": [0, 1]}, str(10**30 + 57)),
+        ({"p": 2, "n": 3 * 10**8, "modulus": [1, 1]}, "2^300000000"),
+    ):
+        group = {"factors": [{"field": field}]}
+        params = {"v": 7, "k": 3, "lambda": 1}
+        path.write_text(
+            json.dumps({"kind": "ds", "group": group, "params": params, "blocks": [[]]})
+        )
+        rc, out, err = run(["verify", path])
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: group order {order} exceeds the exhaustive-verification cap 1000000\n"
+        )
 
 
 def test_verified_constructions_round_trip_through_files(tmp_path):

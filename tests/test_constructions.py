@@ -7,7 +7,9 @@ from itertools import combinations
 
 import pytest
 
+from diffam import constructions
 from diffam.algebra import (
+    ExhaustiveCapError,
     GroupDescriptor,
     ScalarAction,
     build_ring,
@@ -167,6 +169,22 @@ def test_furino_v1_is_empty_family():
     fam = furino_ddf(1, 3)
     assert fam.blocks == ()
     assert verify_df(fam, 2).ok
+
+
+def test_cyclic_recipes_check_cap_before_work(monkeypatch):
+    def never(*args):
+        raise AssertionError(f"called with {args!r}")
+
+    monkeypatch.setattr(constructions, "factorize", never)
+    monkeypatch.setattr(constructions, "_least_semiregular_unit", never)
+    monkeypatch.setattr(constructions, "cyclic_group", never)
+    with pytest.raises(ExhaustiveCapError):
+        furino_ddf(1000000009, 3)
+    with pytest.raises(ExhaustiveCapError):
+        trivial_ds(10**9)
+    monkeypatch.setattr(constructions, "furino_ddf", never)
+    with pytest.raises(ExhaustiveCapError):
+        result1_ddf(2, build_ring([5, 7, 9, 11, 13, 17]))  # 3 * 765765 elements
 
 
 def test_furino_ring():

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from diffam.algebra import FieldDescriptor, GroupDescriptor, build_field, build_ring, cyclic_group
+from diffam import algebra
+from diffam.algebra import (
+    ExhaustiveCapError,
+    FieldDescriptor,
+    GroupDescriptor,
+    build_field,
+    build_ring,
+    cyclic_group,
+)
 from diffam.constructions import (
     furino_ddf,
     result3star_dds,
@@ -65,7 +73,11 @@ def test_group_obj_custom_modulus_survives():
     assert back.factors[0].modulus == (2, 2, 1)
 
 
-def test_group_from_obj_strict():
+def _never_called(*args):
+    raise AssertionError(f"called with {args!r}")
+
+
+def test_group_from_obj_strict(monkeypatch):
     with pytest.raises(ValueError):
         group_from_obj({"factors": []})
     with pytest.raises(ValueError):
@@ -80,6 +92,25 @@ def test_group_from_obj_strict():
         group_from_obj([])
     with pytest.raises(ValueError):
         group_from_obj({})
+    # JSON booleans are not integers
+    for fac in (
+        {"cyclic": True},
+        {"field": {"p": 2, "n": True, "modulus": [1, 1]}},
+        {"field": {"p": 2, "n": 2, "modulus": [1, True, 1]}},
+    ):
+        with pytest.raises(ValueError):
+            group_from_obj({"factors": [fac]})
+    # over-cap orders are refused before a primality test or a huge power
+    monkeypatch.setattr(algebra, "is_prime", _never_called)
+    for factors in (
+        [{"cyclic": 10**6 + 1}],
+        [{"cyclic": 1000}, {"cyclic": 1001}],
+        [{"field": {"p": 10**30 + 57, "n": 1, "modulus": [0, 1]}}],
+        [{"field": {"p": 2, "n": 3 * 10**8, "modulus": [1, 1]}}],
+        [{"cyclic": 1000}, {"field": {"p": 1009, "n": 1, "modulus": [0, 1]}}],
+    ):
+        with pytest.raises(ExhaustiveCapError):
+            group_from_obj({"factors": factors})
 
 
 def test_element_codec():
@@ -96,6 +127,10 @@ def test_element_codec():
         element_from_obj(g, [3])
     with pytest.raises(ValueError):
         element_from_obj(g, [3, 1])  # field coordinate must be a coeff list
+    with pytest.raises(ValueError):
+        element_from_obj(g, [True, [0, 1]])
+    with pytest.raises(ValueError):
+        element_from_obj(g, [3, [False, 1]])
 
 
 def test_element_codec_cyclic_only():
@@ -251,6 +286,22 @@ def test_loads_design_errors():
         loads_design("{not json")
     with pytest.raises(ValueError):
         loads_design('"a string"')
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loads_design("[" * 100000)
+
+    def ds_text(params, block):
+        group = {"factors": [{"cyclic": 7}]}
+        obj = {"kind": "ds", "group": group, "params": params, "blocks": [block]}
+        return json.dumps(obj)
+
+    params, block = {"v": 7, "k": 3, "lambda": 1}, [[1], [2], [4]]
+    loads_design(ds_text(params, block))
+    with pytest.raises(ValueError, match="lambda"):
+        loads_design(ds_text({**params, "lambda": True}, block))
+    with pytest.raises(ValueError, match="K"):
+        loads_design(ds_text({**params, "K": [3, False]}, block))
+    with pytest.raises(ValueError, match="coordinate 0"):
+        loads_design(ds_text(params, [[True], [2], [4]]))
 
 
 # ---------------------------------------------------------------------------
