@@ -597,6 +597,20 @@ class GroupDescriptor:
                 out.append(c * coord % size)
         return tuple(out)
 
+    def digit_radices(self) -> tuple[int, ...]:
+        """Mixed-radix digits of an element, most significant first: one
+        digit of radix n per Z_n factor, n base-p digits per GF(p^n) factor
+        (the digits its encoding already stores).  Subtraction is digitwise
+        modulo these radices, and an element's canonical index is its value
+        in this mixed radix."""
+        out: list[int] = []
+        for fac in self.factors:
+            if isinstance(fac, FieldDescriptor):
+                out.extend([fac.p] * fac.n)
+            else:
+                out.append(fac)
+        return tuple(out)
+
     def exponent(self) -> int:
         """The additive exponent: lcm of factor exponents."""
         out = 1

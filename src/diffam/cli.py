@@ -371,6 +371,8 @@ def _verify_family_design(design: DesignFile) -> Report:
             f"declared v={design.params['v']} but the group has order {family.v}",
         )
     declared_sizes = design.params.get("K")
+    if declared_sizes is not None and not isinstance(declared_sizes, list):
+        raise ValueError("design file param 'K' must be an integer list")
     if declared_sizes is not None and sorted(declared_sizes, reverse=True) != list(
         family.block_sizes()
     ):

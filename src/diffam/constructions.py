@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 import itertools
@@ -422,7 +423,9 @@ def singer_ds(q: int, m: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
     GF(q).  Parameters ((q^m-1)/(q-1), (q^(m-1)-1)/(q-1), (q^(m-2)-1)/(q-1)).
 
     The trace of alpha^i is scale-invariant under GF(q)* (trace is
-    GF(q)-linear), so membership depends only on i mod v.
+    GF(q)-linear), so membership depends only on i mod v.  Being GF(p)-linear
+    as well, the trace is tabulated once on the monomial basis and applied
+    to each alpha^i as digit dot products mod p.
     """
     check_power_cap(q, m)  # before prime_power trial-divides q
     pp = prime_power(q)
@@ -435,10 +438,16 @@ def singer_ds(q: int, m: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
     alpha = ext.primitive_element()
     v = (q**m - 1) // (q - 1)
     params = DSParams(v, (q ** (m - 1) - 1) // (q - 1), (q ** (m - 2) - 1) // (q - 1))
+    # row l holds coefficient l of trace(x^j) for j = 0..n-1, so coefficient l
+    # of trace(x) is the dot product of row l with the digits of x, mod p
+    n = ext.n
+    basis_traces = [ext.coeffs(ext.trace(p ** (n - 1 - j), a)) for j in range(n)]
+    rows = [row for row in zip(*basis_traces) if any(row)]
     dset = []
     x = ext.one
     for i in range(v):
-        if ext.trace(x, a) == 0:
+        digits = ext.coeffs(x)
+        if all(sum(map(mul, digits, row)) % p == 0 for row in rows):
             dset.append((i,))
         x = ext.mul(x, alpha)
     group = cyclic_group(v)

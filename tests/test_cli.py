@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from diffam import algebra, cli, constructions
+from diffam import algebra, cli, constructions, designs
 from diffam.algebra import abelian_iso, build_ring, cyclic_group
 from diffam.cli import main
 from diffam.constructions import dds_from_ds, singer_ds, units_hdm
@@ -362,6 +362,41 @@ def test_verify_pass_line_and_expectations(tmp_path):
     assert "error: --expect-params for kind 'ddf' needs 3 integers ('v', 'k', 'lambda')" in err
 
 
+def test_verify_large_block_through_the_product_engine(tmp_path, monkeypatch):
+    """The (364, 121, 40) Singer set is counted as one big-int product; a
+    corrupted copy must print the deviation map of a raw pairwise recount."""
+    calls = []
+    engine = designs._convolution_counts
+
+    def counted_engine(group, block):
+        calls.append(len(block))
+        return engine(group, block)
+
+    monkeypatch.setattr(designs, "_convolution_counts", counted_engine)
+    path = tmp_path / "s364.json"
+    rc, out, err = run(["construct", "singer", "--q", 3, "--m", 6, "--out", path])
+    assert out == f"wrote ds over Z364 [k=121 lambda=40 v=364] (1 block) to {path}\n"
+    assert run(["verify", path]) == (0, "PASS: ds over Z364 [k=121 lambda=40 v=364]\n", "")
+
+    obj = json.loads(path.read_text())
+    block = [x for (x,) in obj["blocks"][0]]
+    block[0] = min(set(range(364)) - set(block))
+    obj["blocks"][0] = [[x] for x in block]
+    path.write_text(json.dumps(obj))
+    counts = [0] * 364
+    for x in block:
+        for y in block:
+            if x != y:
+                counts[(x - y) % 364] += 1
+    deviating = [(d, c) for d, c in enumerate(counts) if d and c != 40]
+    assert deviating
+    expected = "FAIL: ds over Z364 [k=121 lambda=40 v=364]\n"
+    expected += f"  {len(deviating)} of 363 nonzero elements deviate from lambda=40\n"
+    expected += "".join(f"  element {d}: count {c}\n" for d, c in deviating)
+    assert run(["verify", path]) == (1, expected, "")
+    assert calls == [121] * 3  # construct's self-check, then both verifies
+
+
 def test_verify_catches_a_tampered_block(tmp_path):
     path = tmp_path / "f7.json"
     run(["construct", "furino", "--v", 7, "--k", 3, "--out", path])
@@ -521,6 +556,11 @@ def test_verify_missing_and_malformed_files(tmp_path):
     bad.write_text(json.dumps({**design, "blocks": [[[True], [2], [4]]]}))
     rc, out, err = run(["verify", bad])
     assert (rc, out, err) == (2, "", "error: coordinate 0 out of range for Z_7: True\n")
+
+    family = {"kind": "df", "group": z7, "params": {"v": 7, "K": 3, "lambda": 1}}
+    bad.write_text(json.dumps({**family, "blocks": [[[1], [2], [4]]]}))
+    rc, out, err = run(["verify", bad])
+    assert (rc, out, err) == (2, "", "error: design file param 'K' must be an integer list\n")
 
 
 def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):

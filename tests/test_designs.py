@@ -313,6 +313,51 @@ def test_verify_dds_subgroup_validation():
         verify_dds([(1,)], group, [(0,), (2,), (2,)], DDSParams(2, 2, 1, 0, 1))
 
 
+def test_subgroup_closure_is_decided_by_one_count(monkeypatch):
+    """Closure of a whole-group subgroup of Z_3000 is read off one count of
+    the subgroup as a block, not tested pair by pair (9 million subs)."""
+    group = cyclic_group(3000)
+    calls = []
+    sub = group.sub
+
+    def counting_sub(a, b):
+        calls.append(1)
+        return sub(a, b)
+
+    monkeypatch.setattr(group, "sub", counting_sub)
+    whole = list(group.elements())
+    assert verify_dds(whole, group, whole, DDSParams(1, 3000, 3000, 3000, 0)).ok
+    assert len(calls) < 10 * 3000
+
+
+@pytest.mark.parametrize("order", [12, 3000])
+def test_subgroup_not_closed_names_a_witness(order):
+    """On both count engines: the missing difference is the least element
+    outside the set, and the named pair really has it as difference."""
+    group = cyclic_group(order)
+    members = [(x,) for x in range(order) if x != order // 2]
+    with pytest.raises(ValueError) as info:
+        verify_dds([(1,)], group, members, DDSParams(1, order - 1, 1, 0, 0))
+    a, b, c = 1, order // 2 + 1, order // 2
+    assert str(info.value) == (
+        f"subgroup is not closed: ({a},) - ({b},) = ({c},) is missing"
+    )
+
+
+def test_report_stats_name_the_engine():
+    group = cyclic_group(364)
+    small = [(x,) for x in range(5)]
+    big = [(x,) for x in range(10, 131)]
+    for blocks, engine in (([small], "pairwise"), ([big], "convolution"), ([small, big], "both")):
+        rep = verify_df(Family(group, blocks), 1)
+        assert rep.stats == {
+            "engine": engine,
+            "pairs": sum(len(b) * (len(b) - 1) for b in blocks),
+            "elements_scanned": 363,
+        }
+    assert verify_ds(small, group, DSParams(364, 4, 1)).stats == {}
+
+
 def test_verify_dds_n1_degenerates_to_ds():
     """A trivial forbidden subgroup {0} makes the inside-count vacuous and
     the check collapses to the plain difference-set identity."""

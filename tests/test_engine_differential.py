@@ -1,18 +1,31 @@
-"""Differential test of the one count engine and deviation scan behind
+"""Differential test of the count engines and deviation scan behind
 verify_df, verify_ds and verify_dds.
 
 Random blocks over random small groups of every shape (cyclic, extension
 fields, mixed products) are checked against a brute-force oracle that counts
 group.sub(x, y) over ordered pairs; the complete deviation maps must agree,
-iteration order included.
+iteration order included.  The big-int product engine is also called
+directly, on random blocks and at the slot-width boundaries, since the
+verifiers route only large blocks through it.
 """
 
+import random
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffam.algebra import GroupDescriptor, build_field
-from diffam.designs import DDSParams, DSParams, Family, verify_dds, verify_df, verify_ds
+from diffam.algebra import GroupDescriptor, build_field, cyclic_group
+from diffam.designs import (
+    DDSParams,
+    DSParams,
+    Family,
+    _convolution_counts,
+    _use_convolution,
+    verify_dds,
+    verify_df,
+    verify_ds,
+)
 
 # cyclic orders and GF(p^n), n > 1; a group is a product of up to three
 FACTOR_SPECS = [1, 2, 3, 4, 5, 6, 7, 9, 12, 13, (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]
@@ -40,9 +53,8 @@ def _block(group, min_size):
     return st.lists(st.sampled_from(elements), unique=True, min_size=min_size)
 
 
-def oracle_deviations(group, blocks, expected):
-    """Every nonzero element whose ordered-pair difference count differs from
-    expected(x), in canonical element order."""
+def oracle_counts(group, blocks):
+    """Ordered-pair difference counts, nonzero entries only."""
     counts = {}
     for block in blocks:
         for x in block:
@@ -50,6 +62,13 @@ def oracle_deviations(group, blocks, expected):
                 if x != y:
                     d = group.sub(x, y)
                     counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def oracle_deviations(group, blocks, expected):
+    """Every nonzero element whose ordered-pair difference count differs from
+    expected(x), in canonical element order."""
+    counts = oracle_counts(group, blocks)
     out = {}
     for x in group.elements():
         if x != group.zero and counts.get(x, 0) != expected(x):
@@ -112,3 +131,56 @@ def test_verify_dds_matches_oracle(data):
         group, [block], lambda x: lam1 if x in inner else lam2
     )
     _same(report, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_convolution_counts_match_oracle(data):
+    group = data.draw(groups())
+    block = sorted(data.draw(_block(group, 1)))
+    assert _convolution_counts(group, block) == oracle_counts(group, [block])
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(12,), (build_field(2, 3),), (build_field(3, 2), 4), (5, build_field(2, 2), 3)],
+    ids=["cyclic", "GF(8)", "GF(9)xZ4", "Z5xGF(4)xZ3"],
+)
+def test_convolution_counts_every_shape(factors):
+    """Every group shape, blocks of every size up to the whole group."""
+    group = GroupDescriptor(factors)
+    elements = list(group.elements())
+    for k in range(1, len(elements) + 1):
+        block = sorted(random.Random(k).sample(elements, k))
+        assert _convolution_counts(group, block) == oracle_counts(group, [block])
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_convolution_counts_at_one_byte_boundary(k):
+    group = cyclic_group(300)
+    block = [(x * 7 % 300,) for x in range(k)]
+    assert _convolution_counts(group, block) == oracle_counts(group, [block])
+
+
+@pytest.mark.parametrize(
+    "factors, missing",
+    [((65535,), None), ((65536,), None), ((255, 257), None), ((65536,), (7,))],
+)
+def test_convolution_counts_at_two_byte_boundary(factors, missing):
+    """k = 65535 fills two-byte slots exactly and k = 65536 needs four.  A
+    whole group G counts every nonzero difference |G| times; without one
+    element, |G| - 2 times."""
+    group = GroupDescriptor(factors)
+    block = [x for x in group.elements() if x != missing]
+    expected = group.order - (2 if missing else 0)
+    counts = _convolution_counts(group, block)
+    assert len(counts) == group.order - 1
+    assert set(counts.values()) == {expected}
+
+
+def test_engine_choice():
+    """Small blocks and heavily padded groups stay on the pairwise loop;
+    the Singer (3280, 1093) block takes the product.  Nothing is counted."""
+    assert not _use_convolution(cyclic_group(125003), 3)
+    assert not _use_convolution(GroupDescriptor([build_field(2, 16)]), 4096)
+    assert _use_convolution(cyclic_group(3280), 1093)
