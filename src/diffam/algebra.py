@@ -405,15 +405,39 @@ class FieldDescriptor:
 
     def _tables(self) -> tuple[list[int], list[int]]:
         if self._exp is None:
+            p, n, q = self.p, self.n, self.q
             g = self.primitive_element()
-            exp = [0] * (self.q - 1)
-            log = [0] * self.q
-            value = self.one
-            for i in range(self.q - 1):
+            # the walk multiplies by g without polynomial arithmetic: a value
+            # is held as its coefficients c_d of x^d, packed in fields of
+            # `bits` bits, wide enough that a sum of n coefficients below p
+            # never carries; rows[d][c] is c * x^d * g packed the same way,
+            # so the packed product is the sum of rows[d][c_d], and reducing
+            # each field mod p gives the coefficients of the next power
+            bits = (n * (p - 1)).bit_length()
+            mask = (1 << bits) - 1
+            shifts = range(0, n * bits, bits)
+
+            def pack(a: int) -> int:
+                return sum(c << s for c, s in zip(self.coeffs(a), shifts))
+
+            rows = []
+            for d in range(n):
+                xg = self._raw_mul(p ** (n - 1 - d), g)  # x^d * g
+                rows.append([pack(self.scalar(c, xg)) for c in range(p)])
+            exp = [0] * (q - 1)
+            log = [0] * q
+            packed = pack(self.one)
+            for i in range(q - 1):
+                value = nxt = 0
+                for s, row in zip(shifts, rows):
+                    c = (packed >> s & mask) % p
+                    value = value * p + c
+                    nxt += row[c]
                 exp[i] = value
                 log[value] = i
-                value = self._raw_mul(value, g)
-            if value != self.one:
+                packed = nxt
+            # the walk closes when g^(q-1), reduced, is one
+            if sum((packed >> s & mask) % p << s for s in shifts) != pack(self.one):
                 raise RuntimeError("primitive element walk failed to close")
             self._exp, self._log = exp, log
         return self._exp, self._log
@@ -579,6 +603,9 @@ class GroupDescriptor:
         self.add = _componentwise2(adds)
         self.sub = _componentwise2(subs)
         self.neg = _componentwise1(negs)
+        # the padded position layout of the count engines, built on first
+        # count by diffam.designs
+        self._layout = None
 
     def elements(self) -> Iterator[Element]:
         """All group elements in canonical order."""

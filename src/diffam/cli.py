@@ -377,7 +377,7 @@ def _verify_family_design(design: DesignFile) -> Report:
         family.block_sizes()
     ):
         return _fail(design.kind, design.params, "declared K does not match the blocks")
-    if "k" in design.params and design.params["k"] != family.uniform_k():
+    if "k" in design.params and _int_param(design.params, "k") != family.uniform_k():
         return _fail(design.kind, design.params, "declared k does not match the blocks")
     report = verify_df(family, lam)
     if not report.ok:

@@ -20,10 +20,12 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain, groupby, repeat
 from math import prod
+from operator import add, mod, mul, sub
 from typing import Iterable, Sequence
 
-from .algebra import Element, GroupDescriptor, check_cap
+from .algebra import Element, FieldDescriptor, GroupDescriptor, check_cap
 
 __all__ = [
     "DSParams",
@@ -163,27 +165,138 @@ class DiffMultiset:
 def delta_multiset(family: Family) -> DiffMultiset:
     """The difference multiset of the family (both orders of every pair).
 
-    Each block is counted exactly by one of two engines, chosen per block by
-    ``_use_convolution``: the pairwise loop, or one big-int group-ring
-    product (``_convolution_counts``)."""
-    group = family.group
+    Each block is counted exactly by one of two engines, chosen per block
+    size by ``_use_convolution``: position differences pair by pair
+    (``_pairwise_counts``), or one big-int group-ring product
+    (``_convolution_counts``)."""
+    dense, engine = _dense_counts(family)
+    counts = {x: c for x, c in zip(family.group.elements(), dense) if c}
+    return DiffMultiset(family.group, counts, engine)
+
+
+def _dense_counts(family: Family) -> tuple[list[int], str]:
+    """The family's difference counts as one list in canonical element order
+    (index 0, the zero element, stays 0), and the engine that counted them."""
+    group, blocks = family.group, family.blocks
     check_cap(group.order)
-    sub = group.sub
-    counts: Counter = Counter()
     # the engine is chosen once per block size, not once per block
-    sizes = set(map(len, family.blocks))
+    sizes = set(map(len, blocks))
     convolve = {k for k in sizes if _use_convolution(group, k)}
-    for block in family.blocks:
-        if convolve and len(block) in convolve:
-            counts.update(_convolution_counts(group, block))
-            continue
-        for i, x in enumerate(block):
-            for y in block[i + 1 :]:
-                counts[sub(x, y)] += 1
-                counts[sub(y, x)] += 1
+    dense = _pairwise_counts(
+        group, [b for b in blocks if len(b) not in convolve] if convolve else blocks
+    )
+    for block in blocks:
+        if len(block) in convolve:
+            dense = list(map(add, dense, _convolution_counts(group, block)))
     engines = {"convolution" if k in convolve else "pairwise" for k in sizes}
     engine = "both" if len(engines) == 2 else next(iter(engines), "pairwise")
-    return DiffMultiset(group, dict(counts), engine)
+    return dense, engine
+
+
+class _Layout:
+    """The padded positions of a group's elements, read by both count engines.
+
+    Every element is read as mixed-radix digits (``digit_radices``), and each
+    digit of radix r is spread over 2r - 1 values, so that the digitwise
+    difference d(x) - d(y) + r - 1 of two elements never borrows.  The
+    position of x is the sum of its digits times their padded place values;
+    pos(x) - pos(y) + top, top being the position of all digits r - 1, spells
+    those shifted digits t, and folding each to (t - (r - 1)) mod r gives the
+    canonical index of x - y.  A Z_n or GF(p) coordinate's position is the
+    coordinate times its place; only a GF(p^n) factor, n > 1, has a table of
+    its q positions.  A group of one digit needs no fold: its pairwise
+    differences are reduced mod v directly."""
+
+    def __init__(self, group: GroupDescriptor):
+        radices = group.digit_radices()
+        self.order = group.order
+        self.cyclic = len(radices) == 1
+        # (padded radix, radix, canonical place) per digit, least significant first
+        digits = []
+        places = []
+        place = index_place = 1
+        for r in reversed(radices):
+            digits.append((2 * r - 1, r, index_place))
+            places.append(place)
+            place *= 2 * r - 1
+            index_place *= r
+        self.digits = tuple(digits)
+        self.slots = place
+        self.top = sum((r - 1) * p for (_, r, _), p in zip(digits, places))
+        # per factor, most significant first: its place, or its position table
+        terms: list = []
+        low = 0  # index in places of the factor's least significant digit
+        for fac in reversed(group.factors):
+            if isinstance(fac, FieldDescriptor) and fac.n > 1:
+                table = [0]
+                for p in reversed(places[low : low + fac.n]):  # leading digit first
+                    table = [t + d * p for t in table for d in range(fac.p)]
+                terms.append(table)
+                low += fac.n
+            else:
+                terms.append(places[low])
+                low += 1
+        self.terms = tuple(reversed(terms))
+
+    def positions(self, elements: Iterable[Element]) -> list[int]:
+        """The positions of the elements, in order."""
+        total = None
+        for term, coords in zip(self.terms, zip(*elements)):
+            if isinstance(term, list):
+                part = map(term.__getitem__, coords)
+            else:
+                part = map(mul, coords, repeat(term)) if term != 1 else coords
+            total = part if total is None else map(add, total, part)
+        return [] if total is None else list(total)
+
+    def differences(self, xs: Sequence[int], ys: Sequence[int]) -> Iterable[int]:
+        """The keys of x - y for positions x, y taken in step: position
+        differences, or canonical indices for a group of one digit."""
+        diffs = map(sub, xs, ys)
+        return map(mod, diffs, repeat(self.order)) if self.cyclic else diffs
+
+    def dense(self, tally: Counter) -> list[int]:
+        """A tally of difference keys as counts in canonical element order;
+        each distinct position difference is folded once."""
+        if self.cyclic:
+            return list(map(tally.get, range(self.order), repeat(0)))
+        dense = [0] * self.order
+        top, digits = self.top, self.digits
+        for key, c in tally.items():
+            key += top
+            index = 0
+            for big, r, place in digits:
+                t = key % big
+                key //= big
+                index += (t - (r - 1)) % r * place
+            dense[index] += c
+        return dense
+
+
+def _layout(group: GroupDescriptor) -> _Layout:
+    """The group's position layout, built on first use and kept on the group."""
+    if group._layout is None:
+        group._layout = _Layout(group)
+    return group._layout
+
+
+def _pairwise_counts(
+    group: GroupDescriptor, blocks: Sequence[Sequence[Element]]
+) -> list[int]:
+    """The difference counts of the blocks in canonical element order, pair by
+    pair: blocks of one size become columns of positions, every ordered pair
+    of columns is subtracted and tallied, and each distinct key is folded
+    once."""
+    layout = _layout(group)
+    tally: Counter = Counter()
+    for k, same in groupby(sorted(blocks, key=len), len):
+        flat = layout.positions(chain.from_iterable(same))
+        columns = [flat[i::k] for i in range(k)]
+        for i, xs in enumerate(columns):
+            for j, ys in enumerate(columns):
+                if i != j:
+                    tally.update(layout.differences(xs, ys))
+    return layout.dense(tally)
 
 
 def _slot_bytes(k: int) -> int:
@@ -217,41 +330,23 @@ def _use_convolution(group: GroupDescriptor, k: int) -> bool:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I"}  # native unsigned 1, 2, 4 bytes
 
 
-def _convolution_counts(group: GroupDescriptor, block: Sequence[Element]) -> dict:
-    """The nonzero difference counts of one block of distinct elements, as
-    the group-ring product D * D^(-1) computed by Kronecker substitution.
+def _convolution_counts(group: GroupDescriptor, block: Sequence[Element]) -> list[int]:
+    """The difference counts of one block of distinct elements in canonical
+    element order (index 0 is 0), as the group-ring product D * D^(-1)
+    computed by Kronecker substitution.
 
-    Every element is read as mixed-radix digits (``digit_radices``), each
-    digit of radix r is spread over 2r - 1 positions so that digitwise
-    differences d(x) - d(y) + r - 1 never borrow, and each position becomes
-    a w-byte slot of an int: A has a 1 in the slot of every x, B in the
-    mirrored slot of every y, so slot t of A*B counts the pairs whose
-    digitwise differences spell t.  No slot exceeds k < 256^w (x fixes y),
-    so slots never carry.  Folding each digit t to (t - (r - 1)) mod r
-    leaves the counts of x - y in canonical element order."""
-    radices = group.digit_radices()
-    padded = [2 * r - 1 for r in radices]
-    slots = prod(padded)
+    Each padded position of the group's layout (``_Layout``) becomes a
+    w-byte slot of an int: A has a 1 in the slot of every x, B in the
+    mirrored slot top - pos(y) of every y, so slot t of A*B counts the pairs
+    whose shifted digitwise differences spell t.  No slot exceeds k < 256^w
+    (x fixes y), so slots never carry.  Folding each digit t to
+    (t - (r - 1)) mod r leaves the counts of x - y in canonical order."""
+    layout = _layout(group)
+    slots, top = layout.slots, layout.top
     w = _slot_bytes(len(block))
-    sizes = group.factor_sizes
-    # position of x: its digits at the padded place values; the mirrored
-    # position is top - position, top being the position of all digits r - 1
-    places = []
-    place = 1
-    for big in reversed(padded):
-        places.append(place)
-        place *= big
-    top = sum((r - 1) * p for r, p in zip(reversed(radices), places))
     a = bytearray(slots * w)
     b = bytearray(slots * w)
-    for x in block:
-        index = 0
-        for c, s in zip(x, sizes):
-            index = index * s + c
-        pos = 0
-        for r, p in zip(reversed(radices), places):
-            index, d = divmod(index, r)
-            pos += d * p
+    for pos in layout.positions(block):
         a[pos * w] = 1
         b[(top - pos) * w] = 1
     a_int, b_int = int.from_bytes(a, "little"), int.from_bytes(b, "little")
@@ -261,7 +356,7 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[Element]) -> dic
     # fold digits most significant first: while folding digit j, every block
     # of (2r - 1) * span bytes holds one value of the digits already folded
     outer, span = 1, slots * w
-    for r, big in zip(radices, padded):
+    for big, r, _ in reversed(layout.digits):
         span //= big
         low = (r - 1) * span
         view = memoryview(buf)
@@ -278,9 +373,9 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[Element]) -> dic
         for i in range(w):
             native[i::w] = buf[w - 1 - i :: w]
         buf = native
-    slots_iter = zip(group.elements(), memoryview(buf).cast(_SLOT_FORMATS[w]))
-    next(slots_iter)  # the zero element, counted k times by x - x
-    return {x: c for x, c in slots_iter if c}
+    counts = memoryview(buf).cast(_SLOT_FORMATS[w]).tolist()
+    counts[0] = 0  # the zero element, counted k times by x - x
+    return counts
 
 
 @dataclass
@@ -325,21 +420,24 @@ def _scan(
     count with lam, or with lam1 on the given subgroup.  Deviations are
     listed in canonical element order; the failure message names lam only
     when there is no subgroup."""
-    multiset = delta_multiset(family)
-    counts = multiset.counts
+    dense, engine = _dense_counts(family)
     deviations = {}
-    for x in family.group.nonzero_elements():
-        c = counts.get(x, 0)
-        if c != (lam1 if x in subgroup else lam):
-            deviations[x] = c
+    # a pass needs lam at every nonzero element; dense[0], the zero element,
+    # is always 0
+    if subgroup or dense.count(lam) != family.v - 1 + (lam == 0):
+        counted = zip(family.group.elements(), dense)
+        next(counted)  # the zero element
+        for x, c in counted:
+            if c != (lam1 if x in subgroup else lam):
+                deviations[x] = c
     message = ""
     if deviations:
         message = f"{len(deviations)} of {family.v - 1} nonzero elements deviate"
         if not subgroup:
             message += f" from lambda={lam}"
     stats = {
-        "engine": multiset.engine,
-        "pairs": multiset.total(),  # every ordered pair x != y counts once
+        "engine": engine,
+        "pairs": sum(dense),  # every ordered pair x != y counts once
         "elements_scanned": family.v - 1,
     }
     return Report(not deviations, kind, params, deviations, message, stats)
@@ -509,17 +607,15 @@ def verify_dm(mat: DiffMatrix) -> Report:
             {},
             f"matrix has {mat.columns} columns but the group has order {v}",
         )
-    sub = mat.group.sub
+    layout = _layout(mat.group)
+    rows = [layout.positions(row) for row in mat.rows]
     deviations = {}
     for i in range(mat.k):
-        ri = mat.rows[i]
         for j in range(i + 1, mat.k):
-            rj = mat.rows[j]
-            counts = Counter(sub(a, b) for a, b in zip(ri, rj))
-            if len(counts) == v:
-                continue  # v distinct differences across v columns: each once
-            for x in mat.group.elements():
-                c = counts.get(x, 0)
+            counts = layout.dense(Counter(layout.differences(rows[i], rows[j])))
+            if counts.count(1) == v:
+                continue  # each element once across the v columns
+            for x, c in zip(mat.group.elements(), counts):
                 if c != 1:
                     deviations[(i, j, x)] = c
     ok = not deviations

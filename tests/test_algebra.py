@@ -303,6 +303,23 @@ def test_mul_matches_naive_poly_mul():
                 assert f.mul(a, b) == f.element(rem_t)
 
 
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 5), (2, 8), (5, 3)])
+def test_exp_log_tables_match_the_polynomial_walk(p, n):
+    """The packed exp/log table walk lists the same powers of the primitive
+    element as multiplying by it polynomial by polynomial."""
+    f = FieldDescriptor(p, n)
+    g = list(f.coeffs(f.primitive_element()))
+    exp, log = [], [0] * f.q
+    value = f.one
+    for i in range(f.q - 1):
+        exp.append(value)
+        log[value] = i
+        rem = naive_polymul_mod(list(f.coeffs(value)), g, list(f.modulus), p)
+        value = f.element(tuple(rem) + (0,) * (n - len(rem)))
+    assert value == f.one
+    assert f._tables() == (exp, log)
+
+
 def test_pow_conventions():
     f = build_field(3, 2)
     assert f.pow(0, 0) == f.one

@@ -562,6 +562,11 @@ def test_verify_missing_and_malformed_files(tmp_path):
     rc, out, err = run(["verify", bad])
     assert (rc, out, err) == (2, "", "error: design file param 'K' must be an integer list\n")
 
+    family["params"] = {"v": 7, "k": [3], "lambda": 1}
+    bad.write_text(json.dumps({**family, "blocks": [[[1], [2], [4]]]}))
+    rc, out, err = run(["verify", bad])
+    assert (rc, out, err) == (2, "", "error: design file param 'k' must be an integer\n")
+
 
 def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):
     monkeypatch.setattr(algebra, "is_prime", lambda n: pytest.fail(f"is_prime({n})"))

@@ -4,9 +4,11 @@ verify_df, verify_ds and verify_dds.
 Random blocks over random small groups of every shape (cyclic, extension
 fields, mixed products) are checked against a brute-force oracle that counts
 group.sub(x, y) over ordered pairs; the complete deviation maps must agree,
-iteration order included.  The big-int product engine is also called
-directly, on random blocks and at the slot-width boundaries, since the
-verifiers route only large blocks through it.
+iteration order included.  Both engines are also called directly: the
+pairwise engine on mixed, repeated and heavily padded blocks, the big-int
+product engine on random blocks and at the slot-width boundaries, since the
+verifiers route only large blocks through it.  Both return counts in
+canonical element order, compared through ``as_dict``.
 """
 
 import random
@@ -15,16 +17,26 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffam.algebra import GroupDescriptor, build_field, cyclic_group
+from diffam.algebra import (
+    FieldDescriptor,
+    GroupDescriptor,
+    build_field,
+    build_ring,
+    cyclic_group,
+)
+from diffam.constructions import dds_from_ds, furino_ddf, units_hdm
 from diffam.designs import (
     DDSParams,
     DSParams,
     Family,
     _convolution_counts,
+    _layout,
+    _pairwise_counts,
     _use_convolution,
     verify_dds,
     verify_df,
     verify_ds,
+    verify_hdm,
 )
 
 # cyclic orders and GF(p^n), n > 1; a group is a product of up to three
@@ -63,6 +75,13 @@ def oracle_counts(group, blocks):
                     d = group.sub(x, y)
                     counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+def as_dict(group, dense):
+    """Dense counts in canonical element order as a dict of nonzero entries,
+    the shape oracle_counts returns; the zero element must count 0."""
+    assert len(dense) == group.order and dense[0] == 0
+    return {x: c for x, c in zip(group.elements(), dense) if c}
 
 
 def oracle_deviations(group, blocks, expected):
@@ -133,12 +152,87 @@ def test_verify_dds_matches_oracle(data):
     _same(report, expected)
 
 
+def test_verify_dds_compares_the_subgroup_with_lambda1():
+    """The (13, 4, 1) set lifted to Z13 x Z2 has lambda1 = 8 on {0} x Z2 and
+    lambda2 = 2 elsewhere: a scan that ignores lambda1 fails it, and a wrong
+    lambda1 deviates at exactly the one nonzero subgroup element."""
+    lifted = dds_from_ds([(0,), (1,), (3,), (9,)], cyclic_group(13), 2)
+    assert lifted.params == DDSParams(13, 2, 8, 8, 2)
+    report = verify_dds(lifted.elements, lifted.group, lifted.subgroup, lifted.params)
+    assert report.ok and report.stats["pairs"] == 8 * 7
+    wrong = DDSParams(13, 2, 8, 2, 2)
+    report = verify_dds(lifted.elements, lifted.group, lifted.subgroup, wrong)
+    assert report.deviations == {(0, 1): 8}
+
+
+# heavily padded groups (GF(2^12): 3^12 slots, about 130 v) and Z_1 factors
+PADDED_GROUPS = [
+    GroupDescriptor([build_field(2, 12)]),
+    GroupDescriptor([1, build_field(2, 12)]),
+    GroupDescriptor([3, 1, build_field(2, 2)]),
+    GroupDescriptor([1]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairwise_counts_match_oracle(data):
+    """Blocks of mixed sizes in one family, some repeated, over every group
+    shape."""
+    group = data.draw(st.one_of(groups(), st.sampled_from(PADDED_GROUPS)))
+    blocks = data.draw(st.lists(_block(group, 1), max_size=5))
+    if blocks:
+        blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
+    counts = _pairwise_counts(group, blocks)
+    assert as_dict(group, counts) == oracle_counts(group, blocks)
+
+
+def test_layout_tables_only_extension_fields():
+    """A Z_n or GF(p) coordinate's position is the coordinate times a place,
+    so a pure cyclic group's layout holds no per-element table; only a
+    GF(p^n) factor, n > 1, has one, of q entries."""
+    cyclic = _layout(cyclic_group(125003))
+    assert cyclic.terms == (1,)
+    sequences = [a for a in vars(cyclic).values() if isinstance(a, (list, tuple))]
+    assert all(len(a) <= 1 for a in sequences)
+    assert _layout(GroupDescriptor([7, build_field(13), 5])).terms == (25 * 9, 9, 1)
+    mixed = _layout(GroupDescriptor([3, build_field(3, 2), build_field(2, 3)]))
+    sizes = [len(t) if isinstance(t, list) else t for t in mixed.terms]
+    assert sizes == [5 * 5 * 27, 9, 8]  # Z3's place, then GF(9)'s and GF(8)'s tables
+    group = cyclic_group(12)
+    assert _layout(group) is _layout(group)
+
+
+def test_verifiers_subtract_no_elements(monkeypatch):
+    """The count path works on positions: verify_df on a ring family and
+    verify_hdm on a unit table never call FieldDescriptor.sub or group.sub."""
+    ring = build_ring([4, 25, 7])
+    family = furino_ddf(ring, 3)
+    mat = units_hdm(ring, 3)
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(FieldDescriptor, "sub", spy("field", FieldDescriptor.sub))
+    for group in (family.group, mat.group):
+        monkeypatch.setattr(group, "sub", spy("group", group.sub))
+    assert verify_df(family, 2).ok
+    assert verify_hdm(mat).ok
+    assert calls == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_convolution_counts_match_oracle(data):
     group = data.draw(groups())
     block = sorted(data.draw(_block(group, 1)))
-    assert _convolution_counts(group, block) == oracle_counts(group, [block])
+    counts = _convolution_counts(group, block)
+    assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
 @pytest.mark.parametrize(
@@ -152,14 +246,16 @@ def test_convolution_counts_every_shape(factors):
     elements = list(group.elements())
     for k in range(1, len(elements) + 1):
         block = sorted(random.Random(k).sample(elements, k))
-        assert _convolution_counts(group, block) == oracle_counts(group, [block])
+        counts = _convolution_counts(group, block)
+        assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
 @pytest.mark.parametrize("k", [255, 256])
 def test_convolution_counts_at_one_byte_boundary(k):
     group = cyclic_group(300)
     block = [(x * 7 % 300,) for x in range(k)]
-    assert _convolution_counts(group, block) == oracle_counts(group, [block])
+    counts = _convolution_counts(group, block)
+    assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
 @pytest.mark.parametrize(
@@ -173,7 +269,7 @@ def test_convolution_counts_at_two_byte_boundary(factors, missing):
     group = GroupDescriptor(factors)
     block = [x for x in group.elements() if x != missing]
     expected = group.order - (2 if missing else 0)
-    counts = _convolution_counts(group, block)
+    counts = as_dict(group, _convolution_counts(group, block))
     assert len(counts) == group.order - 1
     assert set(counts.values()) == {expected}
 
