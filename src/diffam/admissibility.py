@@ -31,6 +31,7 @@ __all__ = [
     "IdentityVerdict",
     "Result3Verdict",
     "ds_admissible",
+    "ds_lambda",
     "proportional_pair_admissible",
     "dds_counting_identity",
     "refute_result3",
@@ -64,6 +65,13 @@ def ds_admissible(params: DSParams) -> IdentityVerdict:
     if not range_ok:
         note = f"range violated: need 0 <= {params.lam} <= {params.k} <= {params.v}"
     return IdentityVerdict(lhs == rhs and range_ok, "lambda*(v-1) = k*(k-1)", lhs, rhs, note)
+
+
+def ds_lambda(v: int, k: int) -> int | None:
+    """The lambda that lambda*(v-1) = k*(k-1) forces on a k-subset of a group
+    of order v, or None when it is not an integer."""
+    lam, rest = divmod(k * (k - 1), v - 1) if v > 1 else (0, 0)
+    return None if rest else lam
 
 
 def proportional_pair_admissible(params: DSParams, mu: int) -> IdentityVerdict:

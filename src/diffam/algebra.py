@@ -813,34 +813,25 @@ def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[dict]:
     return list(maps)
 
 
-def _cyclic_action(group: GroupDescriptor, action) -> tuple | None:
-    """Normalize a UnitAction/ScalarAction into (step, order), or None."""
-    if isinstance(action, (UnitAction, ScalarAction)):
-        if action.group != group:
-            raise ValueError(
-                f"action is defined on {action.group!r}, not on {group!r}"
-            )
-        return action.step, action.order
+def short_orbit_witness(orbit_list: Sequence[tuple[Element, ...]], order: int):
+    """The fixed-point witness of a cyclic action of the given order, read off
+    its orbits as ``orbits`` lists them: the least element of the first orbit
+    shorter than the order, with that orbit's length as the power, or None.
+    A scan of (element, power) pairs in canonical order finds the same pair
+    first, since orbits are listed by least member and x is fixed by its
+    j-th power exactly when its orbit length divides j."""
+    for orbit in orbit_list:
+        if len(orbit) < order:
+            return orbit[0], len(orbit)
     return None
 
 
 def fixed_point_witness(group: GroupDescriptor, action):
     """A nonzero element fixed by some non-identity member of the action, as
     (element, power-or-map-index), or None when the action is semiregular."""
-    check_cap(group.order)
-    cyc = _cyclic_action(group, action)
+    if isinstance(action, (UnitAction, ScalarAction)):
+        return short_orbit_witness(orbits(group, action), action.order)
     zero = group.zero
-    if cyc is not None:
-        step, order = cyc
-        for x in group.elements():
-            if x == zero:
-                continue
-            y = step(x)
-            for j in range(1, order):
-                if y == x:
-                    return (x, j)
-                y = step(y)
-        return None
     maps = _validated_maps(group, action)
     identity = {x: x for x in group.elements()}
     for idx, m in enumerate(maps):
@@ -863,11 +854,14 @@ def orbits(group: GroupDescriptor, action) -> list[tuple[Element, ...]]:
     canonically, listed in order of their least members."""
     check_cap(group.order)
     zero = group.zero
-    cyc = _cyclic_action(group, action)
     out: list[tuple[Element, ...]] = []
     seen: set[Element] = set()
-    if cyc is not None:
-        step, _ = cyc
+    if isinstance(action, (UnitAction, ScalarAction)):
+        if action.group != group:
+            raise ValueError(
+                f"action is defined on {action.group!r}, not on {group!r}"
+            )
+        step = action.step
         for x in group.elements():
             if x == zero or x in seen:
                 continue

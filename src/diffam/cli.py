@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from math import prod
 
 from .admissibility import (
     dds_counting_identity,
     ds_admissible,
+    ds_lambda,
     proportional_pair_admissible,
     refute_result3,
 )
@@ -70,23 +72,12 @@ from .designs import (
 )
 from .fileformat import (
     FAMILY_KINDS,
+    KINDS,
+    PARAM_KEYS,
+    SET_KINDS,
     DesignFile,
     load_design,
     save_design,
-)
-
-CONSTRUCTIONS = (
-    "orbit",
-    "orbit-split",
-    "furino",
-    "cyclotomic-half",
-    "units-hdm",
-    "product",
-    "result1",
-    "trivial-ds",
-    "singer",
-    "dds-product",
-    "result3star",
 )
 
 
@@ -208,19 +199,13 @@ def _require_flag(args, flag: str):
 # ---------------------------------------------------------------------------
 
 
-def _family_design(kind: str, family: Family, lam: int) -> DesignFile:
-    return DesignFile(kind, family.group, family_params(family, lam), family.blocks)
-
-
-def _matrix_design(kind: str, mat: DiffMatrix) -> DesignFile:
-    return DesignFile(
-        kind, mat.group, {"v": mat.group.order, "k": mat.k, "lambda": 1}, rows=mat.rows
-    )
+def _ring(args):
+    return build_ring(_parse_factors(_require_flag(args, "--factors")))
 
 
 def _orbit_inputs(args):
     if args.factors is not None:
-        ring = build_ring(_parse_factors(args.factors))
+        ring = _ring(args)
         k = _require_flag(args, "--k")
         return ring.additive_group(), unit_subgroup_of_order(ring, k)
     if args.v is not None:
@@ -247,98 +232,112 @@ def _load_hdm(path) -> DiffMatrix:
     raise ValueError(f"{path}: expected a difference-matrix design, found {design.kind!r}")
 
 
-def _build_design(args) -> DesignFile:
-    name = args.name
-    if name in ("orbit", "orbit-split"):
-        group, action = _orbit_inputs(args)
-        if name == "orbit":
-            family = orbit_ddf(group, action)
-            k = family.uniform_k()
-            return _family_design("ddf", family, (k - 1) if k else 0)
-        family = orbit_ddf_split(group, action)[0]
-        k = family.uniform_k()
-        return _family_design("ddf", family, (k - 1) // 2 if k else 0)
-    if name == "furino":
-        k = _require_flag(args, "--k")
-        if args.factors is not None:
-            base = build_ring(_parse_factors(args.factors))
-        elif args.v is not None:
-            base = args.v
-        else:
-            raise ValueError("furino needs --v or --factors")
-        family = furino_ddf(base, k, half=args.half)
-        lam = (k - 1) // 2 if args.half else k - 1
-        return _family_design("ddf", family, lam)
-    if name == "cyclotomic-half":
-        ring = build_ring(_parse_factors(_require_flag(args, "--factors")))
-        k = _require_flag(args, "--k")
-        sigma = _parse_sigma_choice(args.sigma_choice) if args.sigma_choice else None
-        family = cyclotomic_half_ddf(ring, k, sigma)
-        return _family_design("ddf", family, (k - 1) // 2)
-    if name == "units-hdm":
-        ring = build_ring(_parse_factors(_require_flag(args, "--factors")))
-        return _matrix_design("hdm", units_hdm(ring, _require_flag(args, "--k")))
-    if name == "product":
-        family_g = _load_family(_require_flag(args, "--ddf-g"))
-        family_h = _load_family(_require_flag(args, "--ddf-h"))
-        hdm = _load_hdm(_require_flag(args, "--dm"))
-        family = product_ddf(family_g, family_h, hdm)
-        return _family_design("ddf", family, family.uniform_k() - 1)
-    if name == "result1":
-        k = _require_flag(args, "--k")
-        ring = build_ring(_parse_factors(_require_flag(args, "--factors")))
-        family = result1_ddf(k, ring)
-        return _family_design("ddf", family, k - 1)
-    if name == "trivial-ds":
-        k = _require_flag(args, "--k")
-        dset, group = trivial_ds(k)
-        return DesignFile(
-            "ds", group, {"v": k + 1, "k": k, "lambda": k - 1}, (dset,)
-        )
-    if name == "singer":
-        q = _require_flag(args, "--q")
-        m = _require_flag(args, "--m")
-        dset, group = singer_ds(q, m)
-        v = (q**m - 1) // (q - 1)
-        k = (q ** (m - 1) - 1) // (q - 1)
-        lam = (q ** (m - 2) - 1) // (q - 1)
-        return DesignFile("ds", group, {"v": v, "k": k, "lambda": lam}, (dset,))
-    if name == "dds-product":
-        source = load_design(_require_flag(args, "--ds"))
-        if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
-            raise ValueError("--ds must point to a single-block ds design file")
-        built = dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
-        return _dds_design(built)
-    if name == "result3star":
-        built = result3star_dds(
-            _require_flag(args, "--q"),
-            _require_flag(args, "--d"),
-            _require_flag(args, "--e"),
-            _require_flag(args, "--h"),
-        )
-        return _dds_design(built)
-    raise ValueError(f"unknown construction {name!r}")
+def _orbit(args):
+    family = orbit_ddf(*_orbit_inputs(args))
+    return family, (family.uniform_k() or 1) - 1  # no blocks when v = 1
 
 
-def _dds_design(built) -> DesignFile:
-    params = built.params
-    return DesignFile(
+def _orbit_split(args):
+    family = orbit_ddf_split(*_orbit_inputs(args))[0]
+    return family, ((family.uniform_k() or 1) - 1) // 2
+
+
+def _furino(args):
+    k = _require_flag(args, "--k")
+    if args.factors is not None:
+        base = _ring(args)
+    elif args.v is not None:
+        base = args.v
+    else:
+        raise ValueError("furino needs --v or --factors")
+    return furino_ddf(base, k, half=args.half), ((k - 1) // 2 if args.half else k - 1)
+
+
+def _cyclotomic_half(args):
+    ring = _ring(args)
+    k = _require_flag(args, "--k")
+    sigma = _parse_sigma_choice(args.sigma_choice) if args.sigma_choice else None
+    return cyclotomic_half_ddf(ring, k, sigma), (k - 1) // 2
+
+
+def _product(args):
+    family = product_ddf(
+        _load_family(_require_flag(args, "--ddf-g")),
+        _load_family(_require_flag(args, "--ddf-h")),
+        _load_hdm(_require_flag(args, "--dm")),
+    )
+    return family, family.uniform_k() - 1
+
+
+def _result1(args):
+    k = _require_flag(args, "--k")
+    return result1_ddf(k, _ring(args)), k - 1
+
+
+def _dds_product(args):
+    source = load_design(_require_flag(args, "--ds"))
+    if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
+        raise ValueError("--ds must point to a single-block ds design file")
+    return dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
+
+
+# recipe name -> (kind of design it writes, builder).  A builder reads its
+# flags and returns what the recipe certified: (family, lambda) for a ddf,
+# (set, group) for a ds, a DDSConstruction for a dds, a DiffMatrix for an
+# hdm.  Builders name the recipe functions as module globals, resolved at
+# call time, so a rebinding of those names (a test double, a tracer) is seen.
+RECIPES = {
+    "orbit": ("ddf", _orbit),
+    "orbit-split": ("ddf", _orbit_split),
+    "furino": ("ddf", _furino),
+    "cyclotomic-half": ("ddf", _cyclotomic_half),
+    "units-hdm": (
+        "hdm",
+        lambda args: units_hdm(_ring(args), _require_flag(args, "--k")),
+    ),
+    "product": ("ddf", _product),
+    "result1": ("ddf", _result1),
+    "trivial-ds": ("ds", lambda args: trivial_ds(_require_flag(args, "--k"))),
+    "singer": (
+        "ds",
+        lambda args: singer_ds(_require_flag(args, "--q"), _require_flag(args, "--m")),
+    ),
+    "dds-product": ("dds", _dds_product),
+    "result3star": (
         "dds",
+        lambda args: result3star_dds(
+            *(_require_flag(args, flag) for flag in ("--q", "--d", "--e", "--h"))
+        ),
+    ),
+}
+
+
+def _design_file(kind: str, built) -> DesignFile:
+    """The design file of a recipe's certified output, with the parameters
+    read off that output in the kind's PARAM_KEYS order."""
+    if kind == "ddf":
+        family, lam = built
+        return DesignFile(kind, family.group, family_params(family, lam), family.blocks)
+    keys = PARAM_KEYS[kind]
+    if kind == "hdm":
+        values = (built.group.order, built.k, 1)
+        return DesignFile(kind, built.group, dict(zip(keys, values)), rows=built.rows)
+    if kind == "ds":
+        dset, group = built
+        v, k = group.order, len(dset)
+        return DesignFile(kind, group, dict(zip(keys, (v, k, ds_lambda(v, k)))), (dset,))
+    return DesignFile(
+        kind,
         built.group,
-        {
-            "m": params.m,
-            "n": params.n,
-            "k": params.k,
-            "lambda1": params.lam1,
-            "lambda2": params.lam2,
-        },
+        dict(zip(keys, astuple(built.params))),
         (built.elements,),
         subgroup=built.subgroup,
     )
 
 
 def cmd_construct(args) -> int:
-    design = _build_design(args)
+    kind, build = RECIPES[args.name]
+    design = _design_file(kind, build(args))
     save_design(args.out, design)
     if design.rows is not None:
         payload = f"{len(design.rows)} rows"
@@ -395,56 +394,30 @@ def _verify_family_design(design: DesignFile) -> Report:
 
 
 def _verify_design(design: DesignFile) -> Report:
-    if design.kind in FAMILY_KINDS:
+    kind = design.kind
+    if kind in FAMILY_KINDS:
         return _verify_family_design(design)
-    if design.kind == "ds":
-        if design.blocks is None or len(design.blocks) != 1:
-            return _fail("ds", design.params, "a ds design must have exactly one block")
-        params = DSParams(
-            _int_param(design.params, "v"),
-            _int_param(design.params, "k"),
-            _int_param(design.params, "lambda"),
-        )
-        return verify_ds(design.blocks[0], design.group, params)
-    if design.kind == "dds":
+    if kind in SET_KINDS:
         if design.blocks is None or len(design.blocks) != 1:
             return _fail(
-                "dds", design.params, "a dds design must have exactly one block"
+                kind, design.params, f"a {kind} design must have exactly one block"
             )
-        params = DDSParams(
-            _int_param(design.params, "m"),
-            _int_param(design.params, "n"),
-            _int_param(design.params, "k"),
-            _int_param(design.params, "lambda1"),
-            _int_param(design.params, "lambda2"),
+        values = [_int_param(design.params, key) for key in PARAM_KEYS[kind]]
+        if kind == "ds":
+            return verify_ds(design.blocks[0], design.group, DSParams(*values))
+        return verify_dds(
+            design.blocks[0], design.group, design.subgroup, DDSParams(*values)
         )
-        return verify_dds(design.blocks[0], design.group, design.subgroup, params)
-    # dm / hdm
     mat = design.matrix()
-    if _int_param(design.params, "k") != mat.k:
-        return _fail(
-            design.kind,
-            design.params,
-            f"declared k={design.params['k']} but the matrix has {mat.k} rows",
-        )
-    if _int_param(design.params, "v") != mat.group.order:
-        return _fail(
-            design.kind,
-            design.params,
-            f"declared v={design.params['v']} but the group has order {mat.group.order}",
-        )
-    return verify_dm(mat) if design.kind == "dm" else verify_hdm(mat)
-
-
-_EXPECT_PARAM_KEYS = {
-    "df": ("v", "k", "lambda"),
-    "ddf": ("v", "k", "lambda"),
-    "pdf": ("v", "k", "lambda"),
-    "ds": ("v", "k", "lambda"),
-    "dds": ("m", "n", "k", "lambda1", "lambda2"),
-    "dm": ("v", "k", "lambda"),
-    "hdm": ("v", "k", "lambda"),
-}
+    for key, actual, found in (
+        ("k", mat.k, f"the matrix has {mat.k} rows"),
+        ("v", mat.group.order, f"the group has order {mat.group.order}"),
+        ("lambda", 1, "a difference matrix has lambda=1"),
+    ):
+        if _int_param(design.params, key) != actual:
+            message = f"declared {key}={design.params[key]} but {found}"
+            return _fail(kind, design.params, message)
+    return verify_dm(mat) if kind == "dm" else verify_hdm(mat)
 
 
 def cmd_verify(args) -> int:
@@ -456,7 +429,7 @@ def cmd_verify(args) -> int:
         return 1
     if args.expect_params is not None:
         expected = _parse_expect_params(args.expect_params)
-        keys = _EXPECT_PARAM_KEYS[design.kind]
+        keys = PARAM_KEYS[design.kind]
         if len(expected) != len(keys):
             raise ValueError(
                 f"--expect-params for kind {design.kind!r} needs "
@@ -537,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="build a design and write it to a file")
-    con.add_argument("name", choices=CONSTRUCTIONS, help="construction recipe")
+    con.add_argument("name", choices=tuple(RECIPES), help="construction recipe")
     con.add_argument("--v", type=int, help="cyclic group order")
     con.add_argument("--factors", help="comma-separated field orders of a product ring")
     con.add_argument("--k", type=int, help="block size / unit subgroup order")
@@ -565,9 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="re-verify a design file from scratch")
     ver.add_argument("file", help="design file path")
-    ver.add_argument(
-        "--expect-kind", choices=("df", "ddf", "pdf", "ds", "dds", "dm", "hdm")
-    )
+    ver.add_argument("--expect-kind", choices=KINDS)
     ver.add_argument(
         "--expect-params",
         help="comma-separated integers that must match the declared parameters",
@@ -612,6 +583,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        # argparse reads the value of `--flag=--` as the end-of-options marker
+        # and stores an empty list; no option here takes a list
+        for key, value in vars(args).items():
+            if isinstance(value, list):
+                raise ValueError(f"argument --{key.replace('_', '-')}: expected a value")
         return args.func(args)
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .algebra import (
     GroupDescriptor,
     RingDescriptor,
     ScalarAction,
+    UnitAction,
     abelian_iso,
     build_field,
     check_cap,
@@ -35,8 +36,10 @@ from .algebra import (
     orbits,
     prime_power,
     product_group,
+    short_orbit_witness,
     unit_subgroup_of_order,
 )
+from .admissibility import ds_lambda
 from .designs import (
     DDSParams,
     DSParams,
@@ -90,9 +93,15 @@ def _require(report, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require_semiregular(group: GroupDescriptor, action) -> None:
-    """Raise NotSemiregularError carrying the fixed-point witness, if any."""
-    witness = fixed_point_witness(group, action)
+def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[Element, ...]]:
+    """The action's orbits on the nonzero elements, or NotSemiregularError
+    with the fixed-point witness; a cyclic action's witness is read off its
+    orbits, so the action is walked once."""
+    all_orbits = orbits(group, action)
+    if isinstance(action, (UnitAction, ScalarAction)):
+        witness = short_orbit_witness(all_orbits, action.order)
+    else:
+        witness = fixed_point_witness(group, action)
     if witness is not None:
         x, j = witness
         raise NotSemiregularError(
@@ -100,13 +109,13 @@ def _require_semiregular(group: GroupDescriptor, action) -> None:
             f"(automorphism index {j})",
             witness,
         )
+    return all_orbits
 
 
 def orbit_ddf(group: GroupDescriptor, action) -> Family:
     """The orbits of a semiregular order-k automorphism group on the nonzero
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
-    _require_semiregular(group, action)
-    blocks = orbits(group, action)
+    blocks = _semiregular_orbits(group, action)
     family = Family(group, blocks)
     k = family.uniform_k()
     if blocks and k is None:
@@ -126,8 +135,7 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
     fall into pairs {B, -B} whose halves each cover every nonzero element
     (k-1)/2 times.
     """
-    _require_semiregular(group, action)
-    all_orbits = orbits(group, action)
+    all_orbits = _semiregular_orbits(group, action)
     v = group.order
     k = len(all_orbits[0]) if all_orbits else 1
     if (v * k) % 2 == 0:
@@ -480,14 +488,13 @@ def dds_from_ds(
     big = product_group(group, cyclic_group(h))
     check_cap(big.order)
     v, k = group.order, len(block)
-    # a difference set's lambda is fixed by lambda*(v-1) = k*(k-1); the one
-    # verify_ds call below certifies that every count really equals it
-    if v > 1 and k * (k - 1) % (v - 1):
+    # the one verify_ds call below certifies that every count equals lam
+    lam = ds_lambda(v, k)
+    if lam is None:
         raise ConstructionError(
             f"input is not a difference set: k*(k-1) = {k * (k - 1)} is not "
             f"a multiple of v-1 = {v - 1}"
         )
-    lam = k * (k - 1) // (v - 1) if v > 1 else 0
     _require(verify_ds(block, group, DSParams(v, k, lam)), "difference set input")
     lifted = tuple(x + (j,) for x in block for j in range(h))
     subgroup = tuple(group.zero + (j,) for j in range(h))

@@ -35,7 +35,19 @@ from .algebra import (
 )
 from .designs import DiffMatrix, Family
 
-KINDS = ("df", "ddf", "pdf", "ds", "dds", "dm", "hdm")
+# kind -> the integer parameters its file declares, in the order DSParams,
+# DDSParams and `verify --expect-params` take them (a family with blocks of
+# several sizes declares the size list K instead of k)
+PARAM_KEYS = {
+    "df": ("v", "k", "lambda"),
+    "ddf": ("v", "k", "lambda"),
+    "pdf": ("v", "k", "lambda"),
+    "ds": ("v", "k", "lambda"),
+    "dds": ("m", "n", "k", "lambda1", "lambda2"),
+    "dm": ("v", "k", "lambda"),
+    "hdm": ("v", "k", "lambda"),
+}
+KINDS = tuple(PARAM_KEYS)
 
 FAMILY_KINDS = ("df", "ddf", "pdf")
 SET_KINDS = ("ds", "dds")

@@ -8,6 +8,8 @@ as the library underneath it.
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,25 @@ def test_construct_refuses_over_cap_flags_before_work(tmp_path, monkeypatch):
         assert err == (
             f"error: group order {order} exceeds the exhaustive-verification cap 1000000\n"
         )
+
+
+def test_an_option_given_the_end_of_options_marker_is_a_usage_error(tmp_path):
+    out_path = tmp_path / "x.json"
+    for argv, flag in (
+        (["construct", "orbit", "--factors=--", "--k", 3, "--out", out_path], "--factors"),
+        (["construct", "orbit", "--v=--", "--mult", 2, "--out", out_path], "--v"),
+        (["construct", "trivial-ds", "--k", 3, "--out=--"], "--out"),
+        (["verify", out_path, "--expect-kind=--"], "--expect-kind"),
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out, err) == (2, "", f"error: argument {flag}: expected a value\n")
+
+
+def test_readme_lists_the_recipe_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("### Constructions", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (\w+) \|", section, re.MULTILINE)
+    assert rows == [(name, kind) for name, (kind, _) in cli.RECIPES.items()]
 
 
 def test_construct_cyclotomic_with_sigma_override(tmp_path):
@@ -529,6 +550,32 @@ def test_verify_matrix_files(tmp_path):
     assert out.startswith("FAIL: hdm over GF(7) [k=4 lambda=1 v=7]\n")
     assert "7 (row, element) occurrence counts != 1" in out
     assert "  row 0, element 0: count 7\n" in out
+
+
+def test_verify_matrix_files_check_the_declared_lambda(tmp_path):
+    path = tmp_path / "h7.json"
+    run(["construct", "units-hdm", "--factors", "7", "--k", 3, "--out", path])
+    obj = json.loads(path.read_text())
+    obj["params"]["lambda"] = 5
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(["verify", path, "--expect-params", "7,3,5"])
+    assert (rc, err) == (1, "")
+    assert out == (
+        "FAIL: hdm over GF(7) [k=3 lambda=5 v=7]\n"
+        "  declared lambda=5 but a difference matrix has lambda=1\n"
+    )
+
+    dm = hdm_to_dm(units_hdm(build_ring([7]), 3))
+    params = {"v": 7, "k": 4, "lambda": 2}
+    save_design(path, DesignFile(kind="dm", group=dm.group, params=params, rows=dm.rows))
+    rc, out, err = run(["verify", path])
+    assert (rc, err) == (1, "")
+    assert out.startswith("FAIL: dm over GF(7) [k=4 lambda=2 v=7]\n")
+
+    del params["lambda"]
+    save_design(path, DesignFile(kind="dm", group=dm.group, params=params, rows=dm.rows))
+    rc, out, err = run(["verify", path])
+    assert (rc, out, err) == (2, "", "error: design file params are missing 'lambda'\n")
 
 
 def test_verify_missing_and_malformed_files(tmp_path):

@@ -82,6 +82,20 @@ def test_orbit_ddf_rejects_fixed_points():
         orbit_ddf_split(g, ScalarAction(g, 3))
 
 
+def test_orbit_ddf_takes_a_map_list():
+    def negation(g):
+        return [{x: x for x in g.elements()}, {x: g.neg(x) for x in g.elements()}]
+
+    g = cyclic_group(5)
+    fam = orbit_ddf(g, negation(g))
+    assert fam.blocks == (((1,), (4,)), ((2,), (3,)))
+    assert verify_df(fam, 1).ok
+    g4 = cyclic_group(4)
+    with pytest.raises(NotSemiregularError) as info:
+        orbit_ddf(g4, negation(g4))
+    assert info.value.witness == ((2,), 1)
+
+
 def test_orbit_ddf_identity_action():
     g = cyclic_group(5)
     fam = orbit_ddf(g, ScalarAction(g, 1))
