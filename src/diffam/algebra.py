@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 GROUP_ORDER_CAP = 10**6
@@ -407,37 +408,49 @@ class FieldDescriptor:
         if self._exp is None:
             p, n, q = self.p, self.n, self.q
             g = self.primitive_element()
-            # the walk multiplies by g without polynomial arithmetic: a value
-            # is held as its coefficients c_d of x^d, packed in fields of
-            # `bits` bits, wide enough that a sum of n coefficients below p
-            # never carries; rows[d][c] is c * x^d * g packed the same way,
-            # so the packed product is the sum of rows[d][c_d], and reducing
-            # each field mod p gives the coefficients of the next power
-            bits = (n * (p - 1)).bit_length()
-            mask = (1 << bits) - 1
-            shifts = range(0, n * bits, bits)
+            # the walk multiplies a whole value by g in a few int operations.
+            # A value is held packed: its digits (encoding order, c0 most
+            # significant) in fields of `width` bits, room for a sum of two
+            # digits plus a guard bit.  Multiplying by g is linear, so g*a is
+            # g*(a's high digits) + g*(a's low digits); one dict per half maps
+            # the packed half to that product, packed, shifted above the
+            # half's share of the encoded value.  The product's fields sum to
+            # below 2p, and one subtraction of p from every field that
+            # reaches p (the guard bit of field + 2^bits - p) reduces them.
+            bits = (2 * p - 2).bit_length()
+            width = bits + 1
+            low = n // 2
+            split = low * width
+            low_mask = (1 << split) - 1
+            value_bits = q.bit_length()
+            value_mask = (1 << value_bits) - 1
+            fields = range(0, n * width, width)
+            guard = sum(1 << (s + bits) for s in fields)
+            excess = sum(((1 << bits) - p) << s for s in fields)
 
             def pack(a: int) -> int:
-                return sum(c << s for c, s in zip(self.coeffs(a), shifts))
+                return sum(c << s for c, s in zip(reversed(self.coeffs(a)), fields))
 
-            rows = []
-            for d in range(n):
-                xg = self._raw_mul(p ** (n - 1 - d), g)  # x^d * g
-                rows.append([pack(self.scalar(c, xg)) for c in range(p)])
+            def half_table(values, shift: int) -> dict[int, int]:
+                return {
+                    pack(a) >> shift: pack(self._raw_mul(a, g)) << value_bits | a
+                    for a in values
+                }
+
+            high_table = half_table(range(0, q, p**low), split)
+            low_table = half_table(range(p**low), 0)
             exp = [0] * (q - 1)
             log = [0] * q
             packed = pack(self.one)
             for i in range(q - 1):
-                value = nxt = 0
-                for s, row in zip(shifts, rows):
-                    c = (packed >> s & mask) % p
-                    value = value * p + c
-                    nxt += row[c]
+                step = high_table[packed >> split] + low_table[packed & low_mask]
+                value = step & value_mask
                 exp[i] = value
                 log[value] = i
-                packed = nxt
-            # the walk closes when g^(q-1), reduced, is one
-            if sum((packed >> s & mask) % p << s for s in shifts) != pack(self.one):
+                packed = step >> value_bits
+                packed -= (((packed + excess) & guard) >> bits) * p
+            # the walk closes when g^(q-1) is one
+            if packed != pack(self.one):
                 raise RuntimeError("primitive element walk failed to close")
             self._exp, self._log = exp, log
         return self._exp, self._log
@@ -670,6 +683,22 @@ class GroupDescriptor:
                 for c, s in zip(x, self.factor_sizes)
             )
         )
+
+    def check_elements(self, xs: Sequence) -> bool:
+        """True iff ``contains`` accepts every x in xs, checked a column at a
+        time: tuple type and width over all of xs, then per factor the int
+        type of the coordinate column and its min/max against the order."""
+        if not all(map(isinstance, xs, itertools.repeat(tuple))):
+            return False
+        if any(map(len(self.factors).__ne__, map(len, xs))):
+            return False
+        for i, size in enumerate(self.factor_sizes):
+            col = list(map(itemgetter(i), xs))
+            if not all(map(isinstance, col, itertools.repeat(int))):
+                return False
+            if col and (min(col) < 0 or max(col) >= size):
+                return False
+        return True
 
     def validate_element(self, x) -> None:
         if not self.contains(x):

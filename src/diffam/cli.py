@@ -317,6 +317,12 @@ def _design_file(kind: str, built) -> DesignFile:
     read off that output in the kind's PARAM_KEYS order."""
     if kind == "ddf":
         family, lam = built
+        if not family.blocks:
+            # no lambda or K describes an empty family, so none is written
+            raise ValueError(
+                f"the construction gives no blocks over {family.group!r}; "
+                "a design file needs at least one block"
+            )
         return DesignFile(kind, family.group, family_params(family, lam), family.blocks)
     keys = PARAM_KEYS[kind]
     if kind == "hdm":
@@ -501,8 +507,15 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message} (usage: {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffam",
         description="Construct and exhaustively verify difference families, "
         "difference sets, and difference matrices.",

@@ -99,16 +99,21 @@ class Family:
     """
 
     def __init__(self, group: GroupDescriptor, blocks: Iterable[Iterable[Element]]):
-        normalized = []
-        for block in blocks:
-            b = tuple(sorted(block))
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            for x in b:
-                group.validate_element(x)
-            if any(b[i] == b[i + 1] for i in range(len(b) - 1)):
-                raise ValueError(f"block {b} has a repeated element")
-            normalized.append(b)
+        normalized = list(map(tuple, map(sorted, blocks)))
+        # every element is checked in one column pass; the per-block loop
+        # runs only on failure, to name the first offender
+        if not (
+            all(normalized)
+            and group.check_elements(list(chain.from_iterable(normalized)))
+            and list(map(len, map(set, normalized))) == list(map(len, normalized))
+        ):
+            for b in normalized:
+                if not b:
+                    raise ValueError("blocks must be nonempty")
+                for x in b:
+                    group.validate_element(x)
+                if any(b[i] == b[i + 1] for i in range(len(b) - 1)):
+                    raise ValueError(f"block {b} has a repeated element")
         self.group = group
         self.blocks: tuple[tuple[Element, ...], ...] = tuple(normalized)
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
 
 from .algebra import (
     Element,
@@ -229,26 +231,85 @@ def design_from_obj(obj) -> DesignFile:
         raw = obj.get("rows")
         if not isinstance(raw, list) or not raw:
             raise ValueError(f"kind {kind!r} needs a nonempty 'rows' list")
-        rows = tuple(
-            tuple(element_from_obj(group, x) for x in _expect_list(row, "row"))
-            for row in raw
-        )
+        rows = _payload_from_obj(group, raw, "row")
     else:
         raw = obj.get("blocks")
         if not isinstance(raw, list):
             raise ValueError(f"kind {kind!r} needs a 'blocks' list")
-        blocks = tuple(
-            tuple(element_from_obj(group, x) for x in _expect_list(block, "block"))
-            for block in raw
-        )
+        blocks = _payload_from_obj(group, raw, "block")
     if kind == "dds":
         raw = obj.get("subgroup")
         if not isinstance(raw, list) or not raw:
             raise ValueError("kind 'dds' needs a nonempty 'subgroup' list")
-        subgroup = tuple(element_from_obj(group, x) for x in raw)
+        subgroup = _columns_from_obj(group, raw)
+        if subgroup is None:
+            subgroup = tuple(element_from_obj(group, x) for x in raw)
     elif "subgroup" in obj:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
     return DesignFile(kind, group, params, blocks, rows, subgroup)
+
+
+_JSON_INT = frozenset((int,))  # json.loads gives bool, not int, for true/false
+
+
+def _columns_from_obj(group: GroupDescriptor, raw: list) -> tuple | None:
+    """Decode a list of element objects one coordinate column at a time,
+    accepting exactly what element_from_obj accepts: list and length
+    checks, JSON-int type checks, then min/max against the radix.  Field
+    coefficient lists map through one dict of the lists present.  None when
+    any check fails; the caller then decodes element by element, so the
+    error names the first offender."""
+    width = len(group.factors)
+    if not all(map(isinstance, raw, repeat(list))) or any(
+        map(width.__ne__, map(len, raw))
+    ):
+        return None
+    columns = []
+    for i, fac in enumerate(group.factors):
+        col = list(map(itemgetter(i), raw))
+        if isinstance(fac, FieldDescriptor):
+            if not all(map(isinstance, col, repeat(list))) or any(
+                map(fac.n.__ne__, map(len, col))
+            ):
+                return None
+            col = list(map(tuple, col))
+            digits, radix = list(chain.from_iterable(col)), fac.p
+        else:
+            digits, radix = col, fac
+        if digits and (
+            not _JSON_INT.issuperset(map(type, digits))
+            or min(digits) < 0
+            or max(digits) >= radix
+        ):
+            return None
+        if isinstance(fac, FieldDescriptor):
+            table = {key: fac.element(key) for key in set(col)}
+            col = list(map(table.__getitem__, col))
+        columns.append(col)
+    return tuple(zip(*columns))
+
+
+def _payload_from_obj(group: GroupDescriptor, raw: list, what: str) -> tuple:
+    """Blocks or matrix rows: every element decoded in one column pass, then
+    cut back into the lists of the file."""
+    if all(map(isinstance, raw, repeat(list))):
+        elements = _columns_from_obj(group, list(chain.from_iterable(raw)))
+        if elements is not None:
+            it = iter(elements)
+            out: list = []
+            for k, m in _runs(map(len, raw)):
+                out.extend(islice(zip(*([it] * k)), m) if k else repeat((), m))
+            return tuple(out)
+    return tuple(
+        tuple(element_from_obj(group, x) for x in _expect_list(item, what))
+        for item in raw
+    )
+
+
+def _runs(lengths) -> list[tuple[int, int]]:
+    """(length, count) for each run of equal consecutive list lengths: the
+    codec reads and writes a run of equal-length lists with one template."""
+    return [(k, len(list(run))) for k, run in groupby(lengths)]
 
 
 def _expect_list(value, what: str) -> list:
@@ -257,8 +318,87 @@ def _expect_list(value, what: str) -> list:
     return value
 
 
+def _list_template(item: str, count: int, depth: int) -> str:
+    """A str.format template of a list of `count` items, each written by the
+    template `item`, laid out as json.dumps(indent=2) lays out a list that
+    opens at indent depth `depth`."""
+    if not count:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join([item] * count) + "\n" + "  " * depth + "]"
+
+
+def _header_text(obj) -> str:
+    """A small top-level value (group, params) as json.dumps(indent=2)
+    writes it at depth 1; a JSON text holds no raw newline inside a string."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _lists_texts(group: GroupDescriptor, lists: list, depth: int) -> list[str]:
+    """The text of each list of elements as json.dumps(indent=2) writes it
+    at indent depth `depth`, one template per run of equal-length lists.
+    The coordinate texts are built a column at a time, after one check of
+    every element: a cyclic coordinate is its decimal text, a field
+    coordinate looks its coefficient-list text up in a table of the values
+    present."""
+    xs = list(chain.from_iterable(lists))
+    if not group.check_elements(xs):
+        for x in xs:
+            group.validate_element(x)  # raises, naming the first offender
+    columns = []
+    for i, fac in enumerate(group.factors):
+        col = list(map(itemgetter(i), xs))
+        if any(map(isinstance, col, repeat(bool))):
+            x = next(x for x in xs if isinstance(x[i], bool))
+            raise ValueError(f"{x!r} has a bool coordinate, not an integer")
+        if isinstance(fac, FieldDescriptor):
+            fmt = _list_template("{}", fac.n, depth + 2).format
+            table = {c: fmt(*fac.coeffs(c)) for c in set(col)}
+            columns.append(map(table.__getitem__, col))
+        else:
+            columns.append(map(int.__repr__, col))
+    element = _list_template("{}", len(columns), depth + 1)
+    out: list[str] = []
+    for k, m in _runs(map(len, lists)):
+        fmt = _list_template(element, k, depth).format
+        out.extend(islice(map(fmt, *(columns * k)), m) if k else repeat("[]", m))
+    return out
+
+
+def _payload_text(group: GroupDescriptor, lists) -> str:
+    """Blocks or matrix rows: a list at depth 1 of element lists."""
+    texts = _lists_texts(group, [tuple(items) for items in lists], 2)
+    return _list_template("{}", len(texts), 1).format(*texts)
+
+
 def dumps_design(design: DesignFile) -> str:
-    return json.dumps(design_to_obj(design), sort_keys=True, indent=2) + "\n"
+    """The file text, byte for byte what
+    json.dumps(design_to_obj(design), sort_keys=True, indent=2) + "\n"
+    gives, written directly from the fixed schema (keys in sorted order)."""
+    kind = design.kind
+    if kind not in KINDS:
+        raise ValueError(f"unknown design kind {kind!r}")
+    texts = {
+        "kind": json.dumps(kind),
+        "group": _header_text(group_to_obj(design.group)),
+        "params": _header_text(_params_to_obj(design.params)),
+    }
+    if kind in MATRIX_KINDS:
+        if design.rows is None:
+            raise ValueError(f"kind {kind!r} needs matrix rows")
+        texts["rows"] = _payload_text(design.group, design.rows)
+    else:
+        if design.blocks is None:
+            raise ValueError(f"kind {kind!r} needs blocks")
+        texts["blocks"] = _payload_text(design.group, design.blocks)
+    if kind == "dds":
+        if design.subgroup is None:
+            raise ValueError("kind 'dds' needs the forbidden subgroup")
+        texts["subgroup"] = _lists_texts(design.group, [tuple(design.subgroup)], 1)[0]
+    elif design.subgroup is not None:
+        raise ValueError(f"kind {kind!r} must not carry a subgroup")
+    fields = (f'"{key}": {texts[key]}' for key in sorted(texts))
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def loads_design(text: str) -> DesignFile:

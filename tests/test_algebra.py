@@ -303,7 +303,7 @@ def test_mul_matches_naive_poly_mul():
                 assert f.mul(a, b) == f.element(rem_t)
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (3, 5), (2, 8), (5, 3)])
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 5), (2, 8), (5, 3), (2, 12)])
 def test_exp_log_tables_match_the_polynomial_walk(p, n):
     """The packed exp/log table walk lists the same powers of the primitive
     element as multiplying by it polynomial by polynomial."""

@@ -187,6 +187,36 @@ def test_an_option_given_the_end_of_options_marker_is_a_usage_error(tmp_path):
         assert (rc, out, err) == (2, "", f"error: argument {flag}: expected a value\n")
 
 
+def test_a_usage_error_is_one_stderr_line():
+    for argv, prog, message in (
+        (["construct", "trivial-ds", "--k", 3, "--out", "--"], "diffam construct",
+         "argument --out: expected one argument"),
+        (["verify", "f.json", "--stats"], "diffam", "unrecognized arguments: --stats"),
+        (["construct", "furino", "--v", 7, "--k", 3, "--out", "x.json", "--bogus"],
+         "diffam", "unrecognized arguments: --bogus"),
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message} (usage: {prog} --help)\n"
+
+
+def test_construct_refuses_an_empty_family(tmp_path):
+    """A recipe that gives no blocks writes no file, whatever lambda it
+    would have declared (furino says 2, orbit 0 over Z1)."""
+    out_path = tmp_path / "empty.json"
+    message = (
+        "error: the construction gives no blocks over Z1; "
+        "a design file needs at least one block\n"
+    )
+    for argv in (
+        ["construct", "furino", "--v", 1, "--k", 3, "--out", out_path],
+        ["construct", "orbit", "--v", 1, "--mult", 1, "--out", out_path],
+        ["construct", "orbit-split", "--v", 1, "--mult", 1, "--out", out_path],
+    ):
+        assert run(argv) == (2, "", message)
+        assert not out_path.exists()
+
+
 def test_readme_lists_the_recipe_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     section = readme.split("### Constructions", 1)[1].split("\n#", 1)[0]
