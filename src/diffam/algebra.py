@@ -590,9 +590,11 @@ class GroupDescriptor:
             raise ValueError("a group needs at least one factor")
         norm: list = []
         sizes: list[int] = []
+        digits: list[tuple[int, int, int]] = []
         adds, subs, negs = [], [], []
-        for fac in factors:
+        for i, fac in enumerate(factors):
             if isinstance(fac, FieldDescriptor):
+                digits.extend((i, fac.p ** (fac.n - 1 - j), fac.p) for j in range(fac.n))
                 norm.append(fac)
                 sizes.append(fac.q)
                 adds.append(fac.add)
@@ -601,6 +603,7 @@ class GroupDescriptor:
             elif isinstance(fac, int):
                 if fac < 1:
                     raise ValueError(f"cyclic order must be positive, got {fac}")
+                digits.append((i, 1, fac))
                 norm.append(fac)
                 sizes.append(fac)
                 a, s, g = _cyclic_ops(fac)
@@ -612,6 +615,7 @@ class GroupDescriptor:
         self.factors = tuple(norm)
         self.factor_sizes = tuple(sizes)
         self.order = prod(sizes)
+        self._digits = tuple(digits)
         self.zero: Element = (0,) * len(self.factors)
         self.add = _componentwise2(adds)
         self.sub = _componentwise2(subs)
@@ -637,42 +641,29 @@ class GroupDescriptor:
                 out.append(c * coord % size)
         return tuple(out)
 
+    def digits(self) -> tuple[tuple[int, int, int], ...]:
+        """The mixed-radix digits of an element, most significant first, as
+        (factor index, weight, radix): digit i of x is x[i] // weight % radix.
+        A Z_n factor is one digit (i, 1, n); a GF(p^n) factor is n digits
+        (i, p^(n-1-j), p), j = 0..n-1, the digits its encoding already
+        stores.  Subtraction is digitwise modulo the radices, and an
+        element's canonical index is its value in this mixed radix."""
+        return self._digits
+
     def digit_radices(self) -> tuple[int, ...]:
-        """Mixed-radix digits of an element, most significant first: one
-        digit of radix n per Z_n factor, n base-p digits per GF(p^n) factor
-        (the digits its encoding already stores).  Subtraction is digitwise
-        modulo these radices, and an element's canonical index is its value
-        in this mixed radix."""
-        out: list[int] = []
-        for fac in self.factors:
-            if isinstance(fac, FieldDescriptor):
-                out.extend([fac.p] * fac.n)
-            else:
-                out.append(fac)
-        return tuple(out)
+        """The radix of each of ``digits``."""
+        return tuple(r for _, _, r in self._digits)
 
     def exponent(self) -> int:
-        """The additive exponent: lcm of factor exponents."""
-        out = 1
-        for fac, size in zip(self.factors, self.factor_sizes):
-            out = lcm(out, fac.p if isinstance(fac, FieldDescriptor) else size)
-        return out
+        """The additive exponent: lcm of the digit radices."""
+        return lcm(*self.digit_radices())
 
     def canonical_generators(self) -> list[Element]:
-        """A generating set: one residue generator per cyclic factor, one
-        basis monomial per field-factor dimension."""
-        gens: list[Element] = []
-        for i, fac in enumerate(self.factors):
-            if isinstance(fac, FieldDescriptor):
-                for j in range(fac.n):
-                    g = list(self.zero)
-                    g[i] = fac.p ** (fac.n - 1 - j)  # encodes the monomial x^j
-                    gens.append(tuple(g))
-            elif fac > 1:
-                g = list(self.zero)
-                g[i] = 1
-                gens.append(tuple(g))
-        return gens
+        """A generating set: one element per digit of radix > 1, that digit
+        1 and every other 0 (a residue generator per cyclic factor, a basis
+        monomial per field-factor dimension)."""
+        zero = self.zero
+        return [zero[:i] + (w,) + zero[i + 1 :] for i, w, r in self._digits if r > 1]
 
     def contains(self, x) -> bool:
         return (
@@ -756,24 +747,23 @@ class UnitAction:
         self.ring = ring
         self.generator = generator
         self.group = ring.additive_group()
-        order, value = 1, generator
+        # the powers one, u, u^2, ..., u^(order - 1), kept for elements()
+        self._powers = [ring.one]
+        value = generator
         bound = lcm(*(f.q - 1 for f in ring.factors))
         while value != ring.one:
-            order += 1
-            if order > bound:
+            self._powers.append(value)
+            if len(self._powers) > bound:
                 raise RuntimeError("unit order walk exceeded the unit-group exponent")
             value = ring.mul(value, generator)
-        self.order = order
+        self.order = len(self._powers)
 
     def step(self, x: Element) -> Element:
         return self.ring.mul(self.generator, x)
 
     def elements(self) -> list[Element]:
         """The k subgroup members in power order: one, u, u^2, ..."""
-        out = [self.ring.one]
-        for _ in range(self.order - 1):
-            out.append(self.ring.mul(out[-1], self.generator))
-        return out
+        return list(self._powers)
 
     def __repr__(self) -> str:
         return f"<unit action by {self.generator} of order {self.order} on {self.ring!r}>"
@@ -943,13 +933,7 @@ def unit_subgroup_of_order(ring: RingDescriptor, k: int) -> UnitAction:
 
 def invariant_factors(group: GroupDescriptor) -> list[int]:
     """Invariant factor chain d1 | d2 | ... | dt (ascending) of the group."""
-    orders: list[int] = []
-    for fac, size in zip(group.factors, group.factor_sizes):
-        if isinstance(fac, FieldDescriptor):
-            orders.extend([fac.p] * fac.n)
-        elif size > 1:
-            orders.append(size)
-    ds = [o for o in orders if o > 1]
+    ds = [r for r in group.digit_radices() if r > 1]
     for i in range(len(ds)):
         for j in range(i + 1, len(ds)):
             if ds[j] % ds[i]:
@@ -971,41 +955,17 @@ class _Atom:
 
 
 def _atoms(group: GroupDescriptor) -> list[_Atom]:
+    """One atom per prime power of each digit's radix (its CRT split); a
+    field digit, of prime radix p, is its own single atom."""
     atoms: list[_Atom] = []
-    for i, (fac, size) in enumerate(zip(group.factors, group.factor_sizes)):
-        if isinstance(fac, FieldDescriptor):
-            p, n = fac.p, fac.n
-            for j in range(n):
-                weight = p ** (n - 1 - j)
-                gen = list(group.zero)
-                gen[i] = weight
-                atoms.append(
-                    _Atom(
-                        p,
-                        1,
-                        p,
-                        tuple(gen),
-                        lambda x, i=i, w=weight, p=p: (x[i] // w) % p,
-                    )
-                )
-        else:
-            if size == 1:
-                continue
-            for p, a in sorted(factorize(size).items()):
-                pa = p**a
-                cofactor = size // pa
-                inv_cof = pow(cofactor, -1, pa)
-                gen = list(group.zero)
-                gen[i] = cofactor
-                atoms.append(
-                    _Atom(
-                        p,
-                        a,
-                        pa,
-                        tuple(gen),
-                        lambda x, i=i, pa=pa, inv=inv_cof: (x[i] % pa) * inv % pa,
-                    )
-                )
+    for i, w, r in group.digits():
+        for p, a in sorted(factorize(r).items()):
+            pa = p**a
+            cofactor = r // pa
+            gen = group.zero[:i] + (w * cofactor,) + group.zero[i + 1 :]
+            inv = pow(cofactor, -1, pa)
+            extract = lambda x, i=i, w=w, pa=pa, inv=inv: x[i] // w % pa * inv % pa
+            atoms.append(_Atom(p, a, pa, gen, extract))
     return atoms
 
 

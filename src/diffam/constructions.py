@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import itertools
 
@@ -475,15 +475,16 @@ class DDSConstruction:
 
 
 def dds_from_ds(
-    dset: Sequence[Element], group: GroupDescriptor, h: int
+    dset: Iterable[Element], group: GroupDescriptor, h: int
 ) -> DDSConstruction:
     """Lift a (v, k, lambda) difference set D in G to the divisible
     difference set D x Z_h in G x Z_h relative to {0} x Z_h, with parameters
     (v, h, k*h, k*h, lambda*h)."""
     if h < 1:
         raise ConstructionError(f"subgroup order must be positive, got {h}")
+    dset = tuple(dset)
     block = tuple(sorted(set(dset)))
-    if len(block) != len(tuple(dset)):
+    if len(block) != len(dset):
         raise ConstructionError("difference set input has repeated elements")
     big = product_group(group, cyclic_group(h))
     check_cap(big.order)

@@ -25,7 +25,7 @@ from math import prod
 from operator import add, mod, mul, sub
 from typing import Iterable, Sequence
 
-from .algebra import Element, FieldDescriptor, GroupDescriptor, check_cap
+from .algebra import Element, GroupDescriptor, check_cap
 
 __all__ = [
     "DSParams",
@@ -201,7 +201,7 @@ def _dense_counts(family: Family) -> tuple[list[int], str]:
 class _Layout:
     """The padded positions of a group's elements, read by both count engines.
 
-    Every element is read as mixed-radix digits (``digit_radices``), and each
+    Every element is read as mixed-radix digits (``group.digits()``), and each
     digit of radix r is spread over 2r - 1 values, so that the digitwise
     difference d(x) - d(y) + r - 1 of two elements never borrows.  The
     position of x is the sum of its digits times their padded place values;
@@ -213,35 +213,30 @@ class _Layout:
     differences are reduced mod v directly."""
 
     def __init__(self, group: GroupDescriptor):
-        radices = group.digit_radices()
+        digits = group.digits()
         self.order = group.order
-        self.cyclic = len(radices) == 1
-        # (padded radix, radix, canonical place) per digit, least significant first
-        digits = []
-        places = []
+        self.cyclic = len(digits) == 1
+        # (padded radix, radix, canonical place) and padded place per digit,
+        # least significant first
+        folds, places = [], []
         place = index_place = 1
-        for r in reversed(radices):
-            digits.append((2 * r - 1, r, index_place))
+        for _, _, r in reversed(digits):
+            folds.append((2 * r - 1, r, index_place))
             places.append(place)
             place *= 2 * r - 1
             index_place *= r
-        self.digits = tuple(digits)
+        self.digits = tuple(folds)
         self.slots = place
-        self.top = sum((r - 1) * p for (_, r, _), p in zip(digits, places))
-        # per factor, most significant first: its place, or its position table
-        terms: list = []
-        low = 0  # index in places of the factor's least significant digit
-        for fac in reversed(group.factors):
-            if isinstance(fac, FieldDescriptor) and fac.n > 1:
-                table = [0]
-                for p in reversed(places[low : low + fac.n]):  # leading digit first
-                    table = [t + d * p for t in table for d in range(fac.p)]
-                terms.append(table)
-                low += fac.n
+        self.top = sum((r - 1) * p for (_, r, _), p in zip(folds, places))
+        # per factor: the place of its one digit, or the table of its
+        # positions, grown a digit at a time, leading digit first
+        terms: dict = {}
+        for (i, w, r), place in zip(digits, reversed(places)):
+            if w == 1 and i not in terms:
+                terms[i] = place
             else:
-                terms.append(places[low])
-                low += 1
-        self.terms = tuple(reversed(terms))
+                terms[i] = [t + d * place for t in terms.get(i, [0]) for d in range(r)]
+        self.terms = tuple(terms.values())
 
     def positions(self, elements: Iterable[Element]) -> list[int]:
         """The positions of the elements, in order."""
@@ -500,9 +495,10 @@ def verify_ds(
     return _scan("ds", rparams, family, params.lam)
 
 
-def _check_subgroup(group: GroupDescriptor, members: Sequence[Element]) -> set:
+def _check_subgroup(group: GroupDescriptor, members: Iterable[Element]) -> set:
+    members = tuple(members)
     mset = set(members)
-    if len(mset) != len(tuple(members)):
+    if len(mset) != len(members):
         raise ValueError("subgroup list has repeated elements")
     for x in mset:
         group.validate_element(x)
@@ -527,7 +523,7 @@ def _check_subgroup(group: GroupDescriptor, members: Sequence[Element]) -> set:
 def verify_dds(
     dset: Iterable[Element],
     group: GroupDescriptor,
-    n_subgroup: Sequence[Element],
+    n_subgroup: Iterable[Element],
     params: DDSParams,
 ) -> Report:
     """Exhaustively check an (m, n, k, lambda1, lambda2) divisible difference

@@ -488,6 +488,19 @@ def test_dds_from_ds_7231():
     assert rep.ok
 
 
+def test_dds_inputs_may_be_one_shot_iterators():
+    # each input is read once, so an iterator is not mistaken for a list
+    # with repeated elements
+    dset, group = singer_ds(2, 3)
+    built = dds_from_ds(iter(dset), group, 2)
+    assert built == dds_from_ds(dset, group, 2)
+    rep = verify_dds(
+        iter(built.elements), built.group, iter(built.subgroup), built.params
+    )
+    assert rep.ok
+    assert rep == verify_dds(built.elements, built.group, built.subgroup, built.params)
+
+
 def test_dds_from_ds_h1_degenerate():
     dset, group = singer_ds(2, 3)
     built = dds_from_ds(dset, group, 1)
