@@ -21,10 +21,11 @@ is printable evidence rather than a bare boolean.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, log10
 
-from .algebra import prime_power
+from .algebra import GROUP_ORDER_CAP, prime_power
 from .designs import DDSParams, DSParams
 
 __all__ = [
@@ -135,7 +136,22 @@ def refute_result3(q: int, m: int, e: int, h: int) -> Result3Verdict:
     in every other case the verdict carries the failing identity
     lambda*(v-1) = k*(k-1) of the scaled triple and the nonzero residual
     (v0 - k0)*(mu - 1) of the base triple (v0, k0, lambda0).
+
+    A q above GROUP_ORDER_CAP^2 (too large to factor by trial division), or
+    a triple whose counts (about 2*m*log10(q) digits) would be too long for
+    Python to print, is refused before q is factored or raised to a power.
     """
+    if q > GROUP_ORDER_CAP**2:
+        raise ValueError(
+            f"q = {q} exceeds {GROUP_ORDER_CAP}^2, the largest q this check factors"
+        )
+    # 0 means no limit, as before Python 3.10.7, which lacks the getter
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if q > 1 and digit_limit and 2 * m * log10(q) > digit_limit:
+        raise ValueError(
+            f"m = {m} gives counts of about {round(2 * m * log10(q))} digits for q = {q}, "
+            f"more than the {digit_limit} digits Python prints"
+        )
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
     if m < 3:

@@ -28,7 +28,7 @@ larger than GROUP_ORDER_CAP rather than run unbounded scans.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -477,7 +477,7 @@ def build_field(p: int, n: int = 1) -> FieldDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# componentwise tuple operations shared by rings and groups
+# finite abelian groups as products of cyclic and field-additive factors
 # ---------------------------------------------------------------------------
 
 
@@ -494,90 +494,10 @@ def _componentwise2(ops: Sequence) -> callable:
     return lambda a, b: tuple(f(x, y) for f, x, y in zip(ops, a, b))
 
 
-def _componentwise1(ops: Sequence) -> callable:
-    if len(ops) == 1:
-        (f0,) = ops
-        return lambda a: (f0(a[0]),)
-    return lambda a: tuple(f(x) for f, x in zip(ops, a))
-
-
-# ---------------------------------------------------------------------------
-# product rings of finite fields
-# ---------------------------------------------------------------------------
-
-
-class RingDescriptor:
-    """Direct product of finite fields; elements are tuples of encoded ints.
-
-    The unit group is exactly the set of tuples with every coordinate
-    nonzero, so unit tests and unit inverses are coordinatewise.
-    """
-
-    def __init__(self, fields: Sequence[FieldDescriptor]):
-        if not fields:
-            raise ValueError("a ring needs at least one field factor")
-        self.factors: tuple[FieldDescriptor, ...] = tuple(fields)
-        self.order = prod(f.q for f in self.factors)
-        self.zero: Element = (0,) * len(self.factors)
-        self.one: Element = tuple(f.one for f in self.factors)
-        self.add = _componentwise2([f.add for f in self.factors])
-        self.sub = _componentwise2([f.sub for f in self.factors])
-        self.neg = _componentwise1([f.neg for f in self.factors])
-        self.mul = _componentwise2([f.mul for f in self.factors])
-
-    def elements(self) -> Iterator[Element]:
-        """All ring elements in canonical order."""
-        return itertools.product(*(range(f.q) for f in self.factors))
-
-    def is_unit(self, x: Element) -> bool:
-        return all(c != 0 for c in x)
-
-    def inv(self, x: Element) -> Element:
-        return tuple(f.inv(c) for f, c in zip(self.factors, x))
-
-    def pow(self, x: Element, e: int) -> Element:
-        return tuple(f.pow(c, e) for f, c in zip(self.factors, x))
-
-    def additive_group(self) -> "GroupDescriptor":
-        return GroupDescriptor(self.factors)
-
-    def _key(self) -> tuple:
-        return tuple(f._key() for f in self.factors)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RingDescriptor) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return " x ".join(repr(f) for f in self.factors)
-
-
-def build_ring(factor_orders: Sequence[int]) -> RingDescriptor:
-    """Product of fields of the given orders, e.g. [7, 13, 19].
-
-    Every order must be a prime power; fields are built with canonical moduli.
-    """
-    fields = []
-    for m in factor_orders:
-        pp = prime_power(m)
-        if pp is None:
-            raise ValueError(f"ring factor {m} is not a prime power")
-        fields.append(build_field(*pp))
-    return RingDescriptor(fields)
-
-
-# ---------------------------------------------------------------------------
-# finite abelian groups as products of cyclic and field-additive factors
-# ---------------------------------------------------------------------------
-
-
 def _cyclic_ops(n: int):
     return (
         lambda a, b: (a + b) % n,
         lambda a, b: (a - b) % n,
-        lambda a: -a % n,
     )
 
 
@@ -591,7 +511,7 @@ class GroupDescriptor:
         norm: list = []
         sizes: list[int] = []
         digits: list[tuple[int, int, int]] = []
-        adds, subs, negs = [], [], []
+        adds, subs = [], []
         for i, fac in enumerate(factors):
             if isinstance(fac, FieldDescriptor):
                 digits.extend((i, fac.p ** (fac.n - 1 - j), fac.p) for j in range(fac.n))
@@ -599,17 +519,15 @@ class GroupDescriptor:
                 sizes.append(fac.q)
                 adds.append(fac.add)
                 subs.append(fac.sub)
-                negs.append(fac.neg)
             elif isinstance(fac, int):
                 if fac < 1:
                     raise ValueError(f"cyclic order must be positive, got {fac}")
                 digits.append((i, 1, fac))
                 norm.append(fac)
                 sizes.append(fac)
-                a, s, g = _cyclic_ops(fac)
+                a, s = _cyclic_ops(fac)
                 adds.append(a)
                 subs.append(s)
-                negs.append(g)
             else:
                 raise ValueError(f"unsupported group factor {fac!r}")
         self.factors = tuple(norm)
@@ -619,7 +537,7 @@ class GroupDescriptor:
         self.zero: Element = (0,) * len(self.factors)
         self.add = _componentwise2(adds)
         self.sub = _componentwise2(subs)
-        self.neg = _componentwise1(negs)
+        self.neg = partial(self.sub, self.zero)
         # the padded position layout of the count engines, built on first
         # count by diffam.designs
         self._layout = None
@@ -733,6 +651,56 @@ def product_group(*groups: GroupDescriptor) -> GroupDescriptor:
 
 
 # ---------------------------------------------------------------------------
+# product rings of finite fields
+# ---------------------------------------------------------------------------
+
+
+class RingDescriptor(GroupDescriptor):
+    """Direct product of finite fields: its additive group, as a
+    GroupDescriptor of field factors, plus coordinatewise multiplication.
+
+    The unit group is exactly the set of tuples with every coordinate
+    nonzero, so unit tests and unit inverses are coordinatewise.
+    """
+
+    def __init__(self, fields: Sequence[FieldDescriptor]):
+        if not fields:
+            raise ValueError("a ring needs at least one field factor")
+        for f in fields:
+            if not isinstance(f, FieldDescriptor):
+                raise ValueError(f"ring factor {f!r} is not a field")
+        super().__init__(fields)
+        self.one: Element = tuple(f.one for f in self.factors)
+        self.mul = _componentwise2([f.mul for f in self.factors])
+
+    def is_unit(self, x: Element) -> bool:
+        return all(c != 0 for c in x)
+
+    def inv(self, x: Element) -> Element:
+        return tuple(f.inv(c) for f, c in zip(self.factors, x))
+
+    def pow(self, x: Element, e: int) -> Element:
+        return tuple(f.pow(c, e) for f, c in zip(self.factors, x))
+
+    def additive_group(self) -> GroupDescriptor:
+        return self
+
+
+def build_ring(factor_orders: Sequence[int]) -> RingDescriptor:
+    """Product of fields of the given orders, e.g. [7, 13, 19].
+
+    Every order must be a prime power; fields are built with canonical moduli.
+    """
+    fields = []
+    for m in factor_orders:
+        pp = prime_power(m)
+        if pp is None:
+            raise ValueError(f"ring factor {m} is not a prime power")
+        fields.append(build_field(*pp))
+    return RingDescriptor(fields)
+
+
+# ---------------------------------------------------------------------------
 # automorphism actions: unit multiplication, scalar multiplication, explicit
 # ---------------------------------------------------------------------------
 
@@ -746,7 +714,7 @@ class UnitAction:
             raise ValueError(f"{generator} is not a unit of {ring!r}")
         self.ring = ring
         self.generator = generator
-        self.group = ring.additive_group()
+        self.group = ring
         # the powers one, u, u^2, ..., u^(order - 1), kept for elements()
         self._powers = [ring.one]
         value = generator

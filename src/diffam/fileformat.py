@@ -397,8 +397,13 @@ def dumps_design(design: DesignFile) -> str:
         texts["subgroup"] = _lists_texts(design.group, [tuple(design.subgroup)], 1)[0]
     elif design.subgroup is not None:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
-    fields = (f'"{key}": {texts[key]}' for key in sorted(texts))
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+    # one join, so the payload text (most of the file) is copied once: each
+    # extra copy adds to the peak memory of writing a large design
+    parts = []
+    for key in sorted(texts):
+        parts += (",\n  " if parts else "{\n  ", f'"{key}": ', texts[key])
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def loads_design(text: str) -> DesignFile:
@@ -412,8 +417,10 @@ def loads_design(text: str) -> DesignFile:
 
 
 def save_design(path, design: DesignFile) -> None:
+    # encode before opening, so a design that fails to encode leaves the file as it was
+    text = dumps_design(design)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_design(design))
+        handle.write(text)
 
 
 def load_design(path) -> DesignFile:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from diffam import admissibility, algebra
 from diffam.admissibility import (
     dds_counting_identity,
     ds_admissible,
@@ -156,3 +157,25 @@ def test_refute_result3_consistency_sweep():
                     assert verdict.ok is ((e, h) == (q - 1, 1))
                     assert verdict.evidence.ok is verdict.ok
             m += 1
+
+
+def test_refute_result3_refuses_large_parameters_before_work(monkeypatch):
+    def never(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(admissibility, "prime_power", never)
+    monkeypatch.setattr(algebra, "factorize", never)
+    for args, name in (
+        ((10**18 + 3, 3, 1, 1), "q = 1000000000000000003"),
+        ((3, 10**7 + 1, 2, 1), "m = 10000001"),
+        ((3, 100001, 2, 1), "m = 100001"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            refute_result3(*args)
+
+
+def test_refute_result3_prints_up_to_the_digit_limit():
+    # 2*m*log10(3) = 4294.6 digits for m = 4501, just inside the default 4300
+    verdict = refute_result3(3, 4501, 2, 2)
+    assert not verdict.ok
+    assert "fails" in str(verdict.evidence)

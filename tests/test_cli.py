@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from diffam import algebra, cli, constructions, designs
+from diffam import admissibility, algebra, cli, constructions, designs
 from diffam.algebra import abelian_iso, build_ring, cyclic_group
 from diffam.cli import main
 from diffam.constructions import dds_from_ds, singer_ds, units_hdm
@@ -715,6 +715,23 @@ def test_check_result3():
         "result3 (q,m,e,h)=(4,4,3,1): VALID (hyperplane case e=q-1, h=1),"
         " triple (85,21,5)\n"
     )
+
+
+def test_check_result3_refuses_large_parameters_in_one_line(monkeypatch):
+    rc, out, err = run(["check", "result3", 1000003, 3, 1, 1])
+    assert (rc, err) == (1, "")
+    assert out.startswith("result3 (q,m,e,h)=(1000003,3,1,1): REFUTED\n")
+    monkeypatch.setattr(
+        admissibility, "prime_power", lambda n: pytest.fail(f"prime_power({n})")
+    )
+    for argv, name in (
+        ([1000000000000000003, 3, 1, 1], "q = 1000000000000000003"),
+        ([3, 10000001, 2, 1], "m = 10000001"),
+        ([3, 100001, 2, 1], "m = 100001"),
+    ):
+        rc, out, err = run(["check", "result3", *argv])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {name} ") and err.count("\n") == 1
 
 
 def test_check_dds():

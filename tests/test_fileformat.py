@@ -357,3 +357,17 @@ def test_save_load_roundtrip(tmp_path):
     back = load_design(path)
     assert back == design
     assert back.family().group == fam.group
+
+
+def test_a_refused_save_leaves_the_existing_file_unchanged(tmp_path):
+    path = tmp_path / "f13.json"
+    save_design(path, family_file("ddf", furino_ddf(13, 3), 2))
+    before = path.read_bytes()
+    group = GroupDescriptor((7,))
+    for refused in (
+        DesignFile("ds", group, {"v": 7}, (((1,), (True,)),)),  # a bool coordinate
+        DesignFile("zdb", group, {"v": 7}, (((1,),),)),  # an unknown kind
+    ):
+        with pytest.raises(ValueError):
+            save_design(path, refused)
+        assert path.read_bytes() == before
