@@ -19,7 +19,10 @@ of an extension field encodes as p^(n-1), not as 1; always use ``f.one``.
 Ring and group elements are tuples holding one encoded integer per factor.
 Tuples compare lexicographically factor by factor, which again realizes the
 canonical order, so built-in sorting of element tuples sorts canonically and
-``itertools.product`` over per-factor ranges enumerates canonically.
+``itertools.product`` over per-factor ranges enumerates canonically.  An
+element's canonical index is its place in that order (its coordinates read
+in the mixed radix of the factor sizes): orbit walks, block families and the
+count engines work on indices, and decode tuples only when asked for.
 
 Exhaustive routines (orbit enumeration, isomorphism checking) refuse groups
 larger than GROUP_ORDER_CAP rather than run unbounded scans.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import add, floordiv, itemgetter, mod, mul
 from typing import Iterable, Iterator, Sequence
 
 GROUP_ORDER_CAP = 10**6
@@ -481,6 +484,16 @@ def build_field(p: int, n: int = 1) -> FieldDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _mixed_radix(columns: Sequence[Sequence[int]], radices: Sequence[int]) -> list[int]:
+    """A placewise map, one column per place, most significant first: entry
+    i, read in the mixed radix of the column lengths, maps to the value whose
+    place j in the mixed radix ``radices`` is columns[j][place j of i]."""
+    out = [0]
+    for col, r in zip(columns, radices):
+        out = [a * r + b for a in out for b in col]
+    return out
+
+
 def _componentwise2(ops: Sequence) -> callable:
     if len(ops) == 1:
         (f0,) = ops
@@ -494,13 +507,6 @@ def _componentwise2(ops: Sequence) -> callable:
     return lambda a, b: tuple(f(x, y) for f, x, y in zip(ops, a, b))
 
 
-def _cyclic_ops(n: int):
-    return (
-        lambda a, b: (a + b) % n,
-        lambda a, b: (a - b) % n,
-    )
-
-
 class GroupDescriptor:
     """Finite abelian group: a product of Z_n factors and additive groups of
     finite fields.  Elements are tuples of encoded ints, one per factor."""
@@ -508,14 +514,11 @@ class GroupDescriptor:
     def __init__(self, factors: Sequence):
         if not factors:
             raise ValueError("a group needs at least one factor")
-        norm: list = []
-        sizes: list[int] = []
         digits: list[tuple[int, int, int]] = []
-        adds, subs = [], []
+        sizes, adds, subs = [], [], []
         for i, fac in enumerate(factors):
             if isinstance(fac, FieldDescriptor):
                 digits.extend((i, fac.p ** (fac.n - 1 - j), fac.p) for j in range(fac.n))
-                norm.append(fac)
                 sizes.append(fac.q)
                 adds.append(fac.add)
                 subs.append(fac.sub)
@@ -523,14 +526,12 @@ class GroupDescriptor:
                 if fac < 1:
                     raise ValueError(f"cyclic order must be positive, got {fac}")
                 digits.append((i, 1, fac))
-                norm.append(fac)
                 sizes.append(fac)
-                a, s = _cyclic_ops(fac)
-                adds.append(a)
-                subs.append(s)
+                adds.append(lambda a, b, n=fac: (a + b) % n)
+                subs.append(lambda a, b, n=fac: (a - b) % n)
             else:
                 raise ValueError(f"unsupported group factor {fac!r}")
-        self.factors = tuple(norm)
+        self.factors = tuple(factors)
         self.factor_sizes = tuple(sizes)
         self.order = prod(sizes)
         self._digits = tuple(digits)
@@ -538,9 +539,6 @@ class GroupDescriptor:
         self.add = _componentwise2(adds)
         self.sub = _componentwise2(subs)
         self.neg = partial(self.sub, self.zero)
-        # the padded position layout of the count engines, built on first
-        # count by diffam.designs
-        self._layout = None
 
     def elements(self) -> Iterator[Element]:
         """All group elements in canonical order."""
@@ -582,6 +580,28 @@ class GroupDescriptor:
         monomial per field-factor dimension)."""
         zero = self.zero
         return [zero[:i] + (w,) + zero[i + 1 :] for i, w, r in self._digits if r > 1]
+
+    def indices(self, xs: Sequence[Element]) -> list[int]:
+        """The canonical index of each element: its place in ``elements()``,
+        the coordinates read in the mixed radix of the factor sizes."""
+        total = map(itemgetter(0), xs)
+        for i, size in enumerate(self.factor_sizes[1:], 1):
+            coords = map(itemgetter(i), xs)
+            total = map(add, map(mul, total, itertools.repeat(size)), coords)
+        return list(total)
+
+    def coordinates(self, indices: Iterable[int]) -> list[list[int]]:
+        """The coordinate columns, one list per factor, of the elements with
+        the given canonical indices."""
+        rest, cols = list(indices), []
+        for size in reversed(self.factor_sizes[1:]):
+            cols.append(list(map(mod, rest, itertools.repeat(size))))
+            rest = list(map(floordiv, rest, itertools.repeat(size)))
+        return [rest, *reversed(cols)]
+
+    def elements_at(self, indices: Iterable[int]) -> list[Element]:
+        """The elements with the given canonical indices, in order."""
+        return list(zip(*self.coordinates(indices)))
 
     def contains(self, x) -> bool:
         return (
@@ -729,6 +749,13 @@ class UnitAction:
     def step(self, x: Element) -> Element:
         return self.ring.mul(self.generator, x)
 
+    def index_map(self) -> list[int]:
+        """``step`` as a permutation of canonical indices: a column of
+        products per field factor, combined in mixed radix."""
+        factors = zip(self.ring.factors, self.generator)
+        columns = [list(map(f.mul, itertools.repeat(u), range(f.q))) for f, u in factors]
+        return _mixed_radix(columns, self.ring.factor_sizes)
+
     def elements(self) -> list[Element]:
         """The k subgroup members in power order: one, u, u^2, ..."""
         return list(self._powers)
@@ -758,6 +785,11 @@ class ScalarAction:
     def step(self, x: Element) -> Element:
         return self.group.scalar_mul(self.multiplier, x)
 
+    def index_map(self) -> list[int]:
+        """``step`` as a permutation of canonical indices, digit by digit."""
+        m, radices = self.multiplier, self.group.digit_radices()
+        return _mixed_radix([[m * d % r for d in range(r)] for r in radices], radices)
+
     def __repr__(self) -> str:
         return (
             f"<scalar action by {self.multiplier} of order {self.order} "
@@ -785,9 +817,7 @@ def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[dict]:
             mg = m[g]
             for x in elements:
                 if m[add(x, g)] != add(m[x], mg):
-                    raise ValueError(
-                        f"map is not additive: differs at {x} + {g}"
-                    )
+                    raise ValueError(f"map is not additive: differs at {x} + {g}")
     identity = {x: x for x in elements}
     if identity not in maps:
         raise ValueError("automorphism list must contain the identity map")
@@ -800,24 +830,16 @@ def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[dict]:
     return list(maps)
 
 
-def short_orbit_witness(orbit_list: Sequence[tuple[Element, ...]], order: int):
-    """The fixed-point witness of a cyclic action of the given order, read off
-    its orbits as ``orbits`` lists them: the least element of the first orbit
-    shorter than the order, with that orbit's length as the power, or None.
-    A scan of (element, power) pairs in canonical order finds the same pair
-    first, since orbits are listed by least member and x is fixed by its
-    j-th power exactly when its orbit length divides j."""
-    for orbit in orbit_list:
-        if len(orbit) < order:
-            return orbit[0], len(orbit)
-    return None
-
-
 def fixed_point_witness(group: GroupDescriptor, action):
     """A nonzero element fixed by some non-identity member of the action, as
-    (element, power-or-map-index), or None when the action is semiregular."""
+    (element, power-or-map-index), or None when the action is semiregular.
+    A cyclic action's witness is the least member of its first orbit
+    shorter than its order, with that orbit's length; the walk stops there."""
     if isinstance(action, (UnitAction, ScalarAction)):
-        return short_orbit_witness(orbits(group, action), action.order)
+        for orbit in index_orbits(group, action):
+            if len(orbit) < action.order:
+                return group.elements_at(orbit[:1])[0], len(orbit)
+        return None
     zero = group.zero
     maps = _validated_maps(group, action)
     identity = {x: x for x in group.elements()}
@@ -831,38 +853,44 @@ def fixed_point_witness(group: GroupDescriptor, action):
 
 
 def is_semiregular(group: GroupDescriptor, action) -> bool:
-    """True when no non-identity automorphism in the action fixes a nonzero
-    element (exhaustive scan)."""
+    """True when no non-identity member of the action fixes a nonzero element."""
     return fixed_point_witness(group, action) is None
+
+
+def index_orbits(group: GroupDescriptor, action) -> Iterator[tuple[int, ...]]:
+    """``orbits`` of a ``UnitAction``/``ScalarAction`` as sorted tuples of
+    canonical indices, walked along the action's index permutation and
+    yielded one at a time, so a caller may stop at any orbit."""
+    check_cap(group.order)
+    if action.group != group:
+        raise ValueError(f"action is defined on {action.group!r}, not on {group!r}")
+    step = action.index_map()
+    seen = bytearray(group.order)
+    for x in range(1, group.order):
+        if seen[x]:
+            continue
+        orbit = [x]
+        y = step[x]
+        while y != x:
+            orbit.append(y)
+            seen[y] = 1
+            y = step[y]
+        orbit.sort()
+        yield tuple(orbit)
 
 
 def orbits(group: GroupDescriptor, action) -> list[tuple[Element, ...]]:
     """Orbits of the action on the nonzero elements, each orbit sorted
     canonically, listed in order of their least members."""
-    check_cap(group.order)
-    zero = group.zero
-    out: list[tuple[Element, ...]] = []
-    seen: set[Element] = set()
     if isinstance(action, (UnitAction, ScalarAction)):
-        if action.group != group:
-            raise ValueError(
-                f"action is defined on {action.group!r}, not on {group!r}"
-            )
-        step = action.step
-        for x in group.elements():
-            if x == zero or x in seen:
-                continue
-            orbit = [x]
-            y = step(x)
-            while y != x:
-                orbit.append(y)
-                y = step(y)
-            seen.update(orbit)
-            out.append(tuple(sorted(orbit)))
-        return out
-    maps = _validated_maps(group, action)
+        walk = list(index_orbits(group, action))
+        flat = iter(group.elements_at(itertools.chain.from_iterable(walk)))
+        return [tuple(itertools.islice(flat, len(orbit))) for orbit in walk]
+    out: list[tuple[Element, ...]] = []
+    seen: set[Element] = {group.zero}
+    maps = _validated_maps(group, action)  # refuses an over-cap group
     for x in group.elements():
-        if x == zero or x in seen:
+        if x in seen:
             continue
         orbit = sorted({m[x] for m in maps})
         seen.update(orbit)

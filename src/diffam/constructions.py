@@ -32,11 +32,11 @@ from .algebra import (
     cyclic_group,
     factorize,
     fixed_point_witness,
+    index_orbits,
     invariant_factors,
     orbits,
     prime_power,
     product_group,
-    short_orbit_witness,
     unit_subgroup_of_order,
 )
 from .admissibility import ds_lambda
@@ -93,30 +93,39 @@ def _require(report, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[Element, ...]]:
-    """The action's orbits on the nonzero elements, or NotSemiregularError
-    with the fixed-point witness; a cyclic action's witness is read off its
-    orbits, so the action is walked once."""
-    all_orbits = orbits(group, action)
+def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]:
+    """The action's orbits on the nonzero elements as sorted tuples of
+    canonical indices, or NotSemiregularError with the fixed-point witness.
+    A cyclic action's walk stops at its first orbit shorter than the
+    action's order, whose least member is the witness (as in
+    ``fixed_point_witness``)."""
     if isinstance(action, (UnitAction, ScalarAction)):
-        witness = short_orbit_witness(all_orbits, action.order)
-    else:
-        witness = fixed_point_witness(group, action)
+        blocks = []
+        for orbit in index_orbits(group, action):
+            if len(orbit) < action.order:
+                _not_semiregular(group.elements_at(orbit[:1])[0], len(orbit))
+            blocks.append(orbit)
+        return blocks
+    blocks = [tuple(group.indices(orbit)) for orbit in orbits(group, action)]
+    witness = fixed_point_witness(group, action)
     if witness is not None:
-        x, j = witness
-        raise NotSemiregularError(
-            f"action is not semiregular: nonzero element {x} is fixed "
-            f"(automorphism index {j})",
-            witness,
-        )
-    return all_orbits
+        _not_semiregular(*witness)
+    return blocks
+
+
+def _not_semiregular(x: Element, j: int) -> None:
+    raise NotSemiregularError(
+        f"action is not semiregular: nonzero element {x} is fixed "
+        f"(automorphism index {j})",
+        (x, j),
+    )
 
 
 def orbit_ddf(group: GroupDescriptor, action) -> Family:
     """The orbits of a semiregular order-k automorphism group on the nonzero
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
     blocks = _semiregular_orbits(group, action)
-    family = Family(group, blocks)
+    family = Family.of_indices(group, blocks)
     k = family.uniform_k()
     if blocks and k is None:
         raise ConstructionError("orbit sizes are not uniform")  # unreachable
@@ -142,28 +151,28 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
         raise ConstructionError(
             f"v*k = {v}*{k} is even; the negation split needs v*k odd"
         )
-    neg = group.neg
-    chosen: list[tuple[Element, ...]] = []
-    mirrored: list[tuple[Element, ...]] = []
-    taken: set[tuple[Element, ...]] = set()
+    neg = ScalarAction(group, -1).index_map()
+    chosen: list[tuple[int, ...]] = []
+    mirrored: list[tuple[int, ...]] = []
+    taken: set[tuple[int, ...]] = set()
     for orbit in all_orbits:
         if orbit in taken:
             continue
-        negated = tuple(sorted(neg(x) for x in orbit))
+        negated = tuple(sorted(map(neg.__getitem__, orbit)))
         if negated == orbit:
             raise ConstructionError(
-                f"orbit {orbit} is fixed by negation"
+                f"orbit {tuple(group.elements_at(orbit))} is fixed by negation"
             )  # unreachable when v*k is odd
         chosen.append(orbit)
         mirrored.append(negated)
         taken.add(orbit)
         taken.add(negated)
-    first = Family(group, chosen)
-    second = Family(group, mirrored)
+    first = Family.of_indices(group, chosen)
+    second = Family.of_indices(group, mirrored)
     half = (k - 1) // 2
     for fam in (first, second):
         _require(verify_df(fam, half), "half-index orbit family")
-    if set(first.blocks) | set(second.blocks) != set(all_orbits):
+    if taken != set(all_orbits):
         raise ConstructionError("split lost an orbit")  # unreachable
     return first, second
 
@@ -339,9 +348,12 @@ def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
     u - u' is a unit; each row ux is a permutation for the same reason.
     """
     action = unit_subgroup_of_order(ring, k)
-    mul = ring.mul
-    columns = list(ring.elements())
-    rows = [tuple(mul(a, x) for x in columns) for a in action.elements()]
+    # row a lists a * x over the ring in canonical order: the index map of
+    # multiplication by a, decoded
+    rows = [
+        tuple(ring.elements_at(UnitAction(ring, a).index_map()))
+        for a in action.elements()
+    ]
     mat = DiffMatrix(ring.additive_group(), rows)
     _require(verify_hdm(mat), "unit multiplication table")
     return mat
@@ -389,16 +401,18 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
     g0 = _one_uncovered(family_g, "first factor family")
     h0 = _one_uncovered(family_h, "second factor family")
     _require(verify_hdm(hdm_h), "homogeneous difference matrix")
-    blocks: list[tuple[Element, ...]] = []
-    width = hdm_h.columns
-    for block_a in family_g.blocks:
-        for j in range(width):
-            blocks.append(
-                tuple(a + hdm_h.rows[i][j] for i, a in enumerate(block_a))
-            )
-    for block_b in family_h.blocks:
-        blocks.append(tuple(g0 + y for y in block_b))
-    family = Family(big, blocks)
+    # (x, y) in G x H has canonical index index(x) * |H| + index(y), so each
+    # block below is sorted as its (distinct) G coordinates are
+    v_h = family_h.v
+    rows = [family_h.group.indices(row) for row in hdm_h.rows]
+    (g0_index,) = family_g.group.indices([g0])
+    blocks = [
+        tuple(a * v_h + rows[i][j] for i, a in enumerate(block_a))
+        for block_a in family_g.indices
+        for j in range(hdm_h.columns)
+    ]
+    blocks += [tuple(g0_index * v_h + y for y in block_b) for block_b in family_h.indices]
+    family = Family.of_indices(big, blocks)
     _require(verify_df(family, k - 1), "product family")
     if classify_family(family) == "plain":
         raise ConstructionError("product blocks overlap")  # unreachable

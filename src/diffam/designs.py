@@ -20,12 +20,13 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, groupby, repeat
+from functools import lru_cache
+from itertools import chain, groupby, islice, repeat
 from math import prod
-from operator import add, mod, mul, sub
+from operator import add, itemgetter, mod, mul, sub
 from typing import Iterable, Sequence
 
-from .algebra import Element, GroupDescriptor, check_cap
+from .algebra import Element, GroupDescriptor, _mixed_radix, check_cap
 
 __all__ = [
     "DSParams",
@@ -94,28 +95,44 @@ class DDSParams:
 class Family:
     """An ordered list of blocks over a fixed group.
 
-    Blocks are sets (no repeated elements); each is stored sorted in the
-    canonical element order and the instance is treated as immutable.
-    """
+    Blocks are sets (no repeated elements), each stored sorted in canonical
+    order as a tuple of canonical indices (``indices``); ``blocks`` decodes
+    the element tuples on demand.  The instance is treated as immutable.
+    ``checked=True`` vouches that every element is in the group (a file
+    reader checked it), so only the block shapes are checked."""
 
-    def __init__(self, group: GroupDescriptor, blocks: Iterable[Iterable[Element]]):
-        normalized = list(map(tuple, map(sorted, blocks)))
+    def __init__(self, group: GroupDescriptor, blocks: Iterable, *, checked: bool = False):
+        normalized = list(map(tuple, blocks))
+        flat = list(chain.from_iterable(normalized))
         # every element is checked in one column pass; the per-block loop
         # runs only on failure, to name the first offender
-        if not (
-            all(normalized)
-            and group.check_elements(list(chain.from_iterable(normalized)))
-            and list(map(len, map(set, normalized))) == list(map(len, normalized))
-        ):
-            for b in normalized:
+        ok = (checked or group.check_elements(flat)) and all(normalized)
+        if ok:
+            cut = _cut(group.indices(flat), map(len, normalized))
+            indices = list(map(tuple, map(sorted, cut)))
+            ok = sum(map(len, map(set, indices))) == len(flat)
+        if not ok:
+            for b in list(map(sorted, normalized)):
                 if not b:
                     raise ValueError("blocks must be nonempty")
                 for x in b:
                     group.validate_element(x)
                 if any(b[i] == b[i + 1] for i in range(len(b) - 1)):
-                    raise ValueError(f"block {b} has a repeated element")
+                    raise ValueError(f"block {tuple(b)} has a repeated element")
         self.group = group
-        self.blocks: tuple[tuple[Element, ...], ...] = tuple(normalized)
+        self.indices: tuple[tuple[int, ...], ...] = tuple(indices)
+
+    @classmethod
+    def of_indices(cls, group: GroupDescriptor, blocks: Sequence[tuple]) -> "Family":
+        """A family of blocks trusted to be sorted tuples of distinct indices."""
+        family = cls.__new__(cls)
+        family.group, family.indices = group, tuple(blocks)
+        return family
+
+    @property
+    def blocks(self) -> tuple[tuple[Element, ...], ...]:
+        flat = self.group.elements_at(chain.from_iterable(self.indices))
+        return tuple(_cut(flat, map(len, self.indices)))
 
     @property
     def v(self) -> int:
@@ -123,31 +140,35 @@ class Family:
 
     def block_sizes(self) -> tuple[int, ...]:
         """Sizes as a multiset, largest first."""
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+        return tuple(sorted(map(len, self.indices), reverse=True))
 
     def uniform_k(self) -> int | None:
-        sizes = {len(b) for b in self.blocks}
+        sizes = set(map(len, self.indices))
         return sizes.pop() if len(sizes) == 1 else None
 
     def covered(self) -> set[Element]:
-        out: set[Element] = set()
-        for b in self.blocks:
-            out.update(b)
-        return out
+        return set(self.group.elements_at(set(chain.from_iterable(self.indices))))
 
     def uncovered(self) -> list[Element]:
-        cov = self.covered()
-        return [x for x in self.group.elements() if x not in cov]
+        covered = set(chain.from_iterable(self.indices))
+        return self.group.elements_at(i for i in range(self.v) if i not in covered)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Family)
-            and self.group == other.group
-            and self.blocks == other.blocks
-        )
+        same_group = isinstance(other, Family) and self.group == other.group
+        return same_group and self.indices == other.indices
 
     def __repr__(self) -> str:
-        return f"<family of {len(self.blocks)} blocks over {self.group!r}>"
+        return f"<family of {len(self.indices)} blocks over {self.group!r}>"
+
+
+def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
+    """The items of flat cut into consecutive tuples of the given sizes, a
+    run of equal sizes at a time."""
+    it, out = iter(flat), []
+    for k, run in groupby(sizes):
+        m = sum(1 for _ in run)
+        out.extend(islice(zip(*[it] * k), m) if k else repeat((), m))
+    return out
 
 
 @dataclass
@@ -182,7 +203,7 @@ def delta_multiset(family: Family) -> DiffMultiset:
 def _dense_counts(family: Family) -> tuple[list[int], str]:
     """The family's difference counts as one list in canonical element order
     (index 0, the zero element, stays 0), and the engine that counted them."""
-    group, blocks = family.group, family.blocks
+    group, blocks = family.group, family.indices
     check_cap(group.order)
     # the engine is chosen once per block size, not once per block
     sizes = set(map(len, blocks))
@@ -209,8 +230,10 @@ class _Layout:
     those shifted digits t, and folding each to (t - (r - 1)) mod r gives the
     canonical index of x - y.  A Z_n or GF(p) coordinate's position is the
     coordinate times its place; only a GF(p^n) factor, n > 1, has a table of
-    its q positions.  A group of one digit needs no fold: its pairwise
-    differences are reduced mod v directly."""
+    its q positions.  A group of one digit needs no fold: its positions are
+    the canonical indices, and their differences are reduced mod v.  With at
+    most 4 v padded slots a key folds through a table of the slots (built
+    once a tally is big enough), else digit by digit: the table stays O(v)."""
 
     def __init__(self, group: GroupDescriptor):
         digits = group.digits()
@@ -237,11 +260,13 @@ class _Layout:
             else:
                 terms[i] = [t + d * place for t in terms.get(i, [0]) for d in range(r)]
         self.terms = tuple(terms.values())
+        self.fold = None  # the fold table, built by dense
 
-    def positions(self, elements: Iterable[Element]) -> list[int]:
-        """The positions of the elements, in order."""
+    def positions(self, columns: Iterable[Iterable[int]]) -> list[int]:
+        """The positions of elements given as coordinate columns, one per
+        factor (``group.coordinates``)."""
         total = None
-        for term, coords in zip(self.terms, zip(*elements)):
+        for term, coords in zip(self.terms, columns):
             if isinstance(term, list):
                 part = map(term.__getitem__, coords)
             else:
@@ -261,7 +286,17 @@ class _Layout:
         if self.cyclic:
             return list(map(tally.get, range(self.order), repeat(0)))
         dense = [0] * self.order
-        top, digits = self.top, self.digits
+        # the table pays for itself once a tally holds a key per 8 slots
+        if self.fold is None and self.slots <= min(4 * self.order, 8 * len(tally)):
+            radices = [r for _, r, _ in reversed(self.digits)]
+            shifted = [[(t - (r - 1)) % r for t in range(2 * r - 1)] for r in radices]
+            self.fold = _mixed_radix(shifted, radices)
+        top, fold = self.top, self.fold
+        if fold is not None:
+            for key, c in tally.items():
+                dense[fold[key + top]] += c
+            return dense
+        digits = self.digits
         for key, c in tally.items():
             key += top
             index = 0
@@ -273,24 +308,19 @@ class _Layout:
         return dense
 
 
-def _layout(group: GroupDescriptor) -> _Layout:
-    """The group's position layout, built on first use and kept on the group."""
-    if group._layout is None:
-        group._layout = _Layout(group)
-    return group._layout
+# the position layout of a group, kept for the groups counted last
+_layout = lru_cache(maxsize=16)(_Layout)
 
 
-def _pairwise_counts(
-    group: GroupDescriptor, blocks: Sequence[Sequence[Element]]
-) -> list[int]:
-    """The difference counts of the blocks in canonical element order, pair by
-    pair: blocks of one size become columns of positions, every ordered pair
-    of columns is subtracted and tallied, and each distinct key is folded
-    once."""
+def _pairwise_counts(group: GroupDescriptor, blocks: Sequence[Sequence[int]]) -> list[int]:
+    """The difference counts of blocks of canonical indices in canonical
+    element order, pair by pair: blocks of one size become columns of
+    positions, every ordered pair of columns is subtracted and tallied, and
+    each distinct key is folded once."""
     layout = _layout(group)
     tally: Counter = Counter()
     for k, same in groupby(sorted(blocks, key=len), len):
-        flat = layout.positions(chain.from_iterable(same))
+        flat = layout.positions(group.coordinates(chain.from_iterable(same)))
         columns = [flat[i::k] for i in range(k)]
         for i, xs in enumerate(columns):
             for j, ys in enumerate(columns):
@@ -330,10 +360,10 @@ def _use_convolution(group: GroupDescriptor, k: int) -> bool:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I"}  # native unsigned 1, 2, 4 bytes
 
 
-def _convolution_counts(group: GroupDescriptor, block: Sequence[Element]) -> list[int]:
-    """The difference counts of one block of distinct elements in canonical
-    element order (index 0 is 0), as the group-ring product D * D^(-1)
-    computed by Kronecker substitution.
+def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[int]:
+    """The difference counts of one block of distinct canonical indices, in
+    canonical element order (index 0 is 0), as the group-ring product
+    D * D^(-1) computed by Kronecker substitution.
 
     Each padded position of the group's layout (``_Layout``) becomes a
     w-byte slot of an int: A has a 1 in the slot of every x, B in the
@@ -346,7 +376,7 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[Element]) -> lis
     w = _slot_bytes(len(block))
     a = bytearray(slots * w)
     b = bytearray(slots * w)
-    for pos in layout.positions(block):
+    for pos in layout.positions(group.coordinates(block)):
         a[pos * w] = 1
         b[(top - pos) * w] = 1
     a_int, b_int = int.from_bytes(a, "little"), int.from_bytes(b, "little")
@@ -454,9 +484,8 @@ def verify_df(family: Family, lam: int) -> Report:
 def classify_family(family: Family) -> str:
     """'plain' (blocks overlap), 'disjoint', or 'partitioned' (disjoint and
     covering the whole group)."""
-    total = sum(len(b) for b in family.blocks)
-    union = family.covered()
-    if len(union) != total:
+    total = sum(map(len, family.indices))
+    if len(set(chain.from_iterable(family.indices))) != total:
         return "plain"
     return "partitioned" if total == family.v else "disjoint"
 
@@ -486,11 +515,7 @@ def verify_ds(
     rparams = {"v": group.order, "k": k, "lambda": params.lam}
     if group.order != params.v or k != params.k:
         return Report(
-            False,
-            "ds",
-            rparams,
-            {},
-            f"declared {params}, found v={group.order}, k={k}",
+            False, "ds", rparams, message=f"declared {params}, found v={group.order}, k={k}"
         )
     return _scan("ds", rparams, family, params.lam)
 
@@ -542,13 +567,8 @@ def verify_dds(
         "lambda2": params.lam2,
     }
     if group.order != params.m * params.n:
-        return Report(
-            False,
-            "dds",
-            rparams,
-            {},
-            f"group order {group.order} != m*n = {params.m * params.n}",
-        )
+        message = f"group order {group.order} != m*n = {params.m * params.n}"
+        return Report(False, "dds", rparams, message=message)
     if k != params.k:
         return Report(False, "dds", rparams, {}, f"declared k={params.k}, found {k}")
     return _scan("dds", rparams, family, params.lam2, nset, params.lam1)
@@ -567,11 +587,14 @@ class DiffMatrix:
         if not normalized or not normalized[0]:
             raise ValueError("difference matrix must have at least one row and column")
         width = len(normalized[0])
-        for row in normalized:
-            if len(row) != width:
-                raise ValueError("rows have unequal lengths")
-            for x in row:
-                group.validate_element(x)
+        # one column pass checks every element; the loop names the offender
+        flat = list(chain.from_iterable(normalized))
+        if set(map(len, normalized)) != {width} or not group.check_elements(flat):
+            for row in normalized:
+                if len(row) != width:
+                    raise ValueError("rows have unequal lengths")
+                for x in row:
+                    group.validate_element(x)
         self.group = group
         self.rows = normalized
 
@@ -601,15 +624,10 @@ def verify_dm(mat: DiffMatrix) -> Report:
     check_cap(v)
     params = {"v": v, "k": mat.k, "lambda": 1}
     if mat.columns != v:
-        return Report(
-            False,
-            "dm",
-            params,
-            {},
-            f"matrix has {mat.columns} columns but the group has order {v}",
-        )
-    layout = _layout(mat.group)
-    rows = [layout.positions(row) for row in mat.rows]
+        message = f"matrix has {mat.columns} columns but the group has order {v}"
+        return Report(False, "dm", params, message=message)
+    layout, factors = _layout(mat.group), range(len(mat.group.factors))
+    rows = [layout.positions(map(itemgetter(i), row) for i in factors) for row in mat.rows]
     deviations = {}
     for i in range(mat.k):
         for j in range(i + 1, mat.k):
@@ -633,15 +651,8 @@ def verify_hdm(mat: DiffMatrix) -> Report:
     check_cap(v)
     params = {"v": v, "k": mat.k, "lambda": 1}
     deviations = {}
-    if mat.columns != v:
-        return Report(
-            False,
-            "hdm",
-            params,
-            {},
-            f"matrix has {mat.columns} columns but the group has order {v}",
-        )
-    for i, row in enumerate(mat.rows):
+    # a column count other than v is reported by verify_dm
+    for i, row in enumerate(mat.rows if mat.columns == v else ()):
         counts = Counter(row)
         if len(counts) == v:
             continue

@@ -24,7 +24,7 @@ newline — so identical designs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 
@@ -35,7 +35,7 @@ from .algebra import (
     check_cap,
     check_power_cap,
 )
-from .designs import DiffMatrix, Family
+from .designs import DiffMatrix, Family, _cut
 
 # kind -> the integer parameters its file declares, in the order DSParams,
 # DDSParams and `verify --expect-params` take them (a family with blocks of
@@ -154,11 +154,14 @@ class DesignFile:
     blocks: tuple[tuple[Element, ...], ...] | None = None
     rows: tuple[tuple[Element, ...], ...] | None = None
     subgroup: tuple[Element, ...] | None = None
+    # the blocks as the reader decoded and checked them: a family of these
+    # very blocks is not checked again
+    _read_blocks: tuple | None = field(default=None, repr=False, compare=False)
 
     def family(self) -> Family:
         if self.blocks is None:
             raise ValueError(f"design of kind {self.kind!r} has no blocks")
-        return Family(self.group, self.blocks)
+        return Family(self.group, self.blocks, checked=self.blocks is self._read_blocks)
 
     def matrix(self) -> DiffMatrix:
         if self.rows is None:
@@ -246,7 +249,7 @@ def design_from_obj(obj) -> DesignFile:
             subgroup = tuple(element_from_obj(group, x) for x in raw)
     elif "subgroup" in obj:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
-    return DesignFile(kind, group, params, blocks, rows, subgroup)
+    return DesignFile(kind, group, params, blocks, rows, subgroup, blocks)
 
 
 _JSON_INT = frozenset((int,))  # json.loads gives bool, not int, for true/false
@@ -295,11 +298,7 @@ def _payload_from_obj(group: GroupDescriptor, raw: list, what: str) -> tuple:
     if all(map(isinstance, raw, repeat(list))):
         elements = _columns_from_obj(group, list(chain.from_iterable(raw)))
         if elements is not None:
-            it = iter(elements)
-            out: list = []
-            for k, m in _runs(map(len, raw)):
-                out.extend(islice(zip(*([it] * k)), m) if k else repeat((), m))
-            return tuple(out)
+            return tuple(_cut(elements, map(len, raw)))
     return tuple(
         tuple(element_from_obj(group, x) for x in _expect_list(item, what))
         for item in raw

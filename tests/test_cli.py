@@ -734,6 +734,24 @@ def test_check_result3_refuses_large_parameters_in_one_line(monkeypatch):
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
 
 
+def test_check_refuses_sides_too_long_to_print_in_one_line():
+    """A printed side past Python's int-to-str digit limit is refused before
+    any output, naming it; a 10-digit case still prints its verdict."""
+    nines = int("9" * 3000)  # printable, but k*(k-1) has 6000 digits
+    for argv, name in (
+        (["ds", nines, nines, 5], "k*(k-1)"),
+        (["dds", 5, 2, nines, 1, 1], "k*(k-1)"),
+        (["proportional", nines, nines, 1, 2], "k*(k-1)"),
+        (["proportional", nines, 1, 0, 10**2000], "mu*v"),
+    ):
+        rc, out, err = run(["check", *argv])
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"error: {name} has more than ") and err.count("\n") == 1
+    rc, out, err = run(["check", "ds", 10**10, 5, 2])
+    assert (rc, err) == (1, "")
+    assert out.startswith("ds (10000000000,5,2): INADMISSIBLE\n")
+
+
 def test_check_dds():
     rc, out, err = run(["check", "dds", 85, 2, 42, 42, 10])
     assert rc == 0

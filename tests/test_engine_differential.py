@@ -183,7 +183,7 @@ def test_pairwise_counts_match_oracle(data):
     blocks = data.draw(st.lists(_block(group, 1), max_size=5))
     if blocks:
         blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
-    counts = _pairwise_counts(group, blocks)
+    counts = _pairwise_counts(group, [group.indices(b) for b in blocks])
     assert as_dict(group, counts) == oracle_counts(group, blocks)
 
 
@@ -231,7 +231,7 @@ def test_verifiers_subtract_no_elements(monkeypatch):
 def test_convolution_counts_match_oracle(data):
     group = data.draw(groups())
     block = sorted(data.draw(_block(group, 1)))
-    counts = _convolution_counts(group, block)
+    counts = _convolution_counts(group, group.indices(block))
     assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
@@ -246,7 +246,7 @@ def test_convolution_counts_every_shape(factors):
     elements = list(group.elements())
     for k in range(1, len(elements) + 1):
         block = sorted(random.Random(k).sample(elements, k))
-        counts = _convolution_counts(group, block)
+        counts = _convolution_counts(group, group.indices(block))
         assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
@@ -254,7 +254,7 @@ def test_convolution_counts_every_shape(factors):
 def test_convolution_counts_at_one_byte_boundary(k):
     group = cyclic_group(300)
     block = [(x * 7 % 300,) for x in range(k)]
-    counts = _convolution_counts(group, block)
+    counts = _convolution_counts(group, group.indices(block))
     assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
@@ -269,7 +269,7 @@ def test_convolution_counts_at_two_byte_boundary(factors, missing):
     group = GroupDescriptor(factors)
     block = [x for x in group.elements() if x != missing]
     expected = group.order - (2 if missing else 0)
-    counts = as_dict(group, _convolution_counts(group, block))
+    counts = as_dict(group, _convolution_counts(group, group.indices(block)))
     assert len(counts) == group.order - 1
     assert set(counts.values()) == {expected}
 
