@@ -257,7 +257,9 @@ class FieldDescriptor:
         if modulus is None:
             modulus = _least_irreducible(p, n)
         else:
-            modulus = tuple(c % p for c in modulus)
+            for c in modulus:
+                if not 0 <= c < p:
+                    raise ValueError(f"modulus coefficient {c} out of range for GF({p})")
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {n}, got {list(modulus)}"

@@ -21,12 +21,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from itertools import chain, groupby, islice, repeat
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from math import prod
-from operator import add, itemgetter, mod, mul, sub
+from operator import add, floordiv, ge, itemgetter, mod, mul, sub
 from typing import Iterable, Sequence
 
-from .algebra import Element, GroupDescriptor, _mixed_radix, check_cap
+from .algebra import Element, GroupDescriptor, check_cap
 
 __all__ = [
     "DSParams",
@@ -108,9 +108,14 @@ class Family:
         # runs only on failure, to name the first offender
         ok = (checked or group.check_elements(flat)) and all(normalized)
         if ok:
-            cut = _cut(group.indices(flat), map(len, normalized))
-            indices = list(map(tuple, map(sorted, cut)))
-            ok = sum(map(len, map(set, indices))) == len(flat)
+            flat, sizes = group.indices(flat), list(map(len, normalized))
+            # diffam writes blocks ascending: skip the sort and the set pass
+            descents = compress(count(1), map(ge, flat, islice(flat, 1, None)))
+            if checked and set(accumulate(sizes)).issuperset(descents):
+                indices = _cut(flat, sizes)
+            else:
+                indices = list(map(tuple, map(sorted, _cut(flat, sizes))))
+                ok = sum(map(len, map(set, indices))) == len(flat)
         if not ok:
             for b in list(map(sorted, normalized)):
                 if not b:
@@ -227,40 +232,53 @@ class _Layout:
     difference d(x) - d(y) + r - 1 of two elements never borrows.  The
     position of x is the sum of its digits times their padded place values;
     pos(x) - pos(y) + top, top being the position of all digits r - 1, spells
-    those shifted digits t, and folding each to (t - (r - 1)) mod r gives the
-    canonical index of x - y.  A Z_n or GF(p) coordinate's position is the
+    those shifted digits t, folding each to (t - (r - 1)) mod r gives the
+    canonical index of x - y, and top - (pos(x) - pos(y)) spells the digits
+    2(r - 1) - t of y - x.  A Z_n or GF(p) coordinate's position is the
     coordinate times its place; only a GF(p^n) factor, n > 1, has a table of
-    its q positions.  A group of one digit needs no fold: its positions are
-    the canonical indices, and their differences are reduced mod v.  With at
-    most 4 v padded slots a key folds through a table of the slots (built
-    once a tally is big enough), else digit by digit: the table stays O(v)."""
+    its q positions.  A group of one digit needs no fold: its keys are the
+    index differences mod v.  Other keys fold by one table lookup per run of
+    digits: runs of one digit until a tally pays for runs of at most 4 v
+    padded slots (built once, by dense), so each table stays O(v)."""
 
     def __init__(self, group: GroupDescriptor):
         digits = group.digits()
         self.order = group.order
         self.cyclic = len(digits) == 1
-        # (padded radix, radix, canonical place) and padded place per digit,
-        # least significant first
-        folds, places = [], []
+        # (padded place, padded radix, radix, canonical place), low digit first
+        folds = []
         place = index_place = 1
         for _, _, r in reversed(digits):
-            folds.append((2 * r - 1, r, index_place))
-            places.append(place)
-            place *= 2 * r - 1
-            index_place *= r
+            folds.append((place, 2 * r - 1, r, index_place))
+            place, index_place = place * (2 * r - 1), index_place * r
         self.digits = tuple(folds)
         self.slots = place
-        self.top = sum((r - 1) * p for (_, r, _), p in zip(folds, places))
-        # per factor: the place of its one digit, or the table of its
-        # positions, grown a digit at a time, leading digit first
+        self.top = (place - 1) // 2  # the middle slot: every digit r - 1
+        # per factor: its one digit's place, or its positions grown digitwise
         terms: dict = {}
-        for (i, w, r), place in zip(digits, reversed(places)):
+        for (i, w, r), (place, _, _, _) in zip(digits, reversed(folds)):
             if w == 1 and i not in terms:
                 terms[i] = place
             else:
                 terms[i] = [t + d * place for t in terms.get(i, [0]) for d in range(r)]
         self.terms = tuple(terms.values())
-        self.fold = None  # the fold table, built by dense
+        self.runs = () if self.cyclic else self._runs(0)  # one digit each
+        self.wide_runs = None  # runs of at most 4 v slots, built by dense
+
+    def _runs(self, limit: int) -> tuple:
+        """Runs of as many digits as fit in limit padded slots (at least one) as
+        (padded place, padded span, table of shifted digits to index term); no
+        list of sums is freed, as that raises glibc's mmap threshold and RSS."""
+        runs, shared = [], {}  # equal index terms share one int object
+        for place, big, r, index_place in self.digits:
+            column = [(t - (r - 1)) % r * index_place for t in range(big)]
+            if runs and runs[-1][1] * big <= limit:  # the digit joins the last run
+                place, span, table = runs.pop()
+                sums = (tee(map(add, table, repeat(b))) for b in column)
+                column = list(chain.from_iterable(map(shared.setdefault, *s) for s in sums))
+                big *= span
+            runs.append((place, big, column))
+        return tuple(runs)
 
     def positions(self, columns: Iterable[Iterable[int]]) -> list[int]:
         """The positions of elements given as coordinate columns, one per
@@ -280,30 +298,38 @@ class _Layout:
         diffs = map(sub, xs, ys)
         return map(mod, diffs, repeat(self.order)) if self.cyclic else diffs
 
-    def dense(self, tally: Counter) -> list[int]:
+    def _indices(self, keys: Iterable[int], runs: tuple, mirror: bool) -> Iterable[int]:
+        """The canonical index of x - y for each key pos(x) - pos(y), or of
+        y - x with mirror: one table lookup per run of digits."""
+        top, index = self.top, None
+        for place, span, table in runs:
+            shifted = map(sub, repeat(top), keys) if mirror else map(add, keys, repeat(top))
+            if place > 1:
+                shifted = map(floordiv, shifted, repeat(place))
+            if place * span < self.slots:
+                shifted = map(mod, shifted, repeat(span))
+            term = map(table.__getitem__, shifted)
+            index = term if index is None else map(add, index, term)
+        return index
+
+    def dense(self, tally: Counter, mirror: bool = False) -> list[int]:
         """A tally of difference keys as counts in canonical element order;
-        each distinct position difference is folded once."""
+        with mirror, each key counts as x - y and as y - x."""
+        v = self.order
         if self.cyclic:
-            return list(map(tally.get, range(self.order), repeat(0)))
-        dense = [0] * self.order
-        # the table pays for itself once a tally holds a key per 8 slots
-        if self.fold is None and self.slots <= min(4 * self.order, 8 * len(tally)):
-            radices = [r for _, r, _ in reversed(self.digits)]
-            shifted = [[(t - (r - 1)) % r for t in range(2 * r - 1)] for r in radices]
-            self.fold = _mixed_radix(shifted, radices)
-        top, fold = self.top, self.fold
-        if fold is not None:
-            for key, c in tally.items():
-                dense[fold[key + top]] += c
-            return dense
-        digits = self.digits
-        for key, c in tally.items():
-            key += top
-            index = 0
-            for big, r, place in digits:
-                t = key % big
-                key //= big
-                index += (t - (r - 1)) % r * place
+            dense = list(map(tally.get, range(v), repeat(0)))
+            # the key of -x is v - x (and of -0 is 0)
+            return list(map(add, dense, dense[:1] + dense[:0:-1])) if mirror else dense
+        # wide runs pay for themselves at a key per 8 of a run's 4 v slots
+        if self.wide_runs is None and 8 * len(tally) >= 4 * v:
+            self.wide_runs = self._runs(4 * v)
+        runs = self.wide_runs or self.runs
+        indices, counts = self._indices(tally, runs, False), tally.values()
+        if mirror:
+            indices = chain(indices, self._indices(tally, runs, True))
+            counts = chain(counts, counts)
+        dense = [0] * v
+        for index, c in zip(indices, counts):
             dense[index] += c
         return dense
 
@@ -315,18 +341,17 @@ _layout = lru_cache(maxsize=16)(_Layout)
 def _pairwise_counts(group: GroupDescriptor, blocks: Sequence[Sequence[int]]) -> list[int]:
     """The difference counts of blocks of canonical indices in canonical
     element order, pair by pair: blocks of one size become columns of
-    positions, every ordered pair of columns is subtracted and tallied, and
-    each distinct key is folded once."""
+    positions, each unordered pair of columns is subtracted and tallied
+    once, and each distinct key is folded for both orders."""
     layout = _layout(group)
     tally: Counter = Counter()
     for k, same in groupby(sorted(blocks, key=len), len):
         flat = layout.positions(group.coordinates(chain.from_iterable(same)))
         columns = [flat[i::k] for i in range(k)]
         for i, xs in enumerate(columns):
-            for j, ys in enumerate(columns):
-                if i != j:
-                    tally.update(layout.differences(xs, ys))
-    return layout.dense(tally)
+            for ys in columns[:i]:
+                tally.update(layout.differences(xs, ys))
+    return layout.dense(tally, mirror=True)
 
 
 def _slot_bytes(k: int) -> int:
@@ -342,10 +367,10 @@ def _use_convolution(group: GroupDescriptor, k: int) -> bool:
     Blocks of at most 64 elements always take the pairwise loop (a few ms at
     most).  So does a group whose digit padding makes more than 64 v slots
     (GF(2^n) pads by 1.5^n), which keeps the packed ints O(v) in memory.
-    Otherwise the loop's k(k-1) ordered pairs, at about 1 us each (several
-    times that with GF(p^n) factors, n > 1), are weighed against the
-    product's estimated microseconds: CPython's Karatsuba multiply, about
-    4e-4 * P^1.585 for P packed bytes (operands of about P/2 bytes each),
+    Otherwise the loop's k(k-1)/2 column subtractions, about 1 us each (a
+    lone block's column pair took 0.7-1.5 us on a 2-vCPU x86-64 VM in every
+    group shape), are weighed against the product's estimated microseconds:
+    CPython's Karatsuba multiply, about 4e-4 * P^1.585 for P packed bytes,
     plus about 1 us per group element for the fold and the count dict
     (fitted on an x86-64 VM; only the order of magnitude matters)."""
     if k <= 64:
@@ -354,7 +379,7 @@ def _use_convolution(group: GroupDescriptor, k: int) -> bool:
     if slots > 64 * group.order:
         return False
     cost = 4e-4 * (slots * _slot_bytes(k)) ** 1.585 + group.order
-    return k * (k - 1) > cost
+    return k * (k - 1) // 2 > cost
 
 
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I"}  # native unsigned 1, 2, 4 bytes
@@ -386,7 +411,7 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[in
     # fold digits most significant first: while folding digit j, every block
     # of (2r - 1) * span bytes holds one value of the digits already folded
     outer, span = 1, slots * w
-    for big, r, _ in reversed(layout.digits):
+    for _, big, r, _ in reversed(layout.digits):
         span //= big
         low = (r - 1) * span
         view = memoryview(buf)

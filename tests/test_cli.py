@@ -645,6 +645,23 @@ def test_verify_missing_and_malformed_files(tmp_path):
     assert (rc, out, err) == (2, "", "error: design file param 'k' must be an integer\n")
 
 
+def test_verify_refuses_a_modulus_coefficient_out_of_range(tmp_path):
+    """GF(13)'s modulus x written as 13 + x or -13 + x is the same residue
+    list, but not a modulus with coefficients in GF(13): one error line."""
+    path = tmp_path / "f13.json"
+    rc, out, err = run(["construct", "furino", "--factors", 13, "--k", 3, "--out", path])
+    assert rc == 0
+    for c in (13, -13):
+        obj = json.loads(path.read_text())
+        obj["group"]["factors"][0]["field"]["modulus"] = [c, 1]
+        edited = tmp_path / f"edited{c}.json"
+        edited.write_text(json.dumps(obj))
+        rc, out, err = run(["verify", edited])
+        assert (rc, out, err) == (
+            2, "", f"error: modulus coefficient {c} out of range for GF(13)\n"
+        )
+
+
 def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):
     monkeypatch.setattr(algebra, "is_prime", lambda n: pytest.fail(f"is_prime({n})"))
     path = tmp_path / "big.json"

@@ -8,10 +8,13 @@ iteration order included.  Both engines are also called directly: the
 pairwise engine on mixed, repeated and heavily padded blocks, the big-int
 product engine on random blocks and at the slot-width boundaries, since the
 verifiers route only large blocks through it.  Both return counts in
-canonical element order, compared through ``as_dict``.
+canonical element order, compared through ``as_dict``.  verify_dm and
+verify_hdm, which fold one order of each row pair's differences, are
+checked against a group.sub oracle of the row differences.
 """
 
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -28,13 +31,16 @@ from diffam.constructions import dds_from_ds, furino_ddf, units_hdm
 from diffam.designs import (
     DDSParams,
     DSParams,
+    DiffMatrix,
     Family,
     _convolution_counts,
+    _Layout,
     _layout,
     _pairwise_counts,
     _use_convolution,
     verify_dds,
     verify_df,
+    verify_dm,
     verify_ds,
     verify_hdm,
 )
@@ -165,12 +171,15 @@ def test_verify_dds_compares_the_subgroup_with_lambda1():
     assert report.deviations == {(0, 1): 8}
 
 
-# heavily padded groups (GF(2^12): 3^12 slots, about 130 v) and Z_1 factors
+# heavily padded groups (GF(2^12): 3^12 slots, about 130 v; GF(4) x GF(25):
+# 729 slots for v = 100, folded through two runs of at most 4 v slots) and
+# Z_1 factors
 PADDED_GROUPS = [
     GroupDescriptor([build_field(2, 12)]),
     GroupDescriptor([1, build_field(2, 12)]),
     GroupDescriptor([3, 1, build_field(2, 2)]),
     GroupDescriptor([1]),
+    GroupDescriptor([build_field(2, 2), build_field(5, 2)]),
 ]
 
 
@@ -185,6 +194,115 @@ def test_pairwise_counts_match_oracle(data):
         blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
     counts = _pairwise_counts(group, [group.indices(b) for b in blocks])
     assert as_dict(group, counts) == oracle_counts(group, blocks)
+
+
+def test_small_and_large_tallies_fold_through_both_cuts():
+    """On one layout, a tally of a few keys folds through the one-digit runs
+    and builds no wide runs; the first tally of a key per 8 of 4 v slots
+    builds them, and small and large tallies then both fold through them."""
+    group = GroupDescriptor([build_field(2, 2), build_field(5, 2)])
+    _layout.cache_clear()
+    layout = _layout(group)
+    elements = list(group.elements())
+    rng = random.Random(5)
+    small = [rng.sample(elements, 3)]
+    large = [rng.sample(elements, 12) for _ in range(6)]
+    for blocks, built in ((small, False), (large, True), (small, True)):
+        counts = _pairwise_counts(group, [group.indices(b) for b in blocks])
+        assert as_dict(group, counts) == oracle_counts(group, blocks)
+        assert (layout.wide_runs is not None) == built
+
+
+@pytest.mark.parametrize(
+    "group",
+    PADDED_GROUPS[:3]
+    + PADDED_GROUPS[4:]
+    + [
+        GroupDescriptor([build_field(2, 2), build_field(5, 2), build_field(7, 2)]),
+        GroupDescriptor([7, build_field(13), 5]),
+        GroupDescriptor([2, 2, 2, 2, 2, 2, 2, 2, 2, 2]),
+    ],
+    ids=repr,
+)
+def test_wide_runs_fit_in_four_v_slots(group):
+    """Every wide-run table has at most 4 v entries, one per slot of its
+    run, and the runs' spans multiply to the padded slots."""
+    layout, v = _Layout(group), group.order
+    assert not layout.cyclic and layout.wide_runs is None
+    counts = layout.dense(Counter(range(1 - v, v)))  # 2v - 1 keys build them
+    assert sum(counts) == 2 * v - 1
+    spans = [span for _, span, _ in layout.wide_runs]
+    assert prod(spans) == layout.slots
+    assert all(len(table) == span <= 4 * v for _, span, table in layout.wide_runs)
+    assert len(spans) < len(layout.digits) or len(spans) == 1
+    if group == PADDED_GROUPS[4]:
+        assert spans == [243, 3]
+
+
+def test_cyclic_layout_has_no_runs():
+    """A one-digit layout folds nothing: a full mirrored tally counts each
+    nonzero key twice and builds no run tables."""
+    group = cyclic_group(125003)
+    layout = _Layout(group)
+    assert layout.dense(Counter(range(group.order)), mirror=True)[1] == 2
+    assert layout.cyclic and layout.runs == () and layout.wide_runs is None
+
+
+def _matrix_rows(group, rng, k):
+    """k rows of v elements each: a permutation of the group, a multiple
+    m x of every x in canonical order, a constant row, or anything."""
+    elements = list(group.elements())
+    rows = []
+    for _ in range(k):
+        shape = rng.randrange(4)
+        if shape == 0:
+            row = rng.sample(elements, len(elements))
+        elif shape == 1:
+            m = rng.randrange(1, group.exponent() + 1)
+            row = [group.scalar_mul(m, x) for x in elements]
+        elif shape == 2:
+            row = [rng.choice(elements)] * len(elements)
+        else:
+            row = [rng.choice(elements) for _ in elements]
+        rows.append(tuple(row))
+    return rows
+
+
+def oracle_dm_deviations(group, rows):
+    """(i, j, x) -> count for every row pair i < j and element x that
+    row i - row j does not hit exactly once, in that order."""
+    out = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            counts = Counter(group.sub(x, y) for x, y in zip(rows[i], rows[j]))
+            for x in group.elements():
+                if counts[x] != 1:
+                    out[(i, j, x)] = counts[x]
+    return out
+
+
+def oracle_hdm_deviations(group, rows):
+    """The rows that are not permutations, by element; else the dm map."""
+    out = {}
+    for i, row in enumerate(rows):
+        counts = Counter(row)
+        for x in group.elements():
+            if counts[x] != 1:
+                out[("row", i, x)] = counts[x]
+    return out or oracle_dm_deviations(group, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_dm_and_hdm_match_oracle(data):
+    """Row differences fold one order only; passing and failing matrices
+    over every group shape, deviation maps compared in order."""
+    group = data.draw(st.one_of(groups(), st.sampled_from(PADDED_GROUPS)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = _matrix_rows(group, rng, data.draw(st.integers(1, 4)))
+    mat = DiffMatrix(group, rows)
+    _same(verify_dm(mat), oracle_dm_deviations(group, rows))
+    _same(verify_hdm(mat), oracle_hdm_deviations(group, rows))
 
 
 def test_layout_tables_only_extension_fields():

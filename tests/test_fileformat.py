@@ -88,6 +88,10 @@ def test_group_from_obj_strict(monkeypatch):
         group_from_obj({"factors": [{"field": {"p": 4, "n": 1, "modulus": [0, 1]}}]})
     with pytest.raises(ValueError):
         group_from_obj({"factors": [{"field": {"p": 2, "n": 2, "modulus": [1, 0, 1]}}]})
+    # a modulus coefficient out of 0..p-1 is refused, not reduced mod p
+    for modulus in ([13, 1], [-13, 1]):
+        with pytest.raises(ValueError):
+            group_from_obj({"factors": [{"field": {"p": 13, "n": 1, "modulus": modulus}}]})
     with pytest.raises(ValueError):
         group_from_obj([])
     with pytest.raises(ValueError):
@@ -111,6 +115,17 @@ def test_group_from_obj_strict(monkeypatch):
     ):
         with pytest.raises(ExhaustiveCapError):
             group_from_obj({"factors": factors})
+
+
+@pytest.mark.parametrize(
+    "p, n, modulus, bad",
+    [(13, 1, [13, 1], 13), (13, 1, [-13, 1], -13), (3, 1, [1, 3], 3), (2, 2, [1, 3, 1], 3)],
+)
+def test_group_from_obj_names_the_modulus_coefficient_as_written(p, n, modulus, bad):
+    field = {"p": p, "n": n, "modulus": modulus}
+    with pytest.raises(ValueError) as info:
+        group_from_obj({"factors": [{"field": field}]})
+    assert str(info.value) == f"modulus coefficient {bad} out of range for GF({p})"
 
 
 def test_element_codec():
@@ -337,6 +352,36 @@ GOLDEN_TRIVIAL_DS = """{
   }
 }
 """
+
+
+@pytest.mark.parametrize(
+    "blocks, indices",
+    [
+        ([[1, 2, 4]], ((1, 2, 4),)),
+        ([[5, 6], [0, 1, 3], [2]], ((5, 6), (0, 1, 3), (2,))),
+        ([[4, 1, 2]], ((1, 2, 4),)),
+        ([[0, 3], [6, 5, 1], [2, 4, 5]], ((0, 3), (1, 5, 6), (2, 4, 5))),
+    ],
+)
+def test_family_of_a_read_file_takes_ascending_blocks_and_sorts_others(blocks, indices):
+    obj = {
+        "kind": "df",
+        "group": {"factors": [{"cyclic": 7}]},
+        "params": {"v": 7, "k": 3, "lambda": 1},
+        "blocks": [[[x] for x in block] for block in blocks],
+    }
+    assert loads_design(json.dumps(obj)).family().indices == indices
+
+
+def test_family_of_a_read_file_refuses_a_repeated_element():
+    obj = {
+        "kind": "df",
+        "group": {"factors": [{"cyclic": 7}]},
+        "params": {"v": 7, "k": 3, "lambda": 1},
+        "blocks": [[[0], [1], [3]], [[1], [2], [2]]],
+    }
+    with pytest.raises(ValueError, match=r"^block \(\(1,\), \(2,\), \(2,\)\) has a repeated"):
+        loads_design(json.dumps(obj)).family()
 
 
 def test_dumps_design_golden_bytes():

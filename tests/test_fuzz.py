@@ -92,6 +92,32 @@ def test_loads_design_of_a_mutated_file_raises_only_value_error(base, data):
         pass
 
 
+FIELD_DESIGNS = [
+    d for d in VALID_DESIGNS if any("field" in f for f in d["group"]["factors"])
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELD_DESIGNS), st.data())
+def test_loads_design_refuses_a_modulus_coefficient_out_of_range(base, data):
+    """A field modulus coefficient moved out of 0..p-1, by a multiple of p
+    (the same residue) or anywhere, is refused rather than reduced."""
+    obj = copy.deepcopy(base)
+    fields = [f["field"] for f in obj["group"]["factors"] if "field" in f]
+    field = data.draw(st.sampled_from(fields))
+    modulus, p = field["modulus"], field["p"]
+    i = data.draw(st.integers(0, len(modulus) - 1))
+    modulus[i] = data.draw(
+        st.one_of(
+            st.integers(-3, 3).filter(bool).map(lambda m: modulus[i] + m * p),
+            st.integers(-(10**40), -1),
+            st.integers(p, 10**40),
+        )
+    )
+    with pytest.raises(ValueError, match="^modulus coefficient "):
+        loads_design(json.dumps(obj))
+
+
 INT_FLAGS = ("--v", "--k", "--mult", "--q", "--m", "--d", "--e", "--h")
 PATH_FLAGS = ("--ddf-g", "--ddf-h", "--dm", "--ds")
 SMALL_INTS = st.integers(-64, 64)
