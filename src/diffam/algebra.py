@@ -586,20 +586,28 @@ class GroupDescriptor:
     def indices(self, xs: Sequence[Element]) -> list[int]:
         """The canonical index of each element: its place in ``elements()``,
         the coordinates read in the mixed radix of the factor sizes."""
-        total = map(itemgetter(0), xs)
-        for i, size in enumerate(self.factor_sizes[1:], 1):
-            coords = map(itemgetter(i), xs)
-            total = map(add, map(mul, total, itertools.repeat(size)), coords)
-        return list(total)
+        return self.column_indices([map(itemgetter(i), xs) for i in range(len(self.factors))])
 
-    def coordinates(self, indices: Iterable[int]) -> list[list[int]]:
-        """The coordinate columns, one list per factor, of the elements with
-        the given canonical indices."""
-        rest, cols = list(indices), []
-        for size in reversed(self.factor_sizes[1:]):
-            cols.append(list(map(mod, rest, itertools.repeat(size))))
-            rest = list(map(floordiv, rest, itertools.repeat(size)))
-        return [rest, *reversed(cols)]
+    def column_indices(self, columns: Sequence[Iterable[int]]) -> list[int]:
+        """The canonical indices of elements given as coordinate columns, one
+        per factor (the inverse of ``coordinates``), built through one chain
+        of iterators; a lone column that is a list is returned as it is."""
+        total = columns[0]
+        for size, coords in zip(self.factor_sizes[1:], columns[1:]):
+            total = map(add, map(mul, total, itertools.repeat(size)), coords)
+        return total if isinstance(total, list) else list(total)
+
+    def coordinates(self, indices: Iterable[int]) -> list[Iterator[int]]:
+        """The coordinate columns, one iterator per factor, of the elements
+        with the given canonical indices.  Each column is read straight off
+        one list of the indices, so no quotient or column list is built."""
+        flat = indices if isinstance(indices, list) else list(indices)
+        cols, place = [], self.order
+        for i, size in enumerate(self.factor_sizes):
+            place //= size
+            col = map(floordiv, flat, itertools.repeat(place)) if place > 1 else iter(flat)
+            cols.append(map(mod, col, itertools.repeat(size)) if i else col)
+        return cols
 
     def elements_at(self, indices: Iterable[int]) -> list[Element]:
         """The elements with the given canonical indices, in order."""

@@ -76,6 +76,7 @@ from .fileformat import (
     PARAM_KEYS,
     SET_KINDS,
     DesignFile,
+    IndexLists,
     load_design,
     save_design,
 )
@@ -317,13 +318,14 @@ def _design_file(kind: str, built) -> DesignFile:
     read off that output in the kind's PARAM_KEYS order."""
     if kind == "ddf":
         family, lam = built
-        if not family.blocks:
+        if not family.indices:
             # no lambda or K describes an empty family, so none is written
             raise ValueError(
                 f"the construction gives no blocks over {family.group!r}; "
                 "a design file needs at least one block"
             )
-        return DesignFile(kind, family.group, family_params(family, lam), family.blocks)
+        blocks = IndexLists.of_blocks(family.group, family.indices)
+        return DesignFile(kind, family.group, family_params(family, lam), blocks)
     keys = PARAM_KEYS[kind]
     if kind == "hdm":
         values = (built.group.order, built.k, 1)

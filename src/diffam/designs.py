@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from math import prod
-from operator import add, floordiv, ge, itemgetter, mod, mul, sub
-from typing import Iterable, Sequence
+from operator import add, eq, floordiv, ge, itemgetter, mod, mul, sub
 
 from .algebra import Element, GroupDescriptor, check_cap
 
@@ -32,6 +32,7 @@ __all__ = [
     "DSParams",
     "DDSParams",
     "Family",
+    "IndexedElements",
     "DiffMultiset",
     "Report",
     "DiffMatrix",
@@ -97,34 +98,21 @@ class Family:
 
     Blocks are sets (no repeated elements), each stored sorted in canonical
     order as a tuple of canonical indices (``indices``); ``blocks`` decodes
-    the element tuples on demand.  The instance is treated as immutable.
-    ``checked=True`` vouches that every element is in the group (a file
-    reader checked it), so only the block shapes are checked."""
+    the element tuples on demand.  The instance is treated as immutable."""
 
-    def __init__(self, group: GroupDescriptor, blocks: Iterable, *, checked: bool = False):
+    def __init__(self, group: GroupDescriptor, blocks: Iterable):
         normalized = list(map(tuple, blocks))
         flat = list(chain.from_iterable(normalized))
         # every element is checked in one column pass; the per-block loop
-        # runs only on failure, to name the first offender
-        ok = (checked or group.check_elements(flat)) and all(normalized)
-        if ok:
-            flat, sizes = group.indices(flat), list(map(len, normalized))
-            # diffam writes blocks ascending: skip the sort and the set pass
-            descents = compress(count(1), map(ge, flat, islice(flat, 1, None)))
-            if checked and set(accumulate(sizes)).issuperset(descents):
-                indices = _cut(flat, sizes)
-            else:
-                indices = list(map(tuple, map(sorted, _cut(flat, sizes))))
-                ok = sum(map(len, map(set, indices))) == len(flat)
-        if not ok:
-            for b in list(map(sorted, normalized)):
-                if not b:
-                    raise ValueError("blocks must be nonempty")
+        # runs only on failure, to name the first offender, and validates a
+        # block's elements before it sorts them
+        if not group.check_elements(flat):
+            for b in normalized:
                 for x in b:
                     group.validate_element(x)
-                if any(b[i] == b[i + 1] for i in range(len(b) - 1)):
-                    raise ValueError(f"block {tuple(b)} has a repeated element")
+                _check_block(sorted(b))
         self.group = group
+        indices = _index_blocks(group, group.indices(flat), list(map(len, normalized)))
         self.indices: tuple[tuple[int, ...], ...] = tuple(indices)
 
     @classmethod
@@ -133,6 +121,15 @@ class Family:
         family = cls.__new__(cls)
         family.group, family.indices = group, tuple(blocks)
         return family
+
+    @classmethod
+    def of_flat(
+        cls, group: GroupDescriptor, flat: Sequence[int], sizes: Sequence[int]
+    ) -> "Family":
+        """A family of blocks of canonical indices of the group, given as one
+        flat list and the block sizes: each block is sorted and checked to be
+        nonempty and free of repeats, but the indices are not range-checked."""
+        return cls.of_indices(group, _index_blocks(group, flat, sizes))
 
     @property
     def blocks(self) -> tuple[tuple[Element, ...], ...]:
@@ -166,6 +163,32 @@ class Family:
         return f"<family of {len(self.indices)} blocks over {self.group!r}>"
 
 
+def _check_block(block: Sequence) -> None:
+    """Refuse an empty block, or a sorted block that repeats an element."""
+    if not block:
+        raise ValueError("blocks must be nonempty")
+    if any(map(eq, block, islice(block, 1, None))):
+        raise ValueError(f"block {tuple(block)} has a repeated element")
+
+
+def _index_blocks(
+    group: GroupDescriptor, flat: Sequence[int], sizes: Sequence[int]
+) -> list[tuple]:
+    """The flat list of canonical indices cut into blocks of the given
+    sizes, each sorted.  diffam writes blocks ascending, and then every
+    descent of the flat list falls at a block end: the blocks are cut as
+    they are, with no sort and no set pass.  A block that is empty or
+    repeats an element is refused, named by its elements."""
+    descents = compress(count(1), map(ge, flat, islice(flat, 1, None)))
+    if all(sizes) and set(accumulate(sizes)).issuperset(descents):
+        return _cut(flat, sizes)
+    blocks = list(map(tuple, map(sorted, _cut(flat, sizes))))
+    if not all(sizes) or sum(map(len, map(set, blocks))) != len(flat):
+        for block in blocks:
+            _check_block(group.elements_at(block))
+    return blocks
+
+
 def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
     """The items of flat cut into consecutive tuples of the given sizes, a
     run of equal sizes at a time."""
@@ -174,6 +197,33 @@ def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
         m = sum(1 for _ in run)
         out.extend(islice(zip(*[it] * k), m) if k else repeat((), m))
     return out
+
+
+class IndexedElements(Sequence):
+    """A read-only sequence of group elements held as their canonical
+    indices (``indices``); items decode to element tuples on demand.  It
+    compares equal to the tuple of the same elements, so a block read from a
+    file compares equal to the block that was written."""
+
+    def __init__(self, group: GroupDescriptor, indices: Iterable[int]):
+        self.group, self.indices = group, tuple(indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i: int) -> Element:
+        return self.group.elements_at((self.indices[i],))[0]
+
+    def __iter__(self):
+        return iter(self.group.elements_at(self.indices))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IndexedElements):
+            return self.group == other.group and self.indices == other.indices
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
 
 
 @dataclass
@@ -521,13 +571,18 @@ def extend_to_pdf(family: Family) -> Family:
     cls = classify_family(family)
     if cls == "plain":
         raise ValueError("blocks overlap; only disjoint families can be extended")
-    extra = [(x,) for x in family.uncovered()]
-    return Family(family.group, list(family.blocks) + extra)
+    covered = set(chain.from_iterable(family.indices))
+    extra = ((i,) for i in range(family.v) if i not in covered)
+    return Family.of_indices(family.group, (*family.indices, *extra))
 
 
 def _set_family(group: GroupDescriptor, dset: Iterable[Element]) -> tuple[Family, int]:
     """A (divisible) difference set as a one-block family, and its size k;
-    the empty set is the empty family."""
+    the empty set is the empty family.  A set held as canonical indices of
+    the group (a block read from a file) is not checked again."""
+    if isinstance(dset, IndexedElements) and dset.group == group:
+        sizes = [len(dset)] if dset.indices else []
+        return Family.of_flat(group, dset.indices, sizes), len(dset)
     block = tuple(dset)
     return Family(group, [block] if block else []), len(block)
 

@@ -24,9 +24,10 @@ newline — so identical designs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .algebra import (
     Element,
@@ -35,7 +36,7 @@ from .algebra import (
     check_cap,
     check_power_cap,
 )
-from .designs import DiffMatrix, Family, _cut
+from .designs import DiffMatrix, Family, IndexedElements
 
 # kind -> the integer parameters its file declares, in the order DSParams,
 # DDSParams and `verify --expect-params` take them (a family with blocks of
@@ -143,25 +144,67 @@ def element_from_obj(group: GroupDescriptor, obj) -> Element:
     return tuple(coords)
 
 
+class IndexLists(Sequence):
+    """Lists of group elements held as canonical indices: ``flat``, the
+    index of every element in order, and ``sizes``, the length of each
+    list.  The indices are trusted to lie in the group.  Each list reads as
+    an IndexedElements, decoded on demand; the lists compare equal to the
+    tuple of the element tuples they hold."""
+
+    def __init__(self, group: GroupDescriptor, flat: list[int], sizes: list[int]):
+        self.group, self.flat, self.sizes = group, flat, sizes
+
+    @classmethod
+    def of_blocks(cls, group: GroupDescriptor, blocks: Sequence[tuple]) -> "IndexLists":
+        """Lists given as tuples of indices, such as a family's ``indices``."""
+        return cls(group, list(chain.from_iterable(blocks)), list(map(len, blocks)))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i: int) -> IndexedElements:
+        i = range(len(self.sizes))[i]
+        start = sum(islice(self.sizes, i))
+        return IndexedElements(self.group, self.flat[start : start + self.sizes[i]])
+
+    def __iter__(self):
+        flat = iter(self.flat)
+        return (IndexedElements(self.group, islice(flat, k)) for k in self.sizes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IndexLists):
+            return (self.group, self.flat, self.sizes) == (other.group, other.flat, other.sizes)
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(map(tuple, self))!r})"
+
+
 @dataclass
 class DesignFile:
-    """A parsed design file: the declared kind and parameters plus the
-    payload (blocks, or matrix rows, and for divisible sets the subgroup)."""
+    """A design file: the declared kind and parameters plus the payload
+    (blocks, or matrix rows, and for divisible sets the subgroup).  Blocks
+    and rows are sequences of element sequences, the subgroup one sequence
+    of elements.  A read file holds them as canonical indices (IndexLists,
+    IndexedElements) that decode on demand; element tuples passed in are
+    checked and encoded once, when the design is written."""
 
     kind: str
     group: GroupDescriptor
     params: dict
-    blocks: tuple[tuple[Element, ...], ...] | None = None
-    rows: tuple[tuple[Element, ...], ...] | None = None
-    subgroup: tuple[Element, ...] | None = None
-    # the blocks as the reader decoded and checked them: a family of these
-    # very blocks is not checked again
-    _read_blocks: tuple | None = field(default=None, repr=False, compare=False)
+    blocks: Sequence | None = None
+    rows: Sequence | None = None
+    subgroup: Sequence | None = None
 
     def family(self) -> Family:
-        if self.blocks is None:
+        blocks = self.blocks
+        if blocks is None:
             raise ValueError(f"design of kind {self.kind!r} has no blocks")
-        return Family(self.group, self.blocks, checked=self.blocks is self._read_blocks)
+        if isinstance(blocks, IndexLists) and blocks.group == self.group:
+            return Family.of_flat(self.group, blocks.flat, blocks.sizes)
+        return Family(self.group, blocks)
 
     def matrix(self) -> DiffMatrix:
         if self.rows is None:
@@ -244,24 +287,22 @@ def design_from_obj(obj) -> DesignFile:
         raw = obj.get("subgroup")
         if not isinstance(raw, list) or not raw:
             raise ValueError("kind 'dds' needs a nonempty 'subgroup' list")
-        subgroup = _columns_from_obj(group, raw)
-        if subgroup is None:
-            subgroup = tuple(element_from_obj(group, x) for x in raw)
+        subgroup = _payload_from_obj(group, [raw], "subgroup")[0]
     elif "subgroup" in obj:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
-    return DesignFile(kind, group, params, blocks, rows, subgroup, blocks)
+    return DesignFile(kind, group, params, blocks, rows, subgroup)
 
 
 _JSON_INT = frozenset((int,))  # json.loads gives bool, not int, for true/false
 
 
-def _columns_from_obj(group: GroupDescriptor, raw: list) -> tuple | None:
-    """Decode a list of element objects one coordinate column at a time,
-    accepting exactly what element_from_obj accepts: list and length
-    checks, JSON-int type checks, then min/max against the radix.  Field
-    coefficient lists map through one dict of the lists present.  None when
-    any check fails; the caller then decodes element by element, so the
-    error names the first offender."""
+def _columns_from_obj(group: GroupDescriptor, raw: list) -> list[int] | None:
+    """The canonical index of every element object in raw, decoded one
+    coordinate column at a time, accepting exactly what element_from_obj
+    accepts: list and length checks, JSON-int type checks, then min/max
+    against the radix.  Field coefficient lists map through one dict of
+    the lists present.  None when any check fails; the caller then decodes
+    element by element, so the error names the first offender."""
     width = len(group.factors)
     if not all(map(isinstance, raw, repeat(list))) or any(
         map(width.__ne__, map(len, raw))
@@ -287,22 +328,21 @@ def _columns_from_obj(group: GroupDescriptor, raw: list) -> tuple | None:
             return None
         if isinstance(fac, FieldDescriptor):
             table = {key: fac.element(key) for key in set(col)}
-            col = list(map(table.__getitem__, col))
+            col = list(map(table.__getitem__, col))  # the tuples go now, not at the end
         columns.append(col)
-    return tuple(zip(*columns))
+    return group.column_indices(columns)
 
 
-def _payload_from_obj(group: GroupDescriptor, raw: list, what: str) -> tuple:
-    """Blocks or matrix rows: every element decoded in one column pass, then
-    cut back into the lists of the file."""
+def _payload_from_obj(group: GroupDescriptor, raw: list, what: str) -> IndexLists:
+    """Blocks or matrix rows: the canonical index of every element, decoded
+    in one column pass, and the length of each list of the file."""
     if all(map(isinstance, raw, repeat(list))):
-        elements = _columns_from_obj(group, list(chain.from_iterable(raw)))
-        if elements is not None:
-            return tuple(_cut(elements, map(len, raw)))
-    return tuple(
-        tuple(element_from_obj(group, x) for x in _expect_list(item, what))
-        for item in raw
-    )
+        flat = _columns_from_obj(group, list(chain.from_iterable(raw)))
+        if flat is not None:
+            return IndexLists(group, flat, list(map(len, raw)))
+    lists = [[element_from_obj(group, x) for x in _expect_list(item, what)] for item in raw]
+    flat = group.indices(list(chain.from_iterable(lists)))
+    return IndexLists(group, flat, list(map(len, lists)))
 
 
 def _runs(lengths) -> list[tuple[int, int]]:
@@ -333,24 +373,35 @@ def _header_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
-def _lists_texts(group: GroupDescriptor, lists: list, depth: int) -> list[str]:
-    """The text of each list of elements as json.dumps(indent=2) writes it
-    at indent depth `depth`, one template per run of equal-length lists.
-    The coordinate texts are built a column at a time, after one check of
-    every element: a cyclic coordinate is its decimal text, a field
-    coordinate looks its coefficient-list text up in a table of the values
-    present."""
+def _index_lists(group: GroupDescriptor, lists) -> IndexLists:
+    """Lists of elements as canonical indices.  Lists already held as
+    indices of the group (a read file's payload, a family's blocks) are
+    taken as they are; element tuples are checked once, naming the first
+    offender, and encoded."""
+    if isinstance(lists, IndexLists) and lists.group == group:
+        return lists
+    lists = [tuple(items) for items in lists]
     xs = list(chain.from_iterable(lists))
     if not group.check_elements(xs):
         for x in xs:
             group.validate_element(x)  # raises, naming the first offender
-    columns = []
-    for i, fac in enumerate(group.factors):
-        col = list(map(itemgetter(i), xs))
-        if any(map(isinstance, col, repeat(bool))):
+    for i in range(len(group.factors)):
+        if any(map(isinstance, map(itemgetter(i), xs), repeat(bool))):
             x = next(x for x in xs if isinstance(x[i], bool))
             raise ValueError(f"{x!r} has a bool coordinate, not an integer")
+    return IndexLists(group, group.indices(xs), list(map(len, lists)))
+
+
+def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int) -> list[str]:
+    """The text of each list of elements as json.dumps(indent=2) writes it
+    at indent depth `depth`, one template per run of equal-length lists.
+    The coordinate texts are built a column at a time from the indices: a
+    cyclic coordinate is its decimal text, a field coordinate looks its
+    coefficient-list text up in a table of the values present."""
+    columns = []
+    for fac, col in zip(group.factors, group.coordinates(lists.flat)):
         if isinstance(fac, FieldDescriptor):
+            col = list(col)
             fmt = _list_template("{}", fac.n, depth + 2).format
             table = {c: fmt(*fac.coeffs(c)) for c in set(col)}
             columns.append(map(table.__getitem__, col))
@@ -358,7 +409,7 @@ def _lists_texts(group: GroupDescriptor, lists: list, depth: int) -> list[str]:
             columns.append(map(int.__repr__, col))
     element = _list_template("{}", len(columns), depth + 1)
     out: list[str] = []
-    for k, m in _runs(map(len, lists)):
+    for k, m in _runs(lists.sizes):
         fmt = _list_template(element, k, depth).format
         out.extend(islice(map(fmt, *(columns * k)), m) if k else repeat("[]", m))
     return out
@@ -366,7 +417,7 @@ def _lists_texts(group: GroupDescriptor, lists: list, depth: int) -> list[str]:
 
 def _payload_text(group: GroupDescriptor, lists) -> str:
     """Blocks or matrix rows: a list at depth 1 of element lists."""
-    texts = _lists_texts(group, [tuple(items) for items in lists], 2)
+    texts = _lists_texts(group, _index_lists(group, lists), 2)
     return _list_template("{}", len(texts), 1).format(*texts)
 
 
@@ -393,7 +444,8 @@ def dumps_design(design: DesignFile) -> str:
     if kind == "dds":
         if design.subgroup is None:
             raise ValueError("kind 'dds' needs the forbidden subgroup")
-        texts["subgroup"] = _lists_texts(design.group, [tuple(design.subgroup)], 1)[0]
+        subgroup = _index_lists(design.group, [design.subgroup])
+        texts["subgroup"] = _lists_texts(design.group, subgroup, 1)[0]
     elif design.subgroup is not None:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
     # one join, so the payload text (most of the file) is copied once: each
@@ -405,14 +457,17 @@ def dumps_design(design: DesignFile) -> str:
     return "".join(parts)
 
 
-def loads_design(text: str) -> DesignFile:
+def _parse(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"design file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("design file is nested too deeply to parse") from exc
-    return design_from_obj(obj)
+
+
+def loads_design(text: str) -> DesignFile:
+    return design_from_obj(_parse(text))
 
 
 def save_design(path, design: DesignFile) -> None:
@@ -424,4 +479,5 @@ def save_design(path, design: DesignFile) -> None:
 
 def load_design(path) -> DesignFile:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_design(handle.read())
+        obj = _parse(handle.read())  # the text is freed before the decode
+    return design_from_obj(obj)

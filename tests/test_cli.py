@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from diffam import admissibility, algebra, cli, constructions, designs
+from diffam import admissibility, algebra, cli, constructions, designs, fileformat
 from diffam.algebra import abelian_iso, build_ring, cyclic_group
 from diffam.cli import main
 from diffam.constructions import dds_from_ds, singer_ds, units_hdm
@@ -679,6 +679,47 @@ def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):
         assert err == (
             f"error: group order {order} exceeds the exhaustive-verification cap 1000000\n"
         )
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        ["furino", "--v", 31, "--k", 3],
+        ["furino", "--factors", "4,7,13", "--k", 3],
+        ["singer", "--q", 3, "--m", 3],
+    ],
+)
+def test_verify_of_a_written_file_never_decodes_element_tuples(tmp_path, monkeypatch, recipe):
+    path = tmp_path / "design.json"
+    assert run(["construct", *recipe, "--out", path])[0] == 0
+
+    def refuse(*args):
+        pytest.fail("an element tuple was decoded or encoded")
+
+    monkeypatch.setattr(algebra.GroupDescriptor, "elements_at", refuse)
+    monkeypatch.setattr(algebra.GroupDescriptor, "indices", refuse)
+    monkeypatch.setattr(fileformat, "element_from_obj", refuse)
+    report = cli._verify_design(load_design(path))
+    assert report.ok, report.message
+
+
+@pytest.mark.parametrize(
+    "block, expected",
+    [
+        ([[4], [1], [2]], (0, "PASS: ds over Z7 [k=3 lambda=1 v=7]\n", "")),
+        ([[2], [1], [2]], (2, "", "error: block ((1,), (2,), (2,)) has a repeated element\n")),
+    ],
+)
+def test_verify_sorts_a_read_ds_block_and_refuses_a_repeat(tmp_path, block, expected):
+    path = tmp_path / "ds.json"
+    obj = {
+        "kind": "ds",
+        "group": {"factors": [{"cyclic": 7}]},
+        "params": {"v": 7, "k": 3, "lambda": 1},
+        "blocks": [block],
+    }
+    path.write_text(json.dumps(obj))
+    assert run(["verify", path]) == expected
 
 
 def test_verified_constructions_round_trip_through_files(tmp_path):

@@ -2,7 +2,8 @@
 
 The design-file writer is checked byte for byte against
 ``json.dumps(design_to_obj(d), sort_keys=True, indent=2) + "\\n"``, the
-reader against its own element-by-element decode, and the shared column
+reader against its own element-by-element decode, the family of a read
+file against ``Family`` of the decoded blocks, and the shared column
 element check against ``GroupDescriptor.contains``, on every group shape
 and design kind, valid or with one coordinate spoiled."""
 
@@ -16,13 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 from diffam import fileformat
 from diffam.algebra import GroupDescriptor, build_field
+from diffam.designs import Family
 from diffam.fileformat import (
     KINDS,
     MATRIX_KINDS,
     DesignFile,
+    IndexLists,
     design_from_obj,
     design_to_obj,
     dumps_design,
+    element_from_obj,
 )
 
 # cyclic orders (Z_1 included), GF(p) as a field factor, GF(2^n) and GF(p^n)
@@ -177,6 +181,93 @@ def test_reader_matches_the_per_element_decode(design, data):
     with mock.patch.object(fileformat, "_columns_from_obj", lambda group, raw: None):
         slow = _outcome(design_from_obj, obj)
     assert fast == slow
+    if fast[0] == "ok" and "blocks" in obj:
+        assert _family_outcomes(fast[1], slow[1]) == [_family_oracle(obj)] * 2
+
+
+def _family_oracle(obj):
+    """Family of the blocks of a design object decoded element by element."""
+
+    def build():
+        group = fileformat.group_from_obj(obj["group"])
+        blocks = [[element_from_obj(group, x) for x in block] for block in obj["blocks"]]
+        return Family(group, blocks)
+
+    return _outcome(build)
+
+
+def _family_outcomes(*designs):
+    return [_outcome(design.family) for design in designs]
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[1, 2, 4], [3, 5, 6]], None),
+        ([[4, 1, 2], [6, 3, 5]], None),  # unsorted blocks are sorted
+        ([[0, 3], [6, 5, 1], [2]], None),
+        ([[0, 1, 3], [1, 2, 2]], "block ((1,), (2,), (2,)) has a repeated element"),
+        ([[2, 1, 2]], "block ((1,), (2,), (2,)) has a repeated element"),
+        ([[1, 2, 4], []], "blocks must be nonempty"),
+        ([[], [1, 1]], "blocks must be nonempty"),
+    ],
+)
+def test_family_of_a_read_file_matches_the_family_oracle(blocks, message):
+    obj = {
+        "kind": "df",
+        "group": {"factors": [{"cyclic": 7}]},
+        "params": {"v": 7, "k": 3, "lambda": 1},
+        "blocks": [[[x] for x in block] for block in blocks],
+    }
+    fast = design_from_obj(obj)
+    with mock.patch.object(fileformat, "_columns_from_obj", lambda group, raw: None):
+        slow = design_from_obj(obj)
+    oracle = _family_oracle(obj)
+    assert _family_outcomes(fast, slow) == [oracle] * 2
+    assert oracle[0] == ("ValueError" if message else "ok")
+    if message:
+        assert oracle[1] == message
+
+
+@pytest.mark.parametrize("spoiled", [[7], [-1], [True], [1.0], ["1"], [[1]], [1, 2], None])
+def test_a_spoiled_coordinate_is_refused_before_the_family(spoiled):
+    obj = {
+        "kind": "df",
+        "group": {"factors": [{"cyclic": 7}]},
+        "params": {"v": 7, "k": 3, "lambda": 1},
+        "blocks": [[[1], [2], [4]], [[3], spoiled, [6]]],
+    }
+    fast = _outcome(design_from_obj, obj)
+    with mock.patch.object(fileformat, "_columns_from_obj", lambda group, raw: None):
+        slow = _outcome(design_from_obj, obj)
+    assert fast == slow
+    assert fast[0] == "ValueError"
+    assert fast == _family_oracle(obj)
+
+
+@st.composite
+def families(draw):
+    group = draw(groups())
+    elements = list(group.elements())
+    blocks = draw(
+        st.lists(
+            st.lists(st.sampled_from(elements), min_size=1, max_size=6, unique=True),
+            max_size=5,
+        )
+    )
+    return Family(group, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(), st.sampled_from(["df", "ddf", "pdf"]))
+def test_a_family_design_writes_the_oracle_bytes(family, kind):
+    params = {"v": family.v, "lambda": 1}
+    indexed = DesignFile(
+        kind, family.group, params, IndexLists.of_blocks(family.group, family.indices)
+    )
+    assert dumps_design(indexed) == oracle_text(
+        DesignFile(kind, family.group, params, family.blocks)
+    )
 
 
 @st.composite

@@ -88,6 +88,22 @@ def test_family_normalizes_and_validates():
         cyc(7, (1, 2, 9))
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[(1,), ("a",)]], "('a',) is not an element of Z7"),
+        ([[(1,), None]], "None is not an element of Z7"),
+        # blocks are checked in order: a repeat before a bad element wins
+        ([[(2,), (2,)], [(1,), None]], "block ((2,), (2,)) has a repeated element"),
+        ([[(3,), (1,)], [], [None]], "blocks must be nonempty"),
+    ],
+)
+def test_family_names_a_bad_element_before_sorting(blocks, message):
+    with pytest.raises(ValueError) as info:
+        Family(cyclic_group(7), blocks)
+    assert str(info.value) == message
+
+
 def test_family_block_sizes_and_covered():
     fam = cyc(9, (1, 2, 4), (3, 5), (6,))
     assert fam.block_sizes() == (3, 2, 1)
