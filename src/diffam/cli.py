@@ -329,7 +329,8 @@ def _design_file(kind: str, built) -> DesignFile:
     keys = PARAM_KEYS[kind]
     if kind == "hdm":
         values = (built.group.order, built.k, 1)
-        return DesignFile(kind, built.group, dict(zip(keys, values)), rows=built.rows)
+        rows = IndexLists.of_blocks(built.group, built.indices)
+        return DesignFile(kind, built.group, dict(zip(keys, values)), rows=rows)
     if kind == "ds":
         dset, group = built
         v, k = group.order, len(dset)

@@ -349,12 +349,9 @@ def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
     """
     action = unit_subgroup_of_order(ring, k)
     # row a lists a * x over the ring in canonical order: the index map of
-    # multiplication by a, decoded
-    rows = [
-        tuple(ring.elements_at(UnitAction(ring, a).index_map()))
-        for a in action.elements()
-    ]
-    mat = DiffMatrix(ring.additive_group(), rows)
+    # multiplication by a
+    rows = [UnitAction(ring, a).index_map() for a in action.elements()]
+    mat = DiffMatrix.of_flat(ring.additive_group(), itertools.chain(*rows), [ring.order] * k)
     _require(verify_hdm(mat), "unit multiplication table")
     return mat
 
@@ -403,8 +400,7 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
     _require(verify_hdm(hdm_h), "homogeneous difference matrix")
     # (x, y) in G x H has canonical index index(x) * |H| + index(y), so each
     # block below is sorted as its (distinct) G coordinates are
-    v_h = family_h.v
-    rows = [family_h.group.indices(row) for row in hdm_h.rows]
+    v_h, rows = family_h.v, hdm_h.indices
     (g0_index,) = family_g.group.indices([g0])
     blocks = [
         tuple(a * v_h + rows[i][j] for i, a in enumerate(block_a))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from math import prod
-from operator import add, eq, floordiv, ge, itemgetter, mod, mul, sub
+from operator import add, eq, floordiv, ge, mod, mul, ne, sub
 
 from .algebra import Element, GroupDescriptor, check_cap
 
@@ -513,28 +513,34 @@ def family_params(family: Family, lam: int) -> dict:
     return params
 
 
+def _deviations(group: GroupDescriptor, counts: list[int], expected: list[int]) -> dict:
+    """The elements whose count differs from the expected one, both lists in
+    canonical element order, mapped to their counts in that order.  Equal
+    lists are one C-level compare; only the deviating indices are decoded."""
+    if counts == expected:
+        return {}
+    bad = list(compress(count(), map(ne, counts, expected)))
+    return dict(zip(group.elements_at(bad), map(counts.__getitem__, bad)))
+
+
 def _scan(
     kind: str,
     params: dict,
     family: Family,
     lam: int,
-    subgroup: set | frozenset = frozenset(),
+    subgroup: frozenset[int] = frozenset(),
     lam1: int = 0,
 ) -> Report:
     """Count the family's differences and compare every nonzero element's
-    count with lam, or with lam1 on the given subgroup.  Deviations are
-    listed in canonical element order; the failure message names lam only
-    when there is no subgroup."""
+    count with lam, or with lam1 on the subgroup (canonical indices).
+    Deviations are listed in canonical element order; the failure message
+    names lam only when there is no subgroup."""
     dense, engine = _dense_counts(family)
-    deviations = {}
-    # a pass needs lam at every nonzero element; dense[0], the zero element,
-    # is always 0
-    if subgroup or dense.count(lam) != family.v - 1 + (lam == 0):
-        counted = zip(family.group.elements(), dense)
-        next(counted)  # the zero element
-        for x, c in counted:
-            if c != (lam1 if x in subgroup else lam):
-                deviations[x] = c
+    expected = [lam] * family.v
+    for i in subgroup:
+        expected[i] = lam1
+    expected[0] = 0  # the zero element, whose count dense[0] is always 0
+    deviations = _deviations(family.group, dense, expected)
     message = ""
     if deviations:
         message = f"{len(deviations)} of {family.v - 1} nonzero elements deviate"
@@ -576,15 +582,23 @@ def extend_to_pdf(family: Family) -> Family:
     return Family.of_indices(family.group, (*family.indices, *extra))
 
 
+def _element_indices(group: GroupDescriptor, xs: Iterable[Element]) -> list[int]:
+    """The canonical indices of elements: IndexedElements of the group as they
+    are, element tuples checked once, naming the first offender."""
+    if isinstance(xs, IndexedElements) and xs.group == group:
+        return list(xs.indices)
+    xs = list(xs)
+    if not group.check_elements(xs):
+        for x in xs:
+            group.validate_element(x)
+    return group.indices(xs)
+
+
 def _set_family(group: GroupDescriptor, dset: Iterable[Element]) -> tuple[Family, int]:
     """A (divisible) difference set as a one-block family, and its size k;
-    the empty set is the empty family.  A set held as canonical indices of
-    the group (a block read from a file) is not checked again."""
-    if isinstance(dset, IndexedElements) and dset.group == group:
-        sizes = [len(dset)] if dset.indices else []
-        return Family.of_flat(group, dset.indices, sizes), len(dset)
-    block = tuple(dset)
-    return Family(group, [block] if block else []), len(block)
+    the empty set is the empty family."""
+    block = _element_indices(group, dset)
+    return Family.of_flat(group, block, [len(block)] if block else []), len(block)
 
 
 def verify_ds(
@@ -600,25 +614,28 @@ def verify_ds(
     return _scan("ds", rparams, family, params.lam)
 
 
-def _check_subgroup(group: GroupDescriptor, members: Iterable[Element]) -> set:
-    members = tuple(members)
-    mset = set(members)
-    if len(mset) != len(members):
+def _check_subgroup(group: GroupDescriptor, members: Iterable[Element]) -> frozenset[int]:
+    """The canonical indices of the members, refused unless they are
+    distinct and form a subgroup."""
+    indices = _element_indices(group, members)
+    mset = frozenset(indices)
+    if len(mset) != len(indices):
         raise ValueError("subgroup list has repeated elements")
-    for x in mset:
-        group.validate_element(x)
-    if group.zero not in mset:
+    if 0 not in mset:
         raise ValueError("subgroup does not contain zero")
     # a set holding zero is a subgroup iff it holds every difference of two
-    # of its members (then -b = 0 - b and a + b = a - (-b) are in it too),
-    # so one count of the set as a block decides closure
-    counts = delta_multiset(Family(group, [mset])).counts
-    missing = min((c for c in counts if c not in mset), default=None)
-    if missing is not None:
-        sub = group.sub
-        for a in sorted(mset):
-            b = sub(a, missing)
-            if b in mset:
+    # of its members (then -b = 0 - b and a + b = a - (-b) are in it too);
+    # then each nonzero member is the difference of n ordered pairs and no
+    # other element is one, so one count of the set as a block decides closure
+    family = Family.of_indices(group, [tuple(sorted(mset))])
+    deviations = _scan("subgroup", {}, family, 0, mset, len(mset)).deviations
+    if deviations:
+        elements = group.elements_at(family.indices[0])
+        inside = set(elements)
+        missing = next(x for x in deviations if x not in inside)
+        for a in elements:
+            b = group.sub(a, missing)
+            if b in inside:
                 raise ValueError(
                     f"subgroup is not closed: {a} - {b} = {missing} is missing"
                 )
@@ -660,37 +677,47 @@ def verify_dds(
 
 
 class DiffMatrix:
-    """A rectangular matrix of group elements, stored as a tuple of rows."""
+    """A rectangular matrix of group elements, stored as rows of canonical
+    indices (``indices``); ``rows`` decodes the element tuples on demand."""
 
     def __init__(self, group: GroupDescriptor, rows: Iterable[Iterable[Element]]):
-        normalized = tuple(tuple(row) for row in rows)
-        if not normalized or not normalized[0]:
+        normalized = [tuple(row) for row in rows]
+        flat = _element_indices(group, chain.from_iterable(normalized))
+        mat = DiffMatrix.of_flat(group, flat, list(map(len, normalized)))
+        self.group, self.indices = group, mat.indices
+
+    @classmethod
+    def of_flat(
+        cls, group: GroupDescriptor, flat: Iterable[int], sizes: Sequence[int]
+    ) -> "DiffMatrix":
+        """A matrix of canonical indices of the group, given as one flat
+        sequence and the row lengths: only the shape is checked."""
+        if not sizes or not sizes[0]:
             raise ValueError("difference matrix must have at least one row and column")
-        width = len(normalized[0])
-        # one column pass checks every element; the loop names the offender
-        flat = list(chain.from_iterable(normalized))
-        if set(map(len, normalized)) != {width} or not group.check_elements(flat):
-            for row in normalized:
-                if len(row) != width:
-                    raise ValueError("rows have unequal lengths")
-                for x in row:
-                    group.validate_element(x)
-        self.group = group
-        self.rows = normalized
+        if any(map(sizes[0].__ne__, sizes)):
+            raise ValueError("rows have unequal lengths")
+        mat = cls.__new__(cls)
+        mat.group, mat.indices = group, tuple(_cut(flat, sizes))
+        return mat
+
+    @property
+    def rows(self) -> tuple[tuple[Element, ...], ...]:
+        flat = self.group.elements_at(chain.from_iterable(self.indices))
+        return tuple(_cut(flat, repeat(self.columns, self.k)))
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self.indices)
 
     @property
     def columns(self) -> int:
-        return len(self.rows[0])
+        return len(self.indices[0])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DiffMatrix)
             and self.group == other.group
-            and self.rows == other.rows
+            and self.indices == other.indices
         )
 
     def __repr__(self) -> str:
@@ -700,56 +727,41 @@ class DiffMatrix:
 def verify_dm(mat: DiffMatrix) -> Report:
     """Check that every pair of distinct rows differs in a permutation of the
     group (each element exactly once across the columns)."""
-    v = mat.group.order
-    check_cap(v)
-    params = {"v": v, "k": mat.k, "lambda": 1}
-    if mat.columns != v:
-        message = f"matrix has {mat.columns} columns but the group has order {v}"
-        return Report(False, "dm", params, message=message)
-    layout, factors = _layout(mat.group), range(len(mat.group.factors))
-    rows = [layout.positions(map(itemgetter(i), row) for i in factors) for row in mat.rows]
-    deviations = {}
-    for i in range(mat.k):
-        for j in range(i + 1, mat.k):
-            counts = layout.dense(Counter(layout.differences(rows[i], rows[j])))
-            if counts.count(1) == v:
-                continue  # each element once across the v columns
-            for x, c in zip(mat.group.elements(), counts):
-                if c != 1:
-                    deviations[(i, j, x)] = c
-    ok = not deviations
-    message = (
-        "" if ok else f"{len(deviations)} (row pair, element) difference counts != 1"
-    )
-    return Report(ok, "dm", params, deviations, message)
+    return _verify_matrix("dm", mat)
 
 
 def verify_hdm(mat: DiffMatrix) -> Report:
     """Check the row-permutation property on top of the difference-matrix
     property: every single row must itself enumerate the group."""
-    v = mat.group.order
+    return _verify_matrix("hdm", mat)
+
+
+def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
+    """Count each element per row (hdm only), then per pair of rows as their
+    difference."""
+    group, v = mat.group, mat.group.order
     check_cap(v)
     params = {"v": v, "k": mat.k, "lambda": 1}
-    deviations = {}
-    # a column count other than v is reported by verify_dm
-    for i, row in enumerate(mat.rows if mat.columns == v else ()):
-        counts = Counter(row)
-        if len(counts) == v:
-            continue
-        for x in mat.group.elements():
-            c = counts.get(x, 0)
-            if c != 1:
-                deviations[("row", i, x)] = c
+    if mat.columns != v:
+        message = f"matrix has {mat.columns} columns but the group has order {v}"
+        return Report(False, kind, params, message=message)
+    ones, deviations = [1] * v, {}
+    for i, row in enumerate(mat.indices if kind == "hdm" else ()):
+        counts = list(map(Counter(row).get, range(v), repeat(0)))
+        for x, c in _deviations(group, counts, ones).items():
+            deviations[("row", i, x)] = c
     if deviations:
-        return Report(
-            False,
-            "hdm",
-            params,
-            deviations,
-            f"{len(deviations)} (row, element) occurrence counts != 1",
-        )
-    inner = verify_dm(mat)
-    return Report(inner.ok, "hdm", params, inner.deviations, inner.message)
+        message = f"{len(deviations)} (row, element) occurrence counts != 1"
+        return Report(False, kind, params, deviations, message)
+    layout = _layout(group)
+    rows = [layout.positions(group.coordinates(row)) for row in mat.indices]
+    for i in range(mat.k):
+        for j in range(i + 1, mat.k):
+            counts = layout.dense(Counter(layout.differences(rows[i], rows[j])))
+            for x, c in _deviations(group, counts, ones).items():
+                deviations[(i, j, x)] = c
+    message = f"{len(deviations)} (row pair, element) difference counts != 1"
+    return Report(not deviations, kind, params, deviations, message if deviations else "")
 
 
 def normalize_dm(mat: DiffMatrix) -> DiffMatrix:
@@ -758,11 +770,11 @@ def normalize_dm(mat: DiffMatrix) -> DiffMatrix:
     report = verify_dm(mat)
     if not report.ok:
         raise ValueError(f"not a difference matrix: {report.message}")
-    sub = mat.group.sub
-    first = mat.rows[0]
+    sub, rows = mat.group.sub, mat.rows
+    first = rows[0]
     return DiffMatrix(
         mat.group,
-        [tuple(sub(x, f) for x, f in zip(row, first)) for row in mat.rows],
+        [tuple(sub(x, f) for x, f in zip(row, first)) for row in rows],
     )
 
 
@@ -772,8 +784,8 @@ def hdm_to_dm(mat: DiffMatrix) -> DiffMatrix:
     report = verify_hdm(mat)
     if not report.ok:
         raise ValueError(f"not a homogeneous difference matrix: {report.message}")
-    zero_row = (mat.group.zero,) * mat.columns
-    return DiffMatrix(mat.group, (zero_row,) + mat.rows)
+    flat = chain(repeat(0, mat.columns), *mat.indices)  # index 0 is the zero element
+    return DiffMatrix.of_flat(mat.group, flat, [mat.columns] * (mat.k + 1))
 
 
 def dm_to_hdm(mat: DiffMatrix) -> DiffMatrix:
@@ -782,11 +794,12 @@ def dm_to_hdm(mat: DiffMatrix) -> DiffMatrix:
     report = verify_dm(mat)
     if not report.ok:
         raise ValueError(f"not a difference matrix: {report.message}")
-    zero_row = (mat.group.zero,) * mat.columns
-    for i, row in enumerate(mat.rows):
+    zero_row = (0,) * mat.columns  # index 0 is the zero element
+    for i, row in enumerate(mat.indices):
         if row == zero_row:
-            remaining = mat.rows[:i] + mat.rows[i + 1 :]
+            remaining = mat.indices[:i] + mat.indices[i + 1 :]
             if not remaining:
                 raise ValueError("matrix has no rows besides the zero row")
-            return DiffMatrix(mat.group, remaining)
+            sizes = [mat.columns] * len(remaining)
+            return DiffMatrix.of_flat(mat.group, chain.from_iterable(remaining), sizes)
     raise ValueError("no all-zero row; normalize the matrix first")

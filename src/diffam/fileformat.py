@@ -36,7 +36,7 @@ from .algebra import (
     check_cap,
     check_power_cap,
 )
-from .designs import DiffMatrix, Family, IndexedElements
+from .designs import DiffMatrix, Family, IndexedElements, _element_indices
 
 # kind -> the integer parameters its file declares, in the order DSParams,
 # DDSParams and `verify --expect-params` take them (a family with blocks of
@@ -209,6 +209,8 @@ class DesignFile:
     def matrix(self) -> DiffMatrix:
         if self.rows is None:
             raise ValueError(f"design of kind {self.kind!r} has no matrix rows")
+        if isinstance(self.rows, IndexLists) and self.rows.group == self.group:
+            return DiffMatrix.of_flat(self.group, self.rows.flat, self.rows.sizes)
         return DiffMatrix(self.group, self.rows)
 
 
@@ -226,33 +228,35 @@ def _params_to_obj(params: dict) -> dict:
     return out
 
 
+def _payload(design: DesignFile) -> tuple[str, Sequence]:
+    """The payload key ("rows" or "blocks") and lists of a design to write,
+    after the rules every written file keeps: a known kind, the payload its
+    kind needs, and a subgroup for kind dds and no other."""
+    kind = design.kind
+    if kind not in KINDS:
+        raise ValueError(f"unknown design kind {kind!r}")
+    key, what = ("rows", "matrix rows") if kind in MATRIX_KINDS else ("blocks", "blocks")
+    lists = getattr(design, key)
+    if lists is None:
+        raise ValueError(f"kind {kind!r} needs {what}")
+    if kind == "dds" and design.subgroup is None:
+        raise ValueError("kind 'dds' needs the forbidden subgroup")
+    if kind != "dds" and design.subgroup is not None:
+        raise ValueError(f"kind {kind!r} must not carry a subgroup")
+    return key, lists
+
+
 def design_to_obj(design: DesignFile) -> dict:
-    if design.kind not in KINDS:
-        raise ValueError(f"unknown design kind {design.kind!r}")
+    key, lists = _payload(design)
+    group = design.group
     obj: dict = {
         "kind": design.kind,
-        "group": group_to_obj(design.group),
+        "group": group_to_obj(group),
         "params": _params_to_obj(design.params),
+        key: [[element_to_obj(group, x) for x in items] for items in lists],
     }
-    if design.kind in MATRIX_KINDS:
-        if design.rows is None:
-            raise ValueError(f"kind {design.kind!r} needs matrix rows")
-        obj["rows"] = [
-            [element_to_obj(design.group, x) for x in row] for row in design.rows
-        ]
-    else:
-        if design.blocks is None:
-            raise ValueError(f"kind {design.kind!r} needs blocks")
-        obj["blocks"] = [
-            [element_to_obj(design.group, x) for x in block]
-            for block in design.blocks
-        ]
-    if design.kind == "dds":
-        if design.subgroup is None:
-            raise ValueError("kind 'dds' needs the forbidden subgroup")
-        obj["subgroup"] = [element_to_obj(design.group, x) for x in design.subgroup]
-    elif design.subgroup is not None:
-        raise ValueError(f"kind {design.kind!r} must not carry a subgroup")
+    if design.subgroup is not None:
+        obj["subgroup"] = [element_to_obj(group, x) for x in design.subgroup]
     return obj
 
 
@@ -382,14 +386,12 @@ def _index_lists(group: GroupDescriptor, lists) -> IndexLists:
         return lists
     lists = [tuple(items) for items in lists]
     xs = list(chain.from_iterable(lists))
-    if not group.check_elements(xs):
-        for x in xs:
-            group.validate_element(x)  # raises, naming the first offender
+    flat = _element_indices(group, xs)
     for i in range(len(group.factors)):
         if any(map(isinstance, map(itemgetter(i), xs), repeat(bool))):
             x = next(x for x in xs if isinstance(x[i], bool))
             raise ValueError(f"{x!r} has a bool coordinate, not an integer")
-    return IndexLists(group, group.indices(xs), list(map(len, lists)))
+    return IndexLists(group, flat, list(map(len, lists)))
 
 
 def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int) -> list[str]:
@@ -425,34 +427,21 @@ def dumps_design(design: DesignFile) -> str:
     """The file text, byte for byte what
     json.dumps(design_to_obj(design), sort_keys=True, indent=2) + "\n"
     gives, written directly from the fixed schema (keys in sorted order)."""
-    kind = design.kind
-    if kind not in KINDS:
-        raise ValueError(f"unknown design kind {kind!r}")
+    key, lists = _payload(design)
     texts = {
-        "kind": json.dumps(kind),
+        "kind": json.dumps(design.kind),
         "group": _header_text(group_to_obj(design.group)),
         "params": _header_text(_params_to_obj(design.params)),
+        key: _payload_text(design.group, lists),
     }
-    if kind in MATRIX_KINDS:
-        if design.rows is None:
-            raise ValueError(f"kind {kind!r} needs matrix rows")
-        texts["rows"] = _payload_text(design.group, design.rows)
-    else:
-        if design.blocks is None:
-            raise ValueError(f"kind {kind!r} needs blocks")
-        texts["blocks"] = _payload_text(design.group, design.blocks)
-    if kind == "dds":
-        if design.subgroup is None:
-            raise ValueError("kind 'dds' needs the forbidden subgroup")
+    if design.subgroup is not None:
         subgroup = _index_lists(design.group, [design.subgroup])
         texts["subgroup"] = _lists_texts(design.group, subgroup, 1)[0]
-    elif design.subgroup is not None:
-        raise ValueError(f"kind {kind!r} must not carry a subgroup")
     # one join, so the payload text (most of the file) is copied once: each
     # extra copy adds to the peak memory of writing a large design
     parts = []
-    for key in sorted(texts):
-        parts += (",\n  " if parts else "{\n  ", f'"{key}": ', texts[key])
+    for name in sorted(texts):
+        parts += (",\n  " if parts else "{\n  ", f'"{name}": ', texts[name])
     parts.append("\n}\n")
     return "".join(parts)
 

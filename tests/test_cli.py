@@ -9,6 +9,8 @@ import contextlib
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,24 @@ def run(argv):
         except SystemExit as exc:
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # a fresh interpreter, so no module a test imported hides a dependency
+    code = (
+        "import sys; before = set(sys.modules); import diffam.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "diffam" in out
+    assert [m for m in out if m != "diffam" and m not in sys.stdlib_module_names] == []
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +707,15 @@ def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):
         ["furino", "--v", 31, "--k", 3],
         ["furino", "--factors", "4,7,13", "--k", 3],
         ["singer", "--q", 3, "--m", 3],
+        ["units-hdm", "--factors", "4,7", "--k", 3],
+        ["dds-product", "--ds", "singer.json", "--h", 2],
     ],
 )
 def test_verify_of_a_written_file_never_decodes_element_tuples(tmp_path, monkeypatch, recipe):
-    path = tmp_path / "design.json"
-    assert run(["construct", *recipe, "--out", path])[0] == 0
+    monkeypatch.chdir(tmp_path)
+    if "--ds" in recipe:
+        assert run(["construct", "singer", "--q", 3, "--m", 3, "--out", "singer.json"])[0] == 0
+    assert run(["construct", *recipe, "--out", "design.json"])[0] == 0
 
     def refuse(*args):
         pytest.fail("an element tuple was decoded or encoded")
@@ -699,8 +723,11 @@ def test_verify_of_a_written_file_never_decodes_element_tuples(tmp_path, monkeyp
     monkeypatch.setattr(algebra.GroupDescriptor, "elements_at", refuse)
     monkeypatch.setattr(algebra.GroupDescriptor, "indices", refuse)
     monkeypatch.setattr(fileformat, "element_from_obj", refuse)
-    report = cli._verify_design(load_design(path))
+    design = load_design("design.json")
+    report = cli._verify_design(design)
     assert report.ok, report.message
+    if design.kind == "hdm":
+        assert cli._load_hdm("design.json") == design.matrix()
 
 
 @pytest.mark.parametrize(

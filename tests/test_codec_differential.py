@@ -2,10 +2,11 @@
 
 The design-file writer is checked byte for byte against
 ``json.dumps(design_to_obj(d), sort_keys=True, indent=2) + "\\n"``, the
-reader against its own element-by-element decode, the family of a read
-file against ``Family`` of the decoded blocks, and the shared column
-element check against ``GroupDescriptor.contains``, on every group shape
-and design kind, valid or with one coordinate spoiled."""
+reader against its own element-by-element decode, the family and the
+matrix of a read file against ``Family`` and ``DiffMatrix`` of the decoded
+blocks and rows, and the shared column element check against
+``GroupDescriptor.contains``, on every group shape and design kind, valid
+or with one coordinate spoiled."""
 
 import copy
 import json
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffam import fileformat
-from diffam.algebra import GroupDescriptor, build_field
-from diffam.designs import Family
+from diffam.algebra import GroupDescriptor, build_field, build_ring
+from diffam.constructions import units_hdm
+from diffam.designs import DiffMatrix, Family, hdm_to_dm, verify_dm, verify_hdm
 from diffam.fileformat import (
     KINDS,
     MATRIX_KINDS,
@@ -268,6 +270,84 @@ def test_a_family_design_writes_the_oracle_bytes(family, kind):
     assert dumps_design(indexed) == oracle_text(
         DesignFile(kind, family.group, params, family.blocks)
     )
+
+
+def _matrix_outcomes(group, rows):
+    """The matrix of a file holding the rows, read through its canonical
+    indices and through DiffMatrix of the decoded rows: its indices and
+    both matrix reports, or the ValueError text."""
+    obj = design_to_obj(DesignFile("hdm", group, {}, rows=rows))
+    assert isinstance(design_from_obj(obj).rows, IndexLists)
+
+    def oracle():
+        decoded = [[element_from_obj(group, x) for x in row] for row in obj["rows"]]
+        return DiffMatrix(group, decoded)
+
+    def outcome(build):
+        try:
+            mat = build()
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+        return ("ok", mat.indices, verify_dm(mat), verify_hdm(mat))
+
+    return outcome(design_from_obj(obj).matrix), outcome(oracle)
+
+
+def _unit_table(fields, dm=False):
+    mat = units_hdm(build_ring(fields), 3)
+    mat = hdm_to_dm(mat) if dm else mat
+    return mat.group, mat.rows
+
+
+@pytest.mark.parametrize(
+    "group, rows, expected",
+    [
+        # valid shapes: whether verify_dm and verify_hdm pass
+        (*_unit_table([7]), (True, True)),
+        (*_unit_table([4, 7]), (True, True)),
+        (*_unit_table([4, 7], dm=True), (True, False)),
+        (GroupDescriptor((7,)), [[(0,)] * 7, [(x,) for x in range(7)]], (True, False)),
+        (GroupDescriptor((7,)), [[(x,) for x in range(7)]] * 2, (False, False)),
+        (GroupDescriptor((5,)), [[(0,), (1,)], [(2,), (3,)]], (False, False)),  # 2 columns
+        # refused shapes
+        (GroupDescriptor((7,)), [[(0,), (1,)], [(2,)]], "rows have unequal lengths"),
+        (
+            GroupDescriptor((7,)),
+            [[], [(1,)]],
+            "difference matrix must have at least one row and column",
+        ),
+    ],
+)
+def test_matrix_of_a_read_file_matches_the_matrix_oracle(group, rows, expected):
+    fast, oracle = _matrix_outcomes(group, rows)
+    assert fast == oracle
+    if isinstance(expected, str):
+        assert oracle == ("ValueError", expected)
+    else:
+        assert (oracle[2].ok, oracle[3].ok) == expected
+
+
+@st.composite
+def matrix_rows(draw):
+    """A group and rows of its elements: mostly v columns, each row a
+    permutation or any elements, sometimes few columns, a short row or an
+    empty one."""
+    group = draw(groups())
+    elements = list(group.elements())
+    width = draw(st.sampled_from([len(elements), len(elements), 1, 2]))
+    anything = st.lists(st.sampled_from(elements), min_size=width, max_size=width)
+    row = st.one_of(st.permutations(elements), anything) if width == len(elements) else anything
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    i = draw(st.integers(0, len(rows) - 1))
+    rows[i] = rows[i][: draw(st.sampled_from([None, None, None, -1, 0]))]
+    return group, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_rows())
+def test_matrix_of_a_read_file_matches_the_matrix_oracle_on_any_rows(case):
+    fast, oracle = _matrix_outcomes(*case)
+    assert fast == oracle
 
 
 @st.composite

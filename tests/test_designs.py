@@ -360,6 +360,13 @@ def test_subgroup_not_closed_names_a_witness(order):
     )
 
 
+def test_a_subgroup_member_that_is_not_an_element_is_named():
+    # a list is not hashable: it is named as a non-element, not a TypeError
+    with pytest.raises(ValueError) as info:
+        verify_dds([(1,)], cyclic_group(4), [[0], [2]], DDSParams(2, 2, 1, 0, 1))
+    assert str(info.value) == "[0] is not an element of Z4"
+
+
 def test_report_stats_name_the_engine():
     group = cyclic_group(364)
     small = [(x,) for x in range(5)]

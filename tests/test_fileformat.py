@@ -234,15 +234,21 @@ def test_roundtrip_dm_hdm():
 
 
 def test_design_payload_validated_at_serialization():
+    # the writer and the JSON oracle refuse the same payloads, in the same words
     dset, group = trivial_ds(3)
-    with pytest.raises(ValueError):
-        design_to_obj(DesignFile(kind="ds", group=group, params={"v": 4}, blocks=None))
-    with pytest.raises(ValueError):
-        design_to_obj(DesignFile(kind="nope", group=group, params={}, blocks=(dset,)))
-    with pytest.raises(ValueError):
-        design_to_obj(DesignFile(kind="dm", group=group, params={}, blocks=(dset,)))
-    with pytest.raises(ValueError):
-        design_to_obj(DesignFile(kind="df", group=group, params={}, rows=(dset,)))
+    for write in (design_to_obj, dumps_design):
+        with pytest.raises(ValueError, match="^kind 'ds' needs blocks$"):
+            write(DesignFile(kind="ds", group=group, params={"v": 4}, blocks=None))
+        with pytest.raises(ValueError, match="^unknown design kind 'nope'$"):
+            write(DesignFile(kind="nope", group=group, params={}, blocks=(dset,)))
+        with pytest.raises(ValueError, match="^kind 'dm' needs matrix rows$"):
+            write(DesignFile(kind="dm", group=group, params={}, blocks=(dset,)))
+        with pytest.raises(ValueError, match="^kind 'df' needs blocks$"):
+            write(DesignFile(kind="df", group=group, params={}, rows=(dset,)))
+        with pytest.raises(ValueError, match="^kind 'dds' needs the forbidden subgroup$"):
+            write(DesignFile(kind="dds", group=group, params={}, blocks=(dset,)))
+        with pytest.raises(ValueError, match="^kind 'hdm' must not carry a subgroup$"):
+            write(DesignFile("hdm", group, {}, rows=(dset,), subgroup=((0,),)))
 
 
 def test_design_to_obj_subgroup_rules():
