@@ -21,8 +21,9 @@ Tuples compare lexicographically factor by factor, which again realizes the
 canonical order, so built-in sorting of element tuples sorts canonically and
 ``itertools.product`` over per-factor ranges enumerates canonically.  An
 element's canonical index is its place in that order (its coordinates read
-in the mixed radix of the factor sizes): orbit walks, block families and the
-count engines work on indices, and decode tuples only when asked for.
+in the mixed radix of the factor sizes): orbit walks, isomorphisms, block
+families and the count engines work on indices, and decode tuples only when
+asked for.
 
 Exhaustive routines (orbit enumeration, isomorphism checking) refuse groups
 larger than GROUP_ORDER_CAP rather than run unbounded scans.
@@ -31,7 +32,8 @@ larger than GROUP_ORDER_CAP rather than run unbounded scans.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from collections import namedtuple
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, floordiv, itemgetter, mod, mul
 from typing import Iterable, Iterator, Sequence
@@ -496,19 +498,6 @@ def _mixed_radix(columns: Sequence[Sequence[int]], radices: Sequence[int]) -> li
     return out
 
 
-def _componentwise2(ops: Sequence) -> callable:
-    if len(ops) == 1:
-        (f0,) = ops
-        return lambda a, b: (f0(a[0], b[0]),)
-    if len(ops) == 2:
-        f0, f1 = ops
-        return lambda a, b: (f0(a[0], b[0]), f1(a[1], b[1]))
-    if len(ops) == 3:
-        f0, f1, f2 = ops
-        return lambda a, b: (f0(a[0], b[0]), f1(a[1], b[1]), f2(a[2], b[2]))
-    return lambda a, b: tuple(f(x, y) for f, x, y in zip(ops, a, b))
-
-
 class GroupDescriptor:
     """Finite abelian group: a product of Z_n factors and additive groups of
     finite fields.  Elements are tuples of encoded ints, one per factor."""
@@ -517,20 +506,16 @@ class GroupDescriptor:
         if not factors:
             raise ValueError("a group needs at least one factor")
         digits: list[tuple[int, int, int]] = []
-        sizes, adds, subs = [], [], []
+        sizes = []
         for i, fac in enumerate(factors):
             if isinstance(fac, FieldDescriptor):
                 digits.extend((i, fac.p ** (fac.n - 1 - j), fac.p) for j in range(fac.n))
                 sizes.append(fac.q)
-                adds.append(fac.add)
-                subs.append(fac.sub)
             elif isinstance(fac, int):
                 if fac < 1:
                     raise ValueError(f"cyclic order must be positive, got {fac}")
                 digits.append((i, 1, fac))
                 sizes.append(fac)
-                adds.append(lambda a, b, n=fac: (a + b) % n)
-                subs.append(lambda a, b, n=fac: (a - b) % n)
             else:
                 raise ValueError(f"unsupported group factor {fac!r}")
         self.factors = tuple(factors)
@@ -538,9 +523,6 @@ class GroupDescriptor:
         self.order = prod(sizes)
         self._digits = tuple(digits)
         self.zero: Element = (0,) * len(self.factors)
-        self.add = _componentwise2(adds)
-        self.sub = _componentwise2(subs)
-        self.neg = partial(self.sub, self.zero)
 
     def elements(self) -> Iterator[Element]:
         """All group elements in canonical order."""
@@ -550,14 +532,27 @@ class GroupDescriptor:
         zero = self.zero
         return (x for x in self.elements() if x != zero)
 
+    # reference arithmetic on element tuples; the library computes on indices
+    def add(self, x: Element, y: Element) -> Element:
+        return tuple(
+            f.add(a, b) if isinstance(f, FieldDescriptor) else (a + b) % f
+            for f, a, b in zip(self.factors, x, y)
+        )
+
+    def sub(self, x: Element, y: Element) -> Element:
+        return tuple(
+            f.sub(a, b) if isinstance(f, FieldDescriptor) else (a - b) % f
+            for f, a, b in zip(self.factors, x, y)
+        )
+
+    def neg(self, x: Element) -> Element:
+        return self.sub(self.zero, x)
+
     def scalar_mul(self, c: int, x: Element) -> Element:
-        out = []
-        for fac, size, coord in zip(self.factors, self.factor_sizes, x):
-            if isinstance(fac, FieldDescriptor):
-                out.append(fac.scalar(c, coord))
-            else:
-                out.append(c * coord % size)
-        return tuple(out)
+        return tuple(
+            f.scalar(c, a) if isinstance(f, FieldDescriptor) else c * a % f
+            for f, a in zip(self.factors, x)
+        )
 
     def digits(self) -> tuple[tuple[int, int, int], ...]:
         """The mixed-radix digits of an element, most significant first, as
@@ -701,7 +696,9 @@ class RingDescriptor(GroupDescriptor):
                 raise ValueError(f"ring factor {f!r} is not a field")
         super().__init__(fields)
         self.one: Element = tuple(f.one for f in self.factors)
-        self.mul = _componentwise2([f.mul for f in self.factors])
+
+    def mul(self, x: Element, y: Element) -> Element:
+        return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))
 
     def is_unit(self, x: Element) -> bool:
         return all(c != 0 for c in x)
@@ -745,16 +742,7 @@ class UnitAction:
         self.ring = ring
         self.generator = generator
         self.group = ring
-        # the powers one, u, u^2, ..., u^(order - 1), kept for elements()
-        self._powers = [ring.one]
-        value = generator
-        bound = lcm(*(f.q - 1 for f in ring.factors))
-        while value != ring.one:
-            self._powers.append(value)
-            if len(self._powers) > bound:
-                raise RuntimeError("unit order walk exceeded the unit-group exponent")
-            value = ring.mul(value, generator)
-        self.order = len(self._powers)
+        self.order = lcm(*map(FieldDescriptor.element_order, ring.factors, generator))
 
     def step(self, x: Element) -> Element:
         return self.ring.mul(self.generator, x)
@@ -768,7 +756,7 @@ class UnitAction:
 
     def elements(self) -> list[Element]:
         """The k subgroup members in power order: one, u, u^2, ..."""
-        return list(self._powers)
+        return [self.ring.pow(self.generator, j) for j in range(self.order)]
 
     def __repr__(self) -> str:
         return f"<unit action by {self.generator} of order {self.order} on {self.ring!r}>"
@@ -807,19 +795,22 @@ class ScalarAction:
         )
 
 
-def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[dict]:
+def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[list[int]]:
     """Check an explicit automorphism list: every map is an additive bijection
-    fixing zero (homomorphism tested against the canonical generators), the
-    identity is present, and the set is closed under composition."""
+    of the group fixing zero (homomorphism tested against the canonical
+    generators), the identity is present, and the set is closed under
+    composition.  Each map is returned as a permutation of canonical indices."""
     check_cap(group.order)
     elements = list(group.elements())
     element_set = set(elements)
     gens = group.canonical_generators()
     add = group.add
+    perms = []
     for m in maps:
         if set(m) != element_set:
             raise ValueError("automorphism map is not defined on the whole group")
-        if len(set(m.values())) != group.order:
+        values = list(map(m.__getitem__, elements))
+        if not group.check_elements(values) or set(values) != element_set:
             raise ValueError("automorphism map is not a bijection")
         if m[group.zero] != group.zero:
             raise ValueError("automorphism map does not fix zero")
@@ -828,37 +819,35 @@ def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[dict]:
             for x in elements:
                 if m[add(x, g)] != add(m[x], mg):
                     raise ValueError(f"map is not additive: differs at {x} + {g}")
-    identity = {x: x for x in elements}
-    if identity not in maps:
+        perms.append(group.indices(values))
+    if list(range(group.order)) not in perms:
         raise ValueError("automorphism list must contain the identity map")
-    fingerprints = {tuple(m[x] for x in elements) for m in maps}
-    for m1 in maps:
-        for m2 in maps:
-            comp = tuple(m1[m2[x]] for x in elements)
-            if comp not in fingerprints:
+    fingerprints = set(map(tuple, perms))
+    for p1 in perms:
+        for p2 in perms:
+            if tuple(map(p1.__getitem__, p2)) not in fingerprints:
                 raise ValueError("automorphism list is not closed under composition")
-    return list(maps)
+    return perms
 
 
 def fixed_point_witness(group: GroupDescriptor, action):
     """A nonzero element fixed by some non-identity member of the action, as
     (element, power-or-map-index), or None when the action is semiregular.
     A cyclic action's witness is the least member of its first orbit
-    shorter than its order, with that orbit's length; the walk stops there."""
+    shorter than its order, with that orbit's length; the walk stops there.
+    An explicit list's is the least fixed nonzero element of its first
+    non-identity map that fixes one, with that map's place in the list."""
     if isinstance(action, (UnitAction, ScalarAction)):
         for orbit in index_orbits(group, action):
             if len(orbit) < action.order:
                 return group.elements_at(orbit[:1])[0], len(orbit)
         return None
-    zero = group.zero
-    maps = _validated_maps(group, action)
-    identity = {x: x for x in group.elements()}
-    for idx, m in enumerate(maps):
-        if m == identity:
-            continue
-        for x in group.elements():
-            if x != zero and m[x] == x:
-                return (x, idx)
+    identity = list(range(group.order))
+    for j, perm in enumerate(_validated_maps(group, action)):
+        if perm != identity:
+            x = next((x for x in identity[1:] if perm[x] == x), None)
+            if x is not None:
+                return group.elements_at([x])[0], j
     return None
 
 
@@ -867,11 +856,27 @@ def is_semiregular(group: GroupDescriptor, action) -> bool:
     return fixed_point_witness(group, action) is None
 
 
+def _image_orbits(perms: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """The images of each nonzero index not yet seen under a list of
+    permutations closed under composition (its orbit), sorted."""
+    seen = bytearray(len(perms[0]))
+    for x in range(1, len(seen)):
+        if not seen[x]:
+            orbit = sorted({perm[x] for perm in perms})
+            for y in orbit:
+                seen[y] = 1
+            yield tuple(orbit)
+
+
 def index_orbits(group: GroupDescriptor, action) -> Iterator[tuple[int, ...]]:
-    """``orbits`` of a ``UnitAction``/``ScalarAction`` as sorted tuples of
-    canonical indices, walked along the action's index permutation and
-    yielded one at a time, so a caller may stop at any orbit."""
+    """``orbits`` as sorted tuples of canonical indices, yielded one at a
+    time, so a caller may stop at any orbit.  A ``UnitAction`` or
+    ``ScalarAction`` is walked along its index permutation; under an
+    explicit list, the orbit of x is the set of its images."""
     check_cap(group.order)
+    if not isinstance(action, (UnitAction, ScalarAction)):
+        yield from _image_orbits(_validated_maps(group, action))
+        return
     if action.group != group:
         raise ValueError(f"action is defined on {action.group!r}, not on {group!r}")
     step = action.index_map()
@@ -892,20 +897,9 @@ def index_orbits(group: GroupDescriptor, action) -> Iterator[tuple[int, ...]]:
 def orbits(group: GroupDescriptor, action) -> list[tuple[Element, ...]]:
     """Orbits of the action on the nonzero elements, each orbit sorted
     canonically, listed in order of their least members."""
-    if isinstance(action, (UnitAction, ScalarAction)):
-        walk = list(index_orbits(group, action))
-        flat = iter(group.elements_at(itertools.chain.from_iterable(walk)))
-        return [tuple(itertools.islice(flat, len(orbit))) for orbit in walk]
-    out: list[tuple[Element, ...]] = []
-    seen: set[Element] = {group.zero}
-    maps = _validated_maps(group, action)  # refuses an over-cap group
-    for x in group.elements():
-        if x in seen:
-            continue
-        orbit = sorted({m[x] for m in maps})
-        seen.update(orbit)
-        out.append(tuple(orbit))
-    return out
+    walk = list(index_orbits(group, action))
+    flat = iter(group.elements_at(itertools.chain.from_iterable(walk)))
+    return [tuple(itertools.islice(flat, len(orbit))) for orbit in walk]
 
 
 def unit_subgroup_of_order(ring: RingDescriptor, k: int) -> UnitAction:
@@ -948,51 +942,61 @@ def invariant_factors(group: GroupDescriptor) -> list[int]:
     return sorted(d for d in ds if d > 1)
 
 
-class _Atom:
-    """One cyclic factor Z_{p^a} of the primary decomposition, with its
-    embedded generator and the projection extracting its coordinate."""
-
-    __slots__ = ("p", "a", "size", "generator", "extract")
-
-    def __init__(self, p: int, a: int, size: int, generator: Element, extract):
-        self.p, self.a, self.size = p, a, size
-        self.generator = generator
-        self.extract = extract
+# An atom Z_{p^a} (size p^a) of the primary decomposition, split off one
+# digit of radix r: the digit's position in digits(), its canonical place,
+# the cofactor r / p^a and the embedded generator (cofactor in that digit).
+_Atom = namedtuple("_Atom", "p a size digit place cofactor generator")
 
 
 def _atoms(group: GroupDescriptor) -> list[_Atom]:
     """One atom per prime power of each digit's radix (its CRT split); a
     field digit, of prime radix p, is its own single atom."""
     atoms: list[_Atom] = []
-    for i, w, r in group.digits():
+    place = group.order
+    for j, (i, w, r) in enumerate(group.digits()):
+        place //= r
         for p, a in sorted(factorize(r).items()):
             pa = p**a
             cofactor = r // pa
             gen = group.zero[:i] + (w * cofactor,) + group.zero[i + 1 :]
-            inv = pow(cofactor, -1, pa)
-            extract = lambda x, i=i, w=w, pa=pa, inv=inv: x[i] // w % pa * inv % pa
-            atoms.append(_Atom(p, a, pa, gen, extract))
+            atoms.append(_Atom(p, a, pa, j, place, cofactor, gen))
     return atoms
 
 
 class Isomorphism:
-    """A verified isomorphism between two abelian groups, applied elementwise
-    through matched prime-power coordinates."""
+    """A verified isomorphism between two abelian groups through matched
+    prime-power coordinates, held as a map of canonical indices."""
 
     def __init__(self, domain: GroupDescriptor, codomain: GroupDescriptor, pairs):
         self.domain = domain
         self.codomain = codomain
         self._pairs = pairs  # list of (_Atom in domain, _Atom in codomain)
+        self._index_map: list[int] | None = None
+
+    def index_map(self) -> list[int]:
+        """The canonical index of the image of each canonical index, built
+        once and shared.  Per atom pair, one column: the domain atom's
+        coordinate (its digit mod p^a, times the inverse of its cofactor mod
+        p^a) times the image atom's cofactor; each image digit sums its
+        columns modulo its radix."""
+        if self._index_map is None:
+            v, repeat = self.domain.order, itertools.repeat
+            radices = self.codomain.digit_radices()
+            columns = [repeat(0, v) for _ in radices]
+            for src, dst in self._pairs:
+                digit = map(mod, map(floordiv, range(v), repeat(src.place)), repeat(src.size))
+                term = map(mul, digit, repeat(pow(src.cofactor, -1, src.size) * dst.cofactor))
+                columns[dst.digit] = map(add, columns[dst.digit], term)
+            index = repeat(0, v)
+            for r, column in zip(radices, columns):
+                index = map(add, map(mul, index, repeat(r)), map(mod, column, repeat(r)))
+            self._index_map = list(index)
+        return self._index_map
 
     def apply(self, x: Element) -> Element:
         self.domain.validate_element(x)
-        y = self.codomain.zero
-        add = self.codomain.add
-        for src, dst in self._pairs:
-            c = src.extract(x)
-            if c:
-                y = add(y, self.codomain.scalar_mul(c, dst.generator))
-        return y
+        (i,) = self.domain.indices([x])
+        return self.codomain.elements_at([self.index_map()[i]])[0]
 
     def generator_images(self) -> list[tuple[Element, Element]]:
         return [(src.generator, dst.generator) for src, dst in self._pairs]
@@ -1011,16 +1015,14 @@ def abelian_iso(g1: GroupDescriptor, g2: GroupDescriptor) -> Isomorphism | None:
     a2 = sorted(_atoms(g2), key=lambda at: (at.p, at.a))
     if [(at.p, at.a) for at in a1] != [(at.p, at.a) for at in a2]:
         return None
-    iso = Isomorphism(g1, g2, list(zip(a1, a2)))
     check_cap(g1.order)
-    images = {iso.apply(x) for x in g1.elements()}
-    if len(images) != g1.order:
+    iso = Isomorphism(g1, g2, list(zip(a1, a2)))
+    if len(set(iso.index_map())) != g1.order:
         raise RuntimeError("isomorphism candidate is not a bijection")
-    add1, add2 = g1.add, g2.add
     gens = [at.generator for at in a1] or [g1.zero]
     image = {g: iso.apply(g) for g in gens}
     for ga in gens:
         for gb in gens:
-            if iso.apply(add1(ga, gb)) != add2(image[ga], image[gb]):
+            if iso.apply(g1.add(ga, gb)) != g2.add(image[ga], image[gb]):
                 raise RuntimeError("isomorphism candidate is not additive")
     return iso

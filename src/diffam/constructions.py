@@ -25,6 +25,8 @@ from .algebra import (
     RingDescriptor,
     ScalarAction,
     UnitAction,
+    _image_orbits,
+    _validated_maps,
     abelian_iso,
     build_field,
     check_cap,
@@ -34,7 +36,6 @@ from .algebra import (
     fixed_point_witness,
     index_orbits,
     invariant_factors,
-    orbits,
     prime_power,
     product_group,
     unit_subgroup_of_order,
@@ -45,6 +46,7 @@ from .designs import (
     DSParams,
     DiffMatrix,
     Family,
+    IndexedElements,
     classify_family,
     verify_df,
     verify_dds,
@@ -96,29 +98,25 @@ def _require(report, what: str) -> None:
 def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]:
     """The action's orbits on the nonzero elements as sorted tuples of
     canonical indices, or NotSemiregularError with the fixed-point witness.
-    A cyclic action's walk stops at its first orbit shorter than the
-    action's order, whose least member is the witness (as in
-    ``fixed_point_witness``)."""
+    By orbit-stabilizer an orbit with fewer members than the action has
+    distinct members holds a fixed point, so the walk stops there and only
+    then looks for the witness (``fixed_point_witness``)."""
     if isinstance(action, (UnitAction, ScalarAction)):
-        blocks = []
-        for orbit in index_orbits(group, action):
-            if len(orbit) < action.order:
-                _not_semiregular(group.elements_at(orbit[:1])[0], len(orbit))
-            blocks.append(orbit)
-        return blocks
-    blocks = [tuple(group.indices(orbit)) for orbit in orbits(group, action)]
-    witness = fixed_point_witness(group, action)
-    if witness is not None:
-        _not_semiregular(*witness)
+        walk, order = index_orbits(group, action), action.order
+    else:
+        perms = _validated_maps(group, action)
+        walk, order = _image_orbits(perms), len(set(map(tuple, perms)))
+    blocks = []
+    for orbit in walk:
+        if len(orbit) < order:
+            x, j = fixed_point_witness(group, action)
+            raise NotSemiregularError(
+                f"action is not semiregular: nonzero element {x} is fixed "
+                f"(automorphism index {j})",
+                (x, j),
+            )
+        blocks.append(orbit)
     return blocks
-
-
-def _not_semiregular(x: Element, j: int) -> None:
-    raise NotSemiregularError(
-        f"action is not semiregular: nonzero element {x} is fixed "
-        f"(automorphism index {j})",
-        (x, j),
-    )
 
 
 def orbit_ddf(group: GroupDescriptor, action) -> Family:
@@ -268,24 +266,14 @@ def cyclotomic_half_ddf(
     """
     if k < 1 or k % 2 == 0:
         raise ConstructionError(f"block size must be odd and positive, got {k}")
-    ns = []
+    index_sets = []
     for f in ring.factors:
         if (f.q - 1) % (2 * k) != 0:
             raise ConstructionError(
                 f"field order {f.q}: expected q = 2*{k}*n + 1 for a positive n"
             )
-        ns.append((f.q - 1) // (2 * k))
-    action = unit_subgroup_of_order(ring, k)
-    subgroup = action.elements()
-    index_sets = []
-    for f, n in zip(ring.factors, ns):
-        w = f.primitive_element()
-        powers = []
-        value = f.one
-        for _ in range(n):
-            value = f.mul(value, w)
-            powers.append(value)
-        index_sets.append(tuple(powers))
+        n = (f.q - 1) // (2 * k)
+        index_sets.append(tuple(f.pow(f.primitive_element(), j) for j in range(1, n + 1)))
     t = len(ring.factors)
     classes = _associate_classes(t)
     if sigma_choice:
@@ -315,9 +303,11 @@ def cyclotomic_half_ddf(
         raise ConstructionError(
             f"transversal has {len(transversal)} members, expected {(v - 1) // (2 * k)}"
         )  # unreachable
-    mul = ring.mul
-    blocks = [tuple(mul(x, a) for a in subgroup) for x in transversal]
-    family = Family(ring.additive_group(), blocks)
+    # the block of x is row j of the unit table read at x, for every j
+    starts = ring.indices(transversal)
+    columns = [list(map(row.__getitem__, starts)) for row in _unit_table(ring, k)]
+    flat = list(itertools.chain.from_iterable(zip(*columns)))
+    family = Family.of_flat(ring.additive_group(), flat, [k] * len(starts))
     _require(verify_df(family, (k - 1) // 2), "half-index family")
     if classify_family(family) == "plain":
         raise ConstructionError("transversal multiples overlap")  # unreachable
@@ -340,6 +330,14 @@ def trivial_ds(k: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
     return dset, group
 
 
+def _unit_table(ring: RingDescriptor, k: int) -> list[list[int]]:
+    """One row per member a of the canonical order-k unit subgroup, in
+    power order: the index map of multiplication by a, so row a read at
+    the canonical index of x is the canonical index of a * x."""
+    members = unit_subgroup_of_order(ring, k).elements()
+    return [UnitAction(ring, a).index_map() for a in members]
+
+
 def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
     """The k x v multiplication table of the canonical order-k unit subgroup
     against all ring elements: a (v, k, 1) homogeneous difference matrix.
@@ -347,10 +345,7 @@ def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
     Row differences (u - u')x run over the whole ring as x does because
     u - u' is a unit; each row ux is a permutation for the same reason.
     """
-    action = unit_subgroup_of_order(ring, k)
-    # row a lists a * x over the ring in canonical order: the index map of
-    # multiplication by a
-    rows = [UnitAction(ring, a).index_map() for a in action.elements()]
+    rows = _unit_table(ring, k)
     mat = DiffMatrix.of_flat(ring.additive_group(), itertools.chain(*rows), [ring.order] * k)
     _require(verify_hdm(mat), "unit multiplication table")
     return mat
@@ -552,10 +547,10 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
             f"{invariant_factors(inner.group)} is not isomorphic to target "
             f"{target!r} with invariant factors {invariant_factors(target)}"
         )
-    moved = tuple(sorted(iso.apply(x) for x in inner.elements))
-    moved_subgroup = tuple(sorted(iso.apply(x) for x in inner.subgroup))
-    _require(
-        verify_dds(moved, target, moved_subgroup, inner.params),
-        "transported divisible set",
+    index_map = iso.index_map()
+    moved, subgroup = (
+        IndexedElements(target, sorted(map(index_map.__getitem__, inner.group.indices(xs))))
+        for xs in (inner.elements, inner.subgroup)
     )
-    return DDSConstruction(moved, target, moved_subgroup, inner.params)
+    _require(verify_dds(moved, target, subgroup, inner.params), "transported divisible set")
+    return DDSConstruction(tuple(moved), target, tuple(subgroup), inner.params)

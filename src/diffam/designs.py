@@ -348,6 +348,11 @@ class _Layout:
         diffs = map(sub, xs, ys)
         return map(mod, diffs, repeat(self.order)) if self.cyclic else diffs
 
+    def subtract(self, xs: Sequence[int], ys: Sequence[int]) -> Iterable[int]:
+        """The canonical index of x - y for positions x, y taken in step."""
+        keys = list(self.differences(xs, ys))  # a fold reads them once per run
+        return keys if self.cyclic else self._indices(keys, self.wide_runs or self.runs, False)
+
     def _indices(self, keys: Iterable[int], runs: tuple, mirror: bool) -> Iterable[int]:
         """The canonical index of x - y for each key pos(x) - pos(y), or of
         y - x with mirror: one table lookup per run of digits."""
@@ -770,12 +775,10 @@ def normalize_dm(mat: DiffMatrix) -> DiffMatrix:
     report = verify_dm(mat)
     if not report.ok:
         raise ValueError(f"not a difference matrix: {report.message}")
-    sub, rows = mat.group.sub, mat.rows
-    first = rows[0]
-    return DiffMatrix(
-        mat.group,
-        [tuple(sub(x, f) for x, f in zip(row, first)) for row in rows],
-    )
+    group, layout = mat.group, _layout(mat.group)
+    rows = [layout.positions(group.coordinates(row)) for row in mat.indices]
+    flat = chain.from_iterable(layout.subtract(row, rows[0]) for row in rows)
+    return DiffMatrix.of_flat(group, flat, [mat.columns] * mat.k)
 
 
 def hdm_to_dm(mat: DiffMatrix) -> DiffMatrix:

@@ -698,6 +698,19 @@ def test_explicit_map_validation():
         orbits(g, [ident, partial])
 
 
+def test_explicit_map_values_outside_the_group_are_not_a_bijection():
+    """A map whose values are distinct but not exactly the group's elements
+    (non-integers, out of range, or equal only as numbers) is refused as a
+    non-bijection before any arithmetic runs on its values."""
+    g = cyclic_group(3)
+    ident = {x: x for x in g.elements()}
+    for image in ((("a",), ("b",)), ((4,), (5,)), ((1.0,), (2,))):
+        bad = {(0,): (0,), (1,): image[0], (2,): image[1]}
+        for call in (orbits, fixed_point_witness):
+            with pytest.raises(ValueError, match="^automorphism map is not a bijection$"):
+                call(g, [ident, bad])
+
+
 def test_orbits_examples():
     g = cyclic_group(7)
     assert orbits(g, ScalarAction(g, 2)) == [
@@ -803,6 +816,43 @@ def test_abelian_iso_present():
     iso3 = abelian_iso(build_ring([4]).additive_group(), GroupDescriptor((2, 2)))
     assert iso3 is not None
     exhaustive_iso_check(iso3, build_ring([4]).additive_group(), GroupDescriptor((2, 2)))
+
+
+def _additive_order(group, x):
+    n, y = 1, x
+    while y != group.zero:
+        y, n = group.add(y, x), n + 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        (GroupDescriptor((12, 18)), GroupDescriptor((6, 36))),
+        (GroupDescriptor((build_field(3, 2), 4)), GroupDescriptor((3, 3, 4))),
+        (GroupDescriptor((build_field(2, 3), 6)), GroupDescriptor((2, 2, 2, 6))),
+        (GroupDescriptor((5, build_field(2, 2), 3)), GroupDescriptor((build_field(2, 2), 15))),
+        (build_ring([4, 25]).additive_group(), GroupDescriptor((10, 10))),
+        (GroupDescriptor((1, 4, 9)), cyclic_group(36)),
+    ],
+    ids=repr,
+)
+def test_isomorphism_index_map_matches_the_tuple_arithmetic(g1, g2):
+    """Each combination sum c_i * (domain generator i) maps to the same
+    combination of the image generators, both sides computed with the
+    reference tuple arithmetic; the combinations cover the domain once, and
+    the index map is a permutation."""
+    iso = abelian_iso(g1, g2)
+    pairs = iso.generator_images()
+    seen = set()
+    for cs in product(*(range(_additive_order(g1, src)) for src, _ in pairs)):
+        x, y = g1.zero, g2.zero
+        for c, (src, dst) in zip(cs, pairs):
+            x, y = g1.add(x, g1.scalar_mul(c, src)), g2.add(y, g2.scalar_mul(c, dst))
+        assert iso.apply(x) == y
+        seen.add(x)
+    assert len(seen) == g1.order
+    assert sorted(iso.index_map()) == list(range(g1.order))
 
 
 def test_abelian_iso_absent():

@@ -3,14 +3,17 @@ half-class family, unit matrices, the padded product, Singer sets, and the
 two divisible-set builders."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from diffam import constructions
+from diffam import algebra, constructions
 from diffam.algebra import (
     ExhaustiveCapError,
     GroupDescriptor,
+    Isomorphism,
+    RingDescriptor,
     ScalarAction,
     build_ring,
     cyclic_group,
@@ -39,6 +42,7 @@ from diffam.designs import (
     delta_multiset,
     extend_to_pdf,
     hdm_to_dm,
+    normalize_dm,
     verify_dds,
     verify_df,
     verify_dm,
@@ -93,6 +97,29 @@ def test_orbit_ddf_takes_a_map_list():
     g4 = cyclic_group(4)
     with pytest.raises(NotSemiregularError) as info:
         orbit_ddf(g4, negation(g4))
+    assert info.value.witness == ((2,), 1)
+
+
+def test_a_semiregular_map_list_is_validated_once(monkeypatch):
+    """On a semiregular list every orbit is as long as the list has distinct
+    maps, so the list is validated once; only a short orbit looks for the
+    witness, which validates it again."""
+    calls = []
+    validate = algebra._validated_maps
+
+    def counted(group, maps):
+        calls.append(group)
+        return validate(group, maps)
+
+    for module in (algebra, constructions):
+        monkeypatch.setattr(module, "_validated_maps", counted)
+    g = cyclic_group(5)
+    negation = [{x: x for x in g.elements()}, {x: g.neg(x) for x in g.elements()}]
+    assert orbit_ddf(g, negation + negation[:1]).blocks == (((1,), (4,)), ((2,), (3,)))
+    assert calls == [g]
+    g4 = cyclic_group(4)
+    with pytest.raises(NotSemiregularError) as info:
+        orbit_ddf(g4, [{x: x for x in g4.elements()}, {x: g4.neg(x) for x in g4.elements()}])
     assert info.value.witness == ((2,), 1)
 
 
@@ -587,3 +614,45 @@ def test_constructed_families_reverify():
         dm = delta_multiset(fam)
         for x in fam.group.nonzero_elements():
             assert dm.count(x) == lam
+
+
+# element-tuple arithmetic: the reference the tests use as an oracle
+TUPLE_ARITHMETIC = [
+    (GroupDescriptor, "add"),
+    (GroupDescriptor, "sub"),
+    (GroupDescriptor, "scalar_mul"),
+    (RingDescriptor, "mul"),
+    (Isomorphism, "apply"),
+]
+
+
+def _tuple_arithmetic_calls(monkeypatch, run) -> Counter:
+    calls: Counter = Counter()
+    with monkeypatch.context() as patch:
+        for cls, name in TUPLE_ARITHMETIC:
+
+            def counted(*args, _key=f"{cls.__name__}.{name}", _fn=getattr(cls, name)):
+                calls[_key] += 1
+                return _fn(*args)
+
+            patch.setattr(cls, name, counted)
+        run()
+    return calls
+
+
+def test_recipes_and_converters_compute_on_indices(monkeypatch):
+    """normalize_dm and cyclotomic_half_ddf do no element-tuple arithmetic,
+    and result3star_dds does as much at two group sizes: only abelian_iso's
+    check on generator pairs is left."""
+    dm = hdm_to_dm(units_hdm(build_ring([4, 25, 7]), 3))
+    assert _tuple_arithmetic_calls(monkeypatch, lambda: normalize_dm(dm)) == Counter()
+    for orders in ([7, 13], [7, 13, 19]):
+        ring = build_ring(orders)
+        calls = _tuple_arithmetic_calls(monkeypatch, lambda: cyclotomic_half_ddf(ring, 3))
+        assert calls == Counter()
+    small, large = (
+        _tuple_arithmetic_calls(monkeypatch, lambda d=d: result3star_dds(3, d, 2, 2))
+        for d in (3, 7)
+    )
+    assert small == large
+    assert set(small) == {"GroupDescriptor.add", "Isomorphism.apply"}

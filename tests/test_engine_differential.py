@@ -239,6 +239,34 @@ def test_wide_runs_fit_in_four_v_slots(group):
         assert spans == [243, 3]
 
 
+@pytest.mark.parametrize(
+    "group",
+    PADDED_GROUPS
+    + [
+        cyclic_group(1009),
+        GroupDescriptor([build_field(3, 4)]),
+        GroupDescriptor([build_field(2, 2), build_field(5, 2), build_field(7, 2)]),
+    ],
+    ids=repr,
+)
+def test_layout_subtract_matches_group_sub(group):
+    """_Layout.subtract, given the positions of random elements x and y in
+    step, yields the canonical index of group.sub(x, y): first through the
+    one-digit runs, then through the wide runs a large tally builds."""
+    layout, v = _Layout(group), group.order
+    rng = random.Random(v)
+    for wide in (False, True):
+        if wide:
+            layout.dense(Counter(range(1 - v, v)))
+        assert (layout.wide_runs is not None) == (wide and not layout.cyclic)
+        xs = [rng.randrange(v) for _ in range(500)]
+        ys = [rng.randrange(v) for _ in range(500)]
+        positions = [layout.positions(group.coordinates(i)) for i in (xs, ys)]
+        pairs = zip(group.elements_at(xs), group.elements_at(ys))
+        expected = group.indices([group.sub(x, y) for x, y in pairs])
+        assert list(layout.subtract(*positions)) == expected
+
+
 def test_cyclic_layout_has_no_runs():
     """A one-digit layout folds nothing: a full mirrored tally counts each
     nonzero key twice and builds no run tables."""
