@@ -22,11 +22,11 @@ is printable evidence rather than a bare boolean.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, log10
 
 from .algebra import GROUP_ORDER_CAP, prime_power
-from .designs import DDSParams, DSParams
+from .designs import DDSParams, DSParams, ds_lambda
 
 __all__ = [
     "IdentityVerdict",
@@ -39,16 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(namedtuple("IdentityVerdict", "ok identity lhs rhs note", defaults=("",))):
     """One counting identity, evaluated: ok iff lhs == rhs (and any range
     condition noted in ``note`` holds)."""
 
-    ok: bool
-    identity: str
-    lhs: int
-    rhs: int
-    note: str = ""
+    __slots__ = ()
 
     def __str__(self) -> str:
         status = "holds" if self.ok else "fails"
@@ -66,13 +61,6 @@ def ds_admissible(params: DSParams) -> IdentityVerdict:
     if not range_ok:
         note = f"range violated: need 0 <= {params.lam} <= {params.k} <= {params.v}"
     return IdentityVerdict(lhs == rhs and range_ok, "lambda*(v-1) = k*(k-1)", lhs, rhs, note)
-
-
-def ds_lambda(v: int, k: int) -> int | None:
-    """The lambda that lambda*(v-1) = k*(k-1) forces on a k-subset of a group
-    of order v, or None when it is not an integer."""
-    lam, rest = divmod(k * (k - 1), v - 1) if v > 1 else (0, 0)
-    return None if rest else lam
 
 
 def proportional_pair_admissible(params: DSParams, mu: int) -> IdentityVerdict:
@@ -108,8 +96,9 @@ def dds_counting_identity(params: DDSParams) -> IdentityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class Result3Verdict:
+class Result3Verdict(
+    namedtuple("Result3Verdict", "ok singer_case base mu triple evidence residual")
+):
     """Admissibility of the scaled hyperplane triple
 
         ( h*(q^m - 1)/e, h*(q^(m-1) - 1)/e, h*(q^(m-2) - 1)/e ),
@@ -119,13 +108,7 @@ class Result3Verdict:
     (e, h) = (q-1, 1), i.e. mu = 1; otherwise ``evidence`` is the failing
     counting identity of the scaled triple."""
 
-    ok: bool
-    singer_case: bool
-    base: DSParams
-    mu: int
-    triple: DSParams
-    evidence: IdentityVerdict
-    residual: IdentityVerdict
+    __slots__ = ()
 
 
 def refute_result3(q: int, m: int, e: int, h: int) -> Result3Verdict:

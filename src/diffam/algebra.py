@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import add, floordiv, itemgetter, mod, mul
-from typing import Iterable, Iterator, Sequence
+from operator import add, floordiv, itemgetter, mod, mul, ne
 
 GROUP_ORDER_CAP = 10**6
 
@@ -795,16 +795,28 @@ class ScalarAction:
         )
 
 
+def _translation(group: GroupDescriptor, h: int) -> list[int]:
+    """Addition of the element of canonical index h as a permutation of
+    canonical indices: digit by digit, modulo each digit's radix."""
+    radices, place, columns = group.digit_radices(), group.order, []
+    for r in radices:
+        place //= r
+        d = h // place % r
+        columns.append([*range(d, r), *range(d)])
+    return _mixed_radix(columns, radices)
+
+
 def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[list[int]]:
     """Check an explicit automorphism list: every map is an additive bijection
     of the group fixing zero (homomorphism tested against the canonical
-    generators), the identity is present, and the set is closed under
-    composition.  Each map is returned as a permutation of canonical indices."""
+    generators, on index permutations), the identity is present, and the set
+    is closed under composition.  Each map is returned as a permutation of
+    canonical indices."""
     check_cap(group.order)
     elements = list(group.elements())
     element_set = set(elements)
     gens = group.canonical_generators()
-    add = group.add
+    shifts = [_translation(group, g) for g in group.indices(gens)]
     perms = []
     for m in maps:
         if set(m) != element_set:
@@ -814,12 +826,16 @@ def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[list[i
             raise ValueError("automorphism map is not a bijection")
         if m[group.zero] != group.zero:
             raise ValueError("automorphism map does not fix zero")
-        for g in gens:
-            mg = m[g]
-            for x in elements:
-                if m[add(x, g)] != add(m[x], mg):
-                    raise ValueError(f"map is not additive: differs at {x} + {g}")
-        perms.append(group.indices(values))
+        perm = group.indices(values)
+        for g, shift in zip(gens, shifts):
+            # m(x + g) against m(x) + m(g), for every x in canonical order
+            image_shift = _translation(group, perm[shift[0]])
+            bad = map(ne, map(perm.__getitem__, shift), map(image_shift.__getitem__, perm))
+            x = next(itertools.compress(itertools.count(), bad), None)
+            if x is not None:
+                x = group.elements_at([x])[0]
+                raise ValueError(f"map is not additive: differs at {x} + {g}")
+        perms.append(perm)
     if list(range(group.order)) not in perms:
         raise ValueError("automorphism list must contain the identity map")
     fingerprints = set(map(tuple, perms))

@@ -20,16 +20,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple
 from math import prod
 
-from .admissibility import (
-    dds_counting_identity,
-    ds_admissible,
-    ds_lambda,
-    proportional_pair_admissible,
-    refute_result3,
-)
 from .algebra import (
     ExhaustiveCapError,
     FieldDescriptor,
@@ -40,21 +32,8 @@ from .algebra import (
     cyclic_group,
     unit_subgroup_of_order,
 )
-from .constructions import (
-    ConstructionError,
-    cyclotomic_half_ddf,
-    dds_from_ds,
-    furino_ddf,
-    orbit_ddf,
-    orbit_ddf_split,
-    product_ddf,
-    result1_ddf,
-    result3star_dds,
-    singer_ds,
-    trivial_ds,
-    units_hdm,
-)
 from .designs import (
+    ConstructionError,
     DDSParams,
     DSParams,
     DiffMatrix,
@@ -62,6 +41,7 @@ from .designs import (
     Report,
     classify_family,
     dm_to_hdm,
+    ds_lambda,
     family_params,
     normalize_dm,
     verify_dds,
@@ -233,17 +213,17 @@ def _load_hdm(path) -> DiffMatrix:
     raise ValueError(f"{path}: expected a difference-matrix design, found {design.kind!r}")
 
 
-def _orbit(args):
-    family = orbit_ddf(*_orbit_inputs(args))
+def _orbit(args, recipes):
+    family = recipes.orbit_ddf(*_orbit_inputs(args))
     return family, (family.uniform_k() or 1) - 1  # no blocks when v = 1
 
 
-def _orbit_split(args):
-    family = orbit_ddf_split(*_orbit_inputs(args))[0]
+def _orbit_split(args, recipes):
+    family = recipes.orbit_ddf_split(*_orbit_inputs(args))[0]
     return family, ((family.uniform_k() or 1) - 1) // 2
 
 
-def _furino(args):
+def _furino(args, recipes):
     k = _require_flag(args, "--k")
     if args.factors is not None:
         base = _ring(args)
@@ -251,18 +231,18 @@ def _furino(args):
         base = args.v
     else:
         raise ValueError("furino needs --v or --factors")
-    return furino_ddf(base, k, half=args.half), ((k - 1) // 2 if args.half else k - 1)
+    return recipes.furino_ddf(base, k, half=args.half), ((k - 1) // 2 if args.half else k - 1)
 
 
-def _cyclotomic_half(args):
+def _cyclotomic_half(args, recipes):
     ring = _ring(args)
     k = _require_flag(args, "--k")
     sigma = _parse_sigma_choice(args.sigma_choice) if args.sigma_choice else None
-    return cyclotomic_half_ddf(ring, k, sigma), (k - 1) // 2
+    return recipes.cyclotomic_half_ddf(ring, k, sigma), (k - 1) // 2
 
 
-def _product(args):
-    family = product_ddf(
+def _product(args, recipes):
+    family = recipes.product_ddf(
         _load_family(_require_flag(args, "--ddf-g")),
         _load_family(_require_flag(args, "--ddf-h")),
         _load_hdm(_require_flag(args, "--dm")),
@@ -270,23 +250,24 @@ def _product(args):
     return family, family.uniform_k() - 1
 
 
-def _result1(args):
+def _result1(args, recipes):
     k = _require_flag(args, "--k")
-    return result1_ddf(k, _ring(args)), k - 1
+    return recipes.result1_ddf(k, _ring(args)), k - 1
 
 
-def _dds_product(args):
+def _dds_product(args, recipes):
     source = load_design(_require_flag(args, "--ds"))
     if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
         raise ValueError("--ds must point to a single-block ds design file")
-    return dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
+    return recipes.dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
 
 
 # recipe name -> (kind of design it writes, builder).  A builder reads its
 # flags and returns what the recipe certified: (family, lambda) for a ddf,
 # (set, group) for a ds, a DDSConstruction for a dds, a DiffMatrix for an
-# hdm.  Builders name the recipe functions as module globals, resolved at
-# call time, so a rebinding of those names (a test double, a tracer) is seen.
+# hdm.  Builders are passed the diffam.constructions module, which only
+# construct imports, and look the recipe functions up in it at call time,
+# so a rebinding of those names (a test double, a tracer) is seen.
 RECIPES = {
     "orbit": ("ddf", _orbit),
     "orbit-split": ("ddf", _orbit_split),
@@ -294,19 +275,21 @@ RECIPES = {
     "cyclotomic-half": ("ddf", _cyclotomic_half),
     "units-hdm": (
         "hdm",
-        lambda args: units_hdm(_ring(args), _require_flag(args, "--k")),
+        lambda args, recipes: recipes.units_hdm(_ring(args), _require_flag(args, "--k")),
     ),
     "product": ("ddf", _product),
     "result1": ("ddf", _result1),
-    "trivial-ds": ("ds", lambda args: trivial_ds(_require_flag(args, "--k"))),
+    "trivial-ds": ("ds", lambda args, recipes: recipes.trivial_ds(_require_flag(args, "--k"))),
     "singer": (
         "ds",
-        lambda args: singer_ds(_require_flag(args, "--q"), _require_flag(args, "--m")),
+        lambda args, recipes: recipes.singer_ds(
+            _require_flag(args, "--q"), _require_flag(args, "--m")
+        ),
     ),
     "dds-product": ("dds", _dds_product),
     "result3star": (
         "dds",
-        lambda args: result3star_dds(
+        lambda args, recipes: recipes.result3star_dds(
             *(_require_flag(args, flag) for flag in ("--q", "--d", "--e", "--h"))
         ),
     ),
@@ -338,15 +321,17 @@ def _design_file(kind: str, built) -> DesignFile:
     return DesignFile(
         kind,
         built.group,
-        dict(zip(keys, astuple(built.params))),
+        dict(zip(keys, built.params)),
         (built.elements,),
         subgroup=built.subgroup,
     )
 
 
 def cmd_construct(args) -> int:
+    from . import constructions  # the one command that builds designs
+
     kind, build = RECIPES[args.name]
-    design = _design_file(kind, build(args))
+    design = _design_file(kind, build(args, constructions))
     save_design(args.out, design)
     if design.rows is not None:
         payload = f"{len(design.rows)} rows"
@@ -481,10 +466,12 @@ def _refuse_unprintable(values: dict) -> None:
 
 
 def cmd_check(args) -> int:
+    from . import admissibility  # the one command that checks admissibility
+
     if args.what == "ds":
         _refuse_unprintable({"v": args.v, "k": args.k, "lambda": args.lam})
         params = DSParams(args.v, args.k, args.lam)
-        verdict = ds_admissible(params)
+        verdict = admissibility.ds_admissible(params)
         _refuse_unprintable({"lambda*(v-1)": verdict.lhs, "k*(k-1)": verdict.rhs})
         print(f"ds {params}: {'ADMISSIBLE' if verdict.ok else 'INADMISSIBLE'}")
         _print_identity(verdict, "lambda*(v-1) vs k*(k-1)")
@@ -493,7 +480,7 @@ def cmd_check(args) -> int:
         values = (args.m, args.n, args.k, args.lam1, args.lam2)
         _refuse_unprintable(dict(zip(("m", "n", "k", "lambda1", "lambda2"), values)))
         params = DDSParams(*values)
-        verdict = dds_counting_identity(params)
+        verdict = admissibility.dds_counting_identity(params)
         _refuse_unprintable(
             {"k*(k-1)": verdict.lhs, "lambda1*(n-1) + lambda2*n*(m-1)": verdict.rhs}
         )
@@ -505,18 +492,18 @@ def cmd_check(args) -> int:
         params = DSParams(args.v, args.k, args.lam)
         # the base identity is printed when it fails; once it holds,
         # 0 <= lambda <= k <= v, so mu*v bounds every other printed value
-        base = ds_admissible(params)
+        base = admissibility.ds_admissible(params)
         _refuse_unprintable(
             {"lambda*(v-1)": base.lhs, "k*(k-1)": base.rhs, "mu*v": args.mu * args.v}
         )
-        verdict = proportional_pair_admissible(params, args.mu)
+        verdict = admissibility.proportional_pair_admissible(params, args.mu)
         scaled = params.scaled(args.mu)
         status = "ADMISSIBLE" if verdict.ok else "INADMISSIBLE"
         print(f"proportional {params} scaled by {args.mu} -> {scaled}: {status}")
         _print_identity(verdict, "(v-k)*(mu-1) vs 0")
         return 0 if verdict.ok else 1
     # result3
-    verdict = refute_result3(args.q, args.m, args.e, args.h)
+    verdict = admissibility.refute_result3(args.q, args.m, args.e, args.h)
     header = f"result3 (q,m,e,h)=({args.q},{args.m},{args.e},{args.h})"
     if verdict.ok:
         print(f"{header}: VALID (hyperplane case e=q-1, h=1), triple {verdict.triple}")

@@ -12,10 +12,8 @@ each pair halves every difference count, giving a (v, k, (k-1)/2) family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import gcd
-from operator import mul
-from typing import Iterable, Sequence
 
 import itertools
 
@@ -40,14 +38,18 @@ from .algebra import (
     product_group,
     unit_subgroup_of_order,
 )
-from .admissibility import ds_lambda
 from .designs import (
+    ConstructionError,
     DDSParams,
     DSParams,
     DiffMatrix,
     Family,
     IndexedElements,
+    NotSemiregularError,
+    _element_indices,
+    _Record,
     classify_family,
+    ds_lambda,
     verify_df,
     verify_dds,
     verify_ds,
@@ -70,19 +72,6 @@ __all__ = [
     "dds_from_ds",
     "result3star_dds",
 ]
-
-
-class ConstructionError(ValueError):
-    """A construction precondition failed, or (never expected) an output
-    failed its own verification."""
-
-
-class NotSemiregularError(ConstructionError):
-    """The supplied action fixes a nonzero element; carries the witness."""
-
-    def __init__(self, message: str, witness):
-        super().__init__(message)
-        self.witness = witness
 
 
 def _require(report, what: str) -> None:
@@ -437,8 +426,10 @@ def singer_ds(q: int, m: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
 
     The trace of alpha^i is scale-invariant under GF(q)* (trace is
     GF(q)-linear), so membership depends only on i mod v.  Being GF(p)-linear
-    as well, the trace is tabulated once on the monomial basis and applied
-    to each alpha^i as digit dot products mod p.
+    as well, the trace is tabulated once on the monomial basis, each of its
+    coordinates is tabulated over all p^n codes a digit at a time, and
+    alpha^i, alpha the canonical primitive element, is read off the field's
+    exp table.
     """
     check_power_cap(q, m)  # before prime_power trial-divides q
     pp = prime_power(q)
@@ -448,51 +439,48 @@ def singer_ds(q: int, m: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
         raise ConstructionError(f"need dimension >= 3, got {m}")
     p, a = pp
     ext = build_field(p, a * m)
-    alpha = ext.primitive_element()
     v = (q**m - 1) // (q - 1)
     params = DSParams(v, (q ** (m - 1) - 1) // (q - 1), (q ** (m - 2) - 1) // (q - 1))
     # row l holds coefficient l of trace(x^j) for j = 0..n-1, so coefficient l
-    # of trace(x) is the dot product of row l with the digits of x, mod p
+    # of trace(x) is the dot product of row l with the digits of x, mod p:
+    # values[x] for every code x, grown from the most significant digit
     n = ext.n
     basis_traces = [ext.coeffs(ext.trace(p ** (n - 1 - j), a)) for j in range(n)]
-    rows = [row for row in zip(*basis_traces) if any(row)]
-    dset = []
-    x = ext.one
-    for i in range(v):
-        digits = ext.coeffs(x)
-        if all(sum(map(mul, digits, row)) % p == 0 for row in rows):
-            dset.append((i,))
-        x = ext.mul(x, alpha)
+    powers = ext._tables()[0][:v]  # alpha^i for i < v
+    members = range(v)
+    for row in zip(*basis_traces):
+        if any(row):
+            values = [0]
+            for c in row:
+                values = [(s + d * c) % p for s in values for d in range(p)]
+            members = [i for i in members if not values[powers[i]]]
     group = cyclic_group(v)
-    _require(verify_ds(dset, group, params), "hyperplane difference set")
-    return tuple(dset), group
+    _require(verify_ds(IndexedElements(group, members), group, params), "hyperplane difference set")
+    return tuple(zip(members)), group
 
 
-@dataclass
-class DDSConstruction:
+class DDSConstruction(_Record):
     """A verified divisible difference set with its ambient group, the
     forbidden subgroup, and parameters."""
 
-    elements: tuple[Element, ...]
-    group: GroupDescriptor
-    subgroup: tuple[Element, ...]
-    params: DDSParams
+    _fields = ("elements", "group", "subgroup", "params")
+
+    def __init__(self, elements: tuple, group: GroupDescriptor, subgroup: tuple, params: DDSParams):
+        self.elements, self.group, self.subgroup, self.params = elements, group, subgroup, params
 
 
-def dds_from_ds(
-    dset: Iterable[Element], group: GroupDescriptor, h: int
-) -> DDSConstruction:
-    """Lift a (v, k, lambda) difference set D in G to the divisible
-    difference set D x Z_h in G x Z_h relative to {0} x Z_h, with parameters
-    (v, h, k*h, k*h, lambda*h)."""
+def _lift(dset: Iterable[Element], group: GroupDescriptor, h: int):
+    """dds_from_ds's verified lift as (G x Z_h, lifted set, subgroup,
+    parameters), the two sets IndexedElements: (x, j) has canonical index
+    x * h + j, so the lift of a sorted set is sorted."""
     if h < 1:
         raise ConstructionError(f"subgroup order must be positive, got {h}")
-    dset = tuple(dset)
-    block = tuple(sorted(set(dset)))
-    if len(block) != len(dset):
-        raise ConstructionError("difference set input has repeated elements")
     big = product_group(group, cyclic_group(h))
     check_cap(big.order)
+    indices = _element_indices(group, dset)
+    block = sorted(set(indices))
+    if len(block) != len(indices):
+        raise ConstructionError("difference set input has repeated elements")
     v, k = group.order, len(block)
     # the one verify_ds call below certifies that every count equals lam
     lam = ds_lambda(v, k)
@@ -501,12 +489,23 @@ def dds_from_ds(
             f"input is not a difference set: k*(k-1) = {k * (k - 1)} is not "
             f"a multiple of v-1 = {v - 1}"
         )
-    _require(verify_ds(block, group, DSParams(v, k, lam)), "difference set input")
-    lifted = tuple(x + (j,) for x in block for j in range(h))
-    subgroup = tuple(group.zero + (j,) for j in range(h))
+    ds_params = DSParams(v, k, lam)
+    _require(verify_ds(IndexedElements(group, block), group, ds_params), "difference set input")
+    lifted = IndexedElements(big, [x * h + j for x in block for j in range(h)])
+    subgroup = IndexedElements(big, range(h))
     params = DDSParams(v, h, k * h, k * h, lam * h)
     _require(verify_dds(lifted, big, subgroup, params), "lifted divisible set")
-    return DDSConstruction(tuple(sorted(lifted)), big, subgroup, params)
+    return big, lifted, subgroup, params
+
+
+def dds_from_ds(
+    dset: Iterable[Element], group: GroupDescriptor, h: int
+) -> DDSConstruction:
+    """Lift a (v, k, lambda) difference set D in G to the divisible
+    difference set D x Z_h in G x Z_h relative to {0} x Z_h, with parameters
+    (v, h, k*h, k*h, lambda*h)."""
+    big, lifted, subgroup, params = _lift(dset, group, h)
+    return DDSConstruction(tuple(lifted), big, tuple(subgroup), params)
 
 
 def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
@@ -533,24 +532,23 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
     if not 1 <= h <= e:
         raise ConstructionError(f"need 1 <= h <= e, got h={h}, e={e}")
     dset, base_group = singer_ds(q, d)
-    n = h * (q - 1) // e
-    inner = dds_from_ds(dset, base_group, n)
+    big, lifted, subgroup, params = _lift(dset, base_group, h * (q - 1) // e)
     if (q**d - 1) % e != 0:
         raise ConstructionError(
             f"{e} does not divide q^d - 1 = {q**d - 1}"
         )  # unreachable given e | q - 1
     target = GroupDescriptor(((q**d - 1) // e, h))
-    iso = abelian_iso(inner.group, target)
+    iso = abelian_iso(big, target)
     if iso is None:
         raise ConstructionError(
-            f"constructed group {inner.group!r} with invariant factors "
-            f"{invariant_factors(inner.group)} is not isomorphic to target "
+            f"constructed group {big!r} with invariant factors "
+            f"{invariant_factors(big)} is not isomorphic to target "
             f"{target!r} with invariant factors {invariant_factors(target)}"
         )
     index_map = iso.index_map()
     moved, subgroup = (
-        IndexedElements(target, sorted(map(index_map.__getitem__, inner.group.indices(xs))))
-        for xs in (inner.elements, inner.subgroup)
+        IndexedElements(target, sorted(map(index_map.__getitem__, xs.indices)))
+        for xs in (lifted, subgroup)
     )
-    _require(verify_dds(moved, target, subgroup, inner.params), "transported divisible set")
-    return DDSConstruction(tuple(moved), target, tuple(subgroup), inner.params)
+    _require(verify_dds(moved, target, subgroup, params), "transported divisible set")
+    return DDSConstruction(tuple(moved), target, tuple(subgroup), params)

@@ -18,9 +18,8 @@ report is itself a checkable certificate.
 from __future__ import annotations
 
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from math import prod
@@ -29,6 +28,8 @@ from operator import add, eq, floordiv, ge, mod, mul, ne, sub
 from .algebra import Element, GroupDescriptor, check_cap
 
 __all__ = [
+    "ConstructionError",
+    "NotSemiregularError",
     "DSParams",
     "DDSParams",
     "Family",
@@ -36,6 +37,7 @@ __all__ = [
     "DiffMultiset",
     "Report",
     "DiffMatrix",
+    "ds_lambda",
     "delta_multiset",
     "family_params",
     "verify_df",
@@ -51,17 +53,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DSParams:
+class ConstructionError(ValueError):
+    """A construction precondition failed, or (never expected) an output
+    failed its own verification."""
+
+
+class NotSemiregularError(ConstructionError):
+    """The supplied action fixes a nonzero element; carries the witness."""
+
+    def __init__(self, message: str, witness):
+        super().__init__(message)
+        self.witness = witness
+
+
+class _Record:
+    """A mutable record of the attributes named in ``_fields``: equal to a
+    record of its own class equal in every field but those in
+    ``_uncompared``, and shown as Name(field=value, ...)."""
+
+    _fields: tuple = ()
+    _uncompared: tuple = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = [f for f in self._fields if f not in self._uncompared]
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class DSParams(namedtuple("DSParams", "v k lam")):
     """Difference-set parameter triple (v, k, lambda)."""
 
-    v: int
-    k: int
-    lam: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.v < 1 or self.k < 0 or self.lam < 0:
-            raise ValueError(f"bad parameter triple ({self.v},{self.k},{self.lam})")
+    def __new__(cls, v: int, k: int, lam: int):
+        if v < 1 or k < 0 or lam < 0:
+            raise ValueError(f"bad parameter triple ({v},{k},{lam})")
+        return super().__new__(cls, v, k, lam)
 
     def scaled(self, mu: int) -> "DSParams":
         return DSParams(self.v * mu, self.k * mu, self.lam * mu)
@@ -70,24 +102,24 @@ class DSParams:
         return f"({self.v},{self.k},{self.lam})"
 
 
-@dataclass(frozen=True)
-class DDSParams:
+def ds_lambda(v: int, k: int) -> int | None:
+    """The lambda that lambda*(v-1) = k*(k-1) forces on a k-subset of a group
+    of order v, or None when it is not an integer."""
+    lam, rest = divmod(k * (k - 1), v - 1) if v > 1 else (0, 0)
+    return None if rest else lam
+
+
+class DDSParams(namedtuple("DDSParams", "m n k lam1 lam2")):
     """Divisible difference-set parameters (m, n, k, lambda1, lambda2):
     m cosets of a subgroup of order n, inside-subgroup count lambda1,
     outside count lambda2."""
 
-    m: int
-    n: int
-    k: int
-    lam1: int
-    lam2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.m, self.n) < 1 or min(self.k, self.lam1, self.lam2) < 0:
-            raise ValueError(
-                f"bad parameter tuple ({self.m},{self.n},{self.k},"
-                f"{self.lam1},{self.lam2})"
-            )
+    def __new__(cls, m: int, n: int, k: int, lam1: int, lam2: int):
+        if min(m, n) < 1 or min(k, lam1, lam2) < 0:
+            raise ValueError(f"bad parameter tuple ({m},{n},{k},{lam1},{lam2})")
+        return super().__new__(cls, m, n, k, lam1, lam2)
 
     def __str__(self) -> str:
         return f"({self.m},{self.n},{self.k},{self.lam1},{self.lam2})"
@@ -226,15 +258,16 @@ class IndexedElements(Sequence):
         return f"{type(self).__name__}({tuple(self)!r})"
 
 
-@dataclass
-class DiffMultiset:
+class DiffMultiset(_Record):
     """Counts of nonzero differences; elements with count zero are omitted
-    from the dict but still count as zero."""
+    from the dict but still count as zero.  ``engine`` names the engine
+    that counted ("pairwise", "convolution" or "both"), not compared."""
 
-    group: GroupDescriptor
-    counts: dict[Element, int]
-    # which engine counted: "pairwise", "convolution" or "both"
-    engine: str = dataclass_field(default="pairwise", compare=False)
+    _fields = ("group", "counts", "engine")
+    _uncompared = ("engine",)
+
+    def __init__(self, group: GroupDescriptor, counts: dict[Element, int], engine: str = "pairwise"):
+        self.group, self.counts, self.engine = group, counts, engine
 
     def count(self, x: Element) -> int:
         return self.counts.get(x, 0)
@@ -488,19 +521,29 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[in
     return counts
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Outcome of one verification: kind, derived parameters, and the full
-    deviation map for failures (empty when ok)."""
+    deviation map for failures (empty when ok).  ``stats``, not compared,
+    is what the count did: "engine" (pairwise, convolution or both),
+    ordered "pairs" counted and nonzero "elements_scanned"; empty when no
+    count ran.  A dict left out is a new empty dict."""
 
-    ok: bool
-    kind: str
-    params: dict
-    deviations: dict = dataclass_field(default_factory=dict)
-    message: str = ""
-    # what the count did: "engine" (pairwise, convolution or both), ordered
-    # "pairs" counted and nonzero "elements_scanned"; empty when no count ran
-    stats: dict = dataclass_field(default_factory=dict, compare=False)
+    _fields = ("ok", "kind", "params", "deviations", "message", "stats")
+    _uncompared = ("stats",)
+
+    def __init__(
+        self,
+        ok: bool,
+        kind: str,
+        params: dict,
+        deviations: dict | None = None,
+        message: str = "",
+        stats: dict | None = None,
+    ):
+        self.ok, self.kind, self.params = ok, kind, params
+        self.deviations = {} if deviations is None else deviations
+        self.message = message
+        self.stats = {} if stats is None else stats
 
     def __bool__(self) -> bool:
         return self.ok

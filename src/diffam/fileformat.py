@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
 from operator import eq, itemgetter
 
@@ -36,7 +35,7 @@ from .algebra import (
     check_cap,
     check_power_cap,
 )
-from .designs import DiffMatrix, Family, IndexedElements, _element_indices
+from .designs import DiffMatrix, Family, IndexedElements, _element_indices, _Record
 
 # kind -> the integer parameters its file declares, in the order DSParams,
 # DDSParams and `verify --expect-params` take them (a family with blocks of
@@ -182,8 +181,7 @@ class IndexLists(Sequence):
         return f"{type(self).__name__}({tuple(map(tuple, self))!r})"
 
 
-@dataclass
-class DesignFile:
+class DesignFile(_Record):
     """A design file: the declared kind and parameters plus the payload
     (blocks, or matrix rows, and for divisible sets the subgroup).  Blocks
     and rows are sequences of element sequences, the subgroup one sequence
@@ -191,12 +189,19 @@ class DesignFile:
     IndexedElements) that decode on demand; element tuples passed in are
     checked and encoded once, when the design is written."""
 
-    kind: str
-    group: GroupDescriptor
-    params: dict
-    blocks: Sequence | None = None
-    rows: Sequence | None = None
-    subgroup: Sequence | None = None
+    _fields = ("kind", "group", "params", "blocks", "rows", "subgroup")
+
+    def __init__(
+        self,
+        kind: str,
+        group: GroupDescriptor,
+        params: dict,
+        blocks: Sequence | None = None,
+        rows: Sequence | None = None,
+        subgroup: Sequence | None = None,
+    ):
+        self.kind, self.group, self.params = kind, group, params
+        self.blocks, self.rows, self.subgroup = blocks, rows, subgroup
 
     def family(self) -> Family:
         blocks = self.blocks
@@ -417,33 +422,46 @@ def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int) -> list[
     return out
 
 
-def _payload_text(group: GroupDescriptor, lists) -> str:
-    """Blocks or matrix rows: a list at depth 1 of element lists."""
+def _payload_parts(group: GroupDescriptor, lists) -> list[str]:
+    """Blocks or matrix rows, a list at depth 1 of element lists, as the
+    pieces of its text: each list's text, and the brackets and separators
+    between them."""
     texts = _lists_texts(group, _index_lists(group, lists), 2)
-    return _list_template("{}", len(texts), 1).format(*texts)
+    if not texts:
+        return ["[]"]
+    parts = [",\n    "] * (2 * len(texts) + 1)
+    parts[1::2] = texts
+    parts[0], parts[-1] = "[\n    ", "\n  ]"
+    return parts
+
+
+def _design_parts(design: DesignFile) -> list[str]:
+    """The file text as pieces, keys in sorted order.  A payload list's text
+    is a piece of its own, so the payload (most of the file) is never built
+    as one string: each whole copy adds to the peak memory of a large write."""
+    key, lists = _payload(design)
+    texts = {
+        "kind": [json.dumps(design.kind)],
+        "group": [_header_text(group_to_obj(design.group))],
+        "params": [_header_text(_params_to_obj(design.params))],
+        key: _payload_parts(design.group, lists),
+    }
+    if design.subgroup is not None:
+        subgroup = _index_lists(design.group, [design.subgroup])
+        texts["subgroup"] = _lists_texts(design.group, subgroup, 1)
+    parts: list[str] = []
+    for name in sorted(texts):
+        parts += (",\n  " if parts else "{\n  ", f'"{name}": ')
+        parts += texts[name]
+    parts.append("\n}\n")
+    return parts
 
 
 def dumps_design(design: DesignFile) -> str:
     """The file text, byte for byte what
     json.dumps(design_to_obj(design), sort_keys=True, indent=2) + "\n"
     gives, written directly from the fixed schema (keys in sorted order)."""
-    key, lists = _payload(design)
-    texts = {
-        "kind": json.dumps(design.kind),
-        "group": _header_text(group_to_obj(design.group)),
-        "params": _header_text(_params_to_obj(design.params)),
-        key: _payload_text(design.group, lists),
-    }
-    if design.subgroup is not None:
-        subgroup = _index_lists(design.group, [design.subgroup])
-        texts["subgroup"] = _lists_texts(design.group, subgroup, 1)[0]
-    # one join, so the payload text (most of the file) is copied once: each
-    # extra copy adds to the peak memory of writing a large design
-    parts = []
-    for name in sorted(texts):
-        parts += (",\n  " if parts else "{\n  ", f'"{name}": ', texts[name])
-    parts.append("\n}\n")
-    return "".join(parts)
+    return "".join(_design_parts(design))
 
 
 def _parse(text: str):
@@ -460,10 +478,12 @@ def loads_design(text: str) -> DesignFile:
 
 
 def save_design(path, design: DesignFile) -> None:
-    # encode before opening, so a design that fails to encode leaves the file as it was
-    text = dumps_design(design)
+    # encode before opening, so a design that fails to encode leaves the file
+    # as it was; then write a few thousand pieces at a time, never the whole text
+    parts = _design_parts(design)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        for i in range(0, len(parts), 4096):
+            handle.write("".join(parts[i : i + 4096]))
 
 
 def load_design(path) -> DesignFile:

@@ -52,6 +52,38 @@ def test_the_cli_imports_only_the_standard_library():
     assert [m for m in out if m != "diffam" and m not in sys.stdlib_module_names] == []
 
 
+def _loaded_by(argv, cwd) -> tuple[int, set]:
+    """The exit code of main(argv) in a fresh interpreter, and every module
+    that importing diffam.cli and running it loaded."""
+    code = (
+        "import sys; before = set(sys.modules); from diffam import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        "print(); print(code, *sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env={"PYTHONPATH": src},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()[-1].split()
+    return int(out[0]), set(out[1:])
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    rc, loaded = _loaded_by(["construct", "trivial-ds", "--k", 3, "--out", "ds.json"], tmp_path)
+    assert rc == 0 and "diffam.constructions" in loaded
+    assert {"diffam.admissibility", "dataclasses"}.isdisjoint(loaded)
+    rc, loaded = _loaded_by(["verify", "ds.json"], tmp_path)
+    assert rc == 0 and "diffam.designs" in loaded
+    assert {"diffam.constructions", "diffam.admissibility", "dataclasses"}.isdisjoint(loaded)
+    rc, loaded = _loaded_by(["check", "ds", 7, 3, 1], tmp_path)
+    assert rc == 0 and "diffam.admissibility" in loaded
+    assert {"diffam.constructions", "dataclasses"}.isdisjoint(loaded)
+
+
 # ---------------------------------------------------------------------------
 # top-level parser
 # ---------------------------------------------------------------------------

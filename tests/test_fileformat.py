@@ -410,6 +410,16 @@ def test_save_load_roundtrip(tmp_path):
     assert back.family().group == fam.group
 
 
+def test_a_file_written_in_pieces_is_the_dumped_text(tmp_path):
+    """save_design writes the text a few thousand pieces at a time; 2050
+    blocks make more than one batch, and the bytes are dumps_design's."""
+    design = family_file("ddf", furino_ddf(6151, 3), 2)
+    path = tmp_path / "f6151.json"
+    save_design(path, design)
+    text = json.dumps(design_to_obj(design), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == dumps_design(design).encode() == text.encode()
+
+
 def test_a_refused_save_leaves_the_existing_file_unchanged(tmp_path):
     path = tmp_path / "f13.json"
     save_design(path, family_file("ddf", furino_ddf(13, 3), 2))
