@@ -737,6 +737,7 @@ class UnitAction:
     ring, generated by multiplication by a fixed unit u."""
 
     def __init__(self, ring: RingDescriptor, generator: Element):
+        ring.validate_element(generator)
         if not ring.is_unit(generator):
             raise ValueError(f"{generator} is not a unit of {ring!r}")
         self.ring = ring

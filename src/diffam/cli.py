@@ -33,6 +33,7 @@ from .algebra import (
     unit_subgroup_of_order,
 )
 from .designs import (
+    PARAM_KEYS,
     ConstructionError,
     DDSParams,
     DSParams,
@@ -41,7 +42,6 @@ from .designs import (
     Report,
     classify_family,
     dm_to_hdm,
-    ds_lambda,
     family_params,
     normalize_dm,
     verify_dds,
@@ -50,16 +50,9 @@ from .designs import (
     verify_ds,
     verify_hdm,
 )
-from .fileformat import (
-    FAMILY_KINDS,
-    KINDS,
-    PARAM_KEYS,
-    SET_KINDS,
-    DesignFile,
-    IndexLists,
-    load_design,
-    save_design,
-)
+
+# the codec (diffam.fileformat, and with it json) is imported only by the
+# functions that read or write a design file, so `check` never loads it
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +191,8 @@ def _orbit_inputs(args):
 
 
 def _load_family(path) -> Family:
+    from .fileformat import FAMILY_KINDS, load_design
+
     design = load_design(path)
     if design.kind in FAMILY_KINDS or design.kind == "ds":
         return design.family()
@@ -205,22 +200,14 @@ def _load_family(path) -> Family:
 
 
 def _load_hdm(path) -> DiffMatrix:
+    from .fileformat import load_design
+
     design = load_design(path)
     if design.kind == "hdm":
         return design.matrix()
     if design.kind == "dm":
         return dm_to_hdm(normalize_dm(design.matrix()))
     raise ValueError(f"{path}: expected a difference-matrix design, found {design.kind!r}")
-
-
-def _orbit(args, recipes):
-    family = recipes.orbit_ddf(*_orbit_inputs(args))
-    return family, (family.uniform_k() or 1) - 1  # no blocks when v = 1
-
-
-def _orbit_split(args, recipes):
-    family = recipes.orbit_ddf_split(*_orbit_inputs(args))[0]
-    return family, ((family.uniform_k() or 1) - 1) // 2
 
 
 def _furino(args, recipes):
@@ -231,31 +218,31 @@ def _furino(args, recipes):
         base = args.v
     else:
         raise ValueError("furino needs --v or --factors")
-    return recipes.furino_ddf(base, k, half=args.half), ((k - 1) // 2 if args.half else k - 1)
+    return recipes.furino_ddf(base, k, half=args.half)
 
 
 def _cyclotomic_half(args, recipes):
     ring = _ring(args)
     k = _require_flag(args, "--k")
     sigma = _parse_sigma_choice(args.sigma_choice) if args.sigma_choice else None
-    return recipes.cyclotomic_half_ddf(ring, k, sigma), (k - 1) // 2
+    return recipes.cyclotomic_half_ddf(ring, k, sigma)
 
 
 def _product(args, recipes):
-    family = recipes.product_ddf(
+    return recipes.product_ddf(
         _load_family(_require_flag(args, "--ddf-g")),
         _load_family(_require_flag(args, "--ddf-h")),
         _load_hdm(_require_flag(args, "--dm")),
     )
-    return family, family.uniform_k() - 1
 
 
-def _result1(args, recipes):
-    k = _require_flag(args, "--k")
-    return recipes.result1_ddf(k, _ring(args)), k - 1
+def _one_block(dset, group) -> Family:
+    return Family(group, [dset])
 
 
 def _dds_product(args, recipes):
+    from .fileformat import load_design
+
     source = load_design(_require_flag(args, "--ds"))
     if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
         raise ValueError("--ds must point to a single-block ds design file")
@@ -263,14 +250,17 @@ def _dds_product(args, recipes):
 
 
 # recipe name -> (kind of design it writes, builder).  A builder reads its
-# flags and returns what the recipe certified: (family, lambda) for a ddf,
-# (set, group) for a ds, a DDSConstruction for a dds, a DiffMatrix for an
-# hdm.  Builders are passed the diffam.constructions module, which only
-# construct imports, and look the recipe functions up in it at call time,
-# so a rebinding of those names (a test double, a tracer) is seen.
+# flags and returns what the recipe certified: a Family for a ddf or (its one
+# block) a ds, a DiffMatrix for an hdm, a DDSConstruction for a dds.
+# Builders are passed the diffam.constructions module, which only construct
+# imports, and look the recipe functions up in it at call time, so a
+# rebinding of those names (a test double, a tracer) is seen.
 RECIPES = {
-    "orbit": ("ddf", _orbit),
-    "orbit-split": ("ddf", _orbit_split),
+    "orbit": ("ddf", lambda args, recipes: recipes.orbit_ddf(*_orbit_inputs(args))),
+    "orbit-split": (
+        "ddf",
+        lambda args, recipes: recipes.orbit_ddf_split(*_orbit_inputs(args))[0],
+    ),
     "furino": ("ddf", _furino),
     "cyclotomic-half": ("ddf", _cyclotomic_half),
     "units-hdm": (
@@ -278,12 +268,18 @@ RECIPES = {
         lambda args, recipes: recipes.units_hdm(_ring(args), _require_flag(args, "--k")),
     ),
     "product": ("ddf", _product),
-    "result1": ("ddf", _result1),
-    "trivial-ds": ("ds", lambda args, recipes: recipes.trivial_ds(_require_flag(args, "--k"))),
+    "result1": (
+        "ddf",
+        lambda args, recipes: recipes.result1_ddf(_require_flag(args, "--k"), _ring(args)),
+    ),
+    "trivial-ds": (
+        "ds",
+        lambda args, recipes: _one_block(*recipes.trivial_ds(_require_flag(args, "--k"))),
+    ),
     "singer": (
         "ds",
-        lambda args, recipes: recipes.singer_ds(
-            _require_flag(args, "--q"), _require_flag(args, "--m")
+        lambda args, recipes: _one_block(
+            *recipes.singer_ds(_require_flag(args, "--q"), _require_flag(args, "--m"))
         ),
     ),
     "dds-product": ("dds", _dds_product),
@@ -298,37 +294,33 @@ RECIPES = {
 
 def _design_file(kind: str, built) -> DesignFile:
     """The design file of a recipe's certified output, with the parameters
-    read off that output in the kind's PARAM_KEYS order."""
-    if kind == "ddf":
-        family, lam = built
-        if not family.indices:
+    read off that output."""
+    from .fileformat import DesignFile, IndexLists
+
+    if isinstance(built, Family):
+        if not built.indices:
             # no lambda or K describes an empty family, so none is written
             raise ValueError(
-                f"the construction gives no blocks over {family.group!r}; "
+                f"the construction gives no blocks over {built.group!r}; "
                 "a design file needs at least one block"
             )
-        blocks = IndexLists.of_blocks(family.group, family.indices)
-        return DesignFile(kind, family.group, family_params(family, lam), blocks)
-    keys = PARAM_KEYS[kind]
-    if kind == "hdm":
-        values = (built.group.order, built.k, 1)
+        # a certified family meets sum k(k-1) = lambda(v-1) exactly, and no
+        # recipe puts a block in a group of order 1
+        lam = sum(k * (k - 1) for k in map(len, built.indices)) // (built.v - 1)
+        blocks = IndexLists.of_blocks(built.group, built.indices)
+        return DesignFile(kind, built.group, family_params(built, lam), blocks)
+    if isinstance(built, DiffMatrix):
+        params = {"v": built.group.order, "k": built.k, "lambda": 1}
         rows = IndexLists.of_blocks(built.group, built.indices)
-        return DesignFile(kind, built.group, dict(zip(keys, values)), rows=rows)
-    if kind == "ds":
-        dset, group = built
-        v, k = group.order, len(dset)
-        return DesignFile(kind, group, dict(zip(keys, (v, k, ds_lambda(v, k)))), (dset,))
-    return DesignFile(
-        kind,
-        built.group,
-        dict(zip(keys, built.params)),
-        (built.elements,),
-        subgroup=built.subgroup,
-    )
+        return DesignFile(kind, built.group, params, rows=rows)
+    # a DDSConstruction
+    params = dict(zip(PARAM_KEYS[kind], built.params))
+    return DesignFile(kind, built.group, params, (built.elements,), subgroup=built.subgroup)
 
 
 def cmd_construct(args) -> int:
     from . import constructions  # the one command that builds designs
+    from .fileformat import save_design
 
     kind, build = RECIPES[args.name]
     design = _design_file(kind, build(args, constructions))
@@ -388,6 +380,8 @@ def _verify_family_design(design: DesignFile) -> Report:
 
 
 def _verify_design(design: DesignFile) -> Report:
+    from .fileformat import FAMILY_KINDS, SET_KINDS
+
     kind = design.kind
     if kind in FAMILY_KINDS:
         return _verify_family_design(design)
@@ -415,6 +409,8 @@ def _verify_design(design: DesignFile) -> Report:
 
 
 def cmd_verify(args) -> int:
+    from .fileformat import load_design
+
     design = load_design(args.file)
     if args.expect_kind is not None and design.kind != args.expect_kind:
         print(
@@ -567,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="re-verify a design file from scratch")
     ver.add_argument("file", help="design file path")
-    ver.add_argument("--expect-kind", choices=KINDS)
+    ver.add_argument("--expect-kind", choices=tuple(PARAM_KEYS))
     ver.add_argument(
         "--expect-params",
         help="comma-separated integers that must match the declared parameters",

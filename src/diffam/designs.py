@@ -125,6 +125,20 @@ class DDSParams(namedtuple("DDSParams", "m n k lam1 lam2")):
         return f"({self.m},{self.n},{self.k},{self.lam1},{self.lam2})"
 
 
+# kind -> the integer parameters its file declares, in the order DSParams,
+# DDSParams and `verify --expect-params` take them (a family with blocks of
+# several sizes declares the size list K instead of k)
+PARAM_KEYS = {
+    "df": ("v", "k", "lambda"),
+    "ddf": ("v", "k", "lambda"),
+    "pdf": ("v", "k", "lambda"),
+    "ds": ("v", "k", "lambda"),
+    "dds": ("m", "n", "k", "lambda1", "lambda2"),
+    "dm": ("v", "k", "lambda"),
+    "hdm": ("v", "k", "lambda"),
+}
+
+
 class Family:
     """An ordered list of blocks over a fixed group.
 

@@ -35,20 +35,8 @@ from .algebra import (
     check_cap,
     check_power_cap,
 )
-from .designs import DiffMatrix, Family, IndexedElements, _element_indices, _Record
+from .designs import PARAM_KEYS, DiffMatrix, Family, IndexedElements, _element_indices, _Record
 
-# kind -> the integer parameters its file declares, in the order DSParams,
-# DDSParams and `verify --expect-params` take them (a family with blocks of
-# several sizes declares the size list K instead of k)
-PARAM_KEYS = {
-    "df": ("v", "k", "lambda"),
-    "ddf": ("v", "k", "lambda"),
-    "pdf": ("v", "k", "lambda"),
-    "ds": ("v", "k", "lambda"),
-    "dds": ("m", "n", "k", "lambda1", "lambda2"),
-    "dm": ("v", "k", "lambda"),
-    "hdm": ("v", "k", "lambda"),
-}
 KINDS = tuple(PARAM_KEYS)
 
 FAMILY_KINDS = ("df", "ddf", "pdf")

@@ -583,6 +583,17 @@ def test_unit_action_basics():
         UnitAction(ring, (0,))
 
 
+def test_unit_action_refuses_a_generator_outside_the_ring():
+    # (9,) would act as multiplication by 2 under another name, and (7,)
+    # would index past GF(4)'s log table
+    for factors, generator, message in (
+        ([7], (9,), r"\(9,\) is not an element of GF\(7\)"),
+        ([4], (7,), r"\(7,\) is not an element of GF\(4\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            UnitAction(build_ring(factors), generator)
+
+
 def test_unit_action_order_is_lcm_of_component_orders():
     ring = build_ring([7, 13])
     act = UnitAction(ring, (3, 2))

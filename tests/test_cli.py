@@ -6,6 +6,7 @@ as the library underneath it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -81,7 +82,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert {"diffam.constructions", "diffam.admissibility", "dataclasses"}.isdisjoint(loaded)
     rc, loaded = _loaded_by(["check", "ds", 7, 3, 1], tmp_path)
     assert rc == 0 and "diffam.admissibility" in loaded
-    assert {"diffam.constructions", "dataclasses"}.isdisjoint(loaded)
+    assert {"diffam.constructions", "diffam.fileformat", "json", "dataclasses"}.isdisjoint(
+        loaded
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +421,51 @@ def test_construct_result3star(tmp_path):
     design = load_design(path)
     assert design.kind == "dds"
     assert design.subgroup == ((0, 0), (0, 1))
+
+
+# out file, construct arguments, sha256 of the bytes written; product reads
+# the three files before it, and dds-product the singer file
+RECIPE_DIGESTS = (
+    ("orbit_v.json", ["orbit", "--v", 13, "--mult", 3],
+     "ad0e5637fb45473f67061cc72a9dcef04a6017f4cc8eb2bd3a171b5e8e84b27e"),
+    ("orbit_f.json", ["orbit", "--factors", "7,13", "--k", 3],
+     "37c9aec07fce05618ffac75290b0adb173bc55a5a10ae8906ce2695eb4ee6100"),
+    ("orbit_split.json", ["orbit-split", "--v", 13, "--mult", 3],
+     "fb58183285bd10f9a5da7893ccd0f5cf8408aa019ca3e14492fffda3bb00e237"),
+    ("furino_v.json", ["furino", "--v", 49, "--k", 3],
+     "07377253582c0787a2fc833aab66996c3bd24a6dd3a63a721aaf89aad3dc641b"),
+    ("furino_half.json", ["furino", "--factors", "7,13", "--k", 3, "--half"],
+     "2c2f0ee2c6d2dedfff60a6ed092d82494bf66c3367b969b3c7e1fd6cf3ac2044"),
+    ("cyc.json", ["cyclotomic-half", "--factors", "7,13", "--k", 3],
+     "53e197fb03237a3a35f9140955c0c24dd55fe72f92d4775d78ac614c097044aa"),
+    ("hdm.json", ["units-hdm", "--factors", "4,7", "--k", 3],
+     "d9197b7c2ef8c706335e3c0bcbf356e03a3ddf88ecff70a36746e3d00731351a"),
+    ("tds.json", ["trivial-ds", "--k", 3],
+     "e14bc6ffe767a99ed3569b40b272bf578bdca1bcbf1e07f9e518be99c2fcf9d7"),
+    ("f47.json", ["furino", "--factors", "4,7", "--k", 3],
+     "6b1c00fbe1f67aa9fa38b9c3effe8ff8a0973c23bdbf92078a94b26b64387b46"),
+    ("prod.json", ["product", "--ddf-g", "tds.json", "--ddf-h", "f47.json", "--dm", "hdm.json"],
+     "ae87df1e79c6154efc533ee6f7f49d86fe198c9cb8f3169f1abcd5aab0396a4f"),
+    ("r1.json", ["result1", "--k", 3, "--factors", "4,7"],
+     "ae87df1e79c6154efc533ee6f7f49d86fe198c9cb8f3169f1abcd5aab0396a4f"),
+    ("singer.json", ["singer", "--q", 3, "--m", 3],
+     "9fa1edc64e09af76c4319a17c4863245fc07a6f4d575cdc6fd78d4fdc5974dba"),
+    ("ddsp.json", ["dds-product", "--ds", "singer.json", "--h", 3],
+     "2f4b736c88e104c902c88f7afe8d5d569757cd0f992ac69a144fdedd300f7d85"),
+    ("r3s.json", ["result3star", "--q", 3, "--d", 3, "--e", 2, "--h", 2],
+     "7c0be3d97868104665caefd2ed0f63c65bbe6daa19774ed52b002421a2f862a4"),
+)
+
+
+def test_every_recipe_writes_its_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for _, argv, _ in RECIPE_DIGESTS} == set(cli.RECIPES)
+    for name, argv, digest in RECIPE_DIGESTS:
+        rc, out, err = run(["construct", *argv, "--out", name])
+        assert (rc, err) == (0, ""), argv
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, argv
+        rc, out, err = run(["verify", name])
+        assert rc == 0 and out.startswith("PASS: "), argv
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,23 @@ def test_roundtrip_dm_hdm():
     assert roundtrip(design2) == design2
 
 
+def test_a_design_of_element_tuples_gives_the_family_and_matrix_they_spell():
+    fam = furino_ddf(build_ring([7, 13]), 3)
+    hdm = units_hdm(build_ring([4, 7]), 3)
+    ddf = DesignFile("ddf", fam.group, {"v": 91, "k": 3, "lambda": 2}, blocks=fam.blocks)
+    mat = DesignFile("hdm", hdm.group, {"v": 28, "k": 3, "lambda": 1}, rows=hdm.rows)
+    assert isinstance(ddf.blocks, tuple) and isinstance(mat.rows, tuple)  # not IndexLists
+    assert ddf.family() == fam and roundtrip(ddf).family() == fam
+    assert mat.matrix() == hdm and roundtrip(mat).matrix() == hdm
+    group = cyclic_group(7)
+    bad = DesignFile("ddf", group, {}, blocks=(((1,), (9,), (2,)),))
+    with pytest.raises(ValueError, match=r"^\(9,\) is not an element of Z7$"):
+        bad.family()
+    bad = DesignFile("hdm", group, {}, rows=(((0,), (1,)), ((0,), (-1,))))
+    with pytest.raises(ValueError, match=r"^\(-1,\) is not an element of Z7$"):
+        bad.matrix()
+
+
 def test_design_payload_validated_at_serialization():
     # the writer and the JSON oracle refuse the same payloads, in the same words
     dset, group = trivial_ds(3)
