@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from math import prod
 
 from .algebra import (
-    ExhaustiveCapError,
     FieldDescriptor,
     GroupDescriptor,
     ScalarAction,
@@ -73,11 +73,8 @@ def format_element(group: GroupDescriptor, x) -> str:
 
 def _compact_sizes(sizes) -> str:
     """Render a size multiset as e.g. '3^288,1^865'."""
-    runs: list[str] = []
-    for size in sorted(set(sizes), reverse=True):
-        count = sizes.count(size) if isinstance(sizes, list) else list(sizes).count(size)
-        runs.append(f"{size}^{count}" if count > 1 else str(size))
-    return ",".join(runs)
+    runs = ((size, len(list(run))) for size, run in groupby(sorted(sizes, reverse=True)))
+    return ",".join(f"{size}^{n}" if n > 1 else str(size) for size, n in runs)
 
 
 def _format_params(params: dict) -> str:
@@ -617,9 +614,6 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ExhaustiveCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -79,6 +79,15 @@ def _require(report, what: str) -> None:
         raise ConstructionError(f"{what} failed verification: {report.message}")
 
 
+def _certified(family: Family, lam: int, what: str) -> Family:
+    """The family, once one exact count at lam and a disjointness check
+    certify it as a disjoint difference family."""
+    _require(verify_df(family, lam), what)
+    if classify_family(family) == "plain":
+        raise ConstructionError(f"{what} has overlapping blocks")
+    return family
+
+
 # ---------------------------------------------------------------------------
 # orbit families
 # ---------------------------------------------------------------------------
@@ -112,15 +121,16 @@ def orbit_ddf(group: GroupDescriptor, action) -> Family:
     """The orbits of a semiregular order-k automorphism group on the nonzero
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
     blocks = _semiregular_orbits(group, action)
-    family = Family.of_indices(group, blocks)
-    k = family.uniform_k()
-    if blocks and k is None:
-        raise ConstructionError("orbit sizes are not uniform")  # unreachable
-    if blocks:
-        _require(verify_df(family, k - 1), "orbit difference family")
-        if classify_family(family) == "plain":
-            raise ConstructionError("orbits overlap")  # unreachable
-    return family
+    k = len(blocks[0]) if blocks else 1
+    return _certified(Family.of_indices(group, blocks), k - 1, "orbit difference family")
+
+
+def _first_half(orbits: list[tuple[int, ...]], neg: list[int]) -> list[tuple[int, ...]]:
+    """The orbits B with min B < min(-B), in walk order.  The walk meets
+    orbits in order of their least member, so these are the orbits met
+    before their negations; an orbit fixed by negation is in neither half
+    and fails the count."""
+    return [b for b in orbits if b[0] < min(map(neg.__getitem__, b))]
 
 
 def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
@@ -129,39 +139,23 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
 
     Requires v*k odd; then no orbit equals its own negation, and the orbits
     fall into pairs {B, -B} whose halves each cover every nonzero element
-    (k-1)/2 times.
+    (k-1)/2 times.  The first half holds each B with min B < min(-B), the
+    second the negations -B in the same order.
     """
-    all_orbits = _semiregular_orbits(group, action)
+    orbits = _semiregular_orbits(group, action)
     v = group.order
-    k = len(all_orbits[0]) if all_orbits else 1
+    k = len(orbits[0]) if orbits else 1
     if (v * k) % 2 == 0:
         raise ConstructionError(
             f"v*k = {v}*{k} is even; the negation split needs v*k odd"
         )
     neg = ScalarAction(group, -1).index_map()
-    chosen: list[tuple[int, ...]] = []
-    mirrored: list[tuple[int, ...]] = []
-    taken: set[tuple[int, ...]] = set()
-    for orbit in all_orbits:
-        if orbit in taken:
-            continue
-        negated = tuple(sorted(map(neg.__getitem__, orbit)))
-        if negated == orbit:
-            raise ConstructionError(
-                f"orbit {tuple(group.elements_at(orbit))} is fixed by negation"
-            )  # unreachable when v*k is odd
-        chosen.append(orbit)
-        mirrored.append(negated)
-        taken.add(orbit)
-        taken.add(negated)
-    first = Family.of_indices(group, chosen)
-    second = Family.of_indices(group, mirrored)
-    half = (k - 1) // 2
-    for fam in (first, second):
-        _require(verify_df(fam, half), "half-index orbit family")
-    if taken != set(all_orbits):
-        raise ConstructionError("split lost an orbit")  # unreachable
-    return first, second
+    first = _first_half(orbits, neg)
+    second = [tuple(sorted(map(neg.__getitem__, b))) for b in first]
+    return tuple(
+        _certified(Family.of_indices(group, half), (k - 1) // 2, "half-index orbit family")
+        for half in (first, second)
+    )
 
 
 def _least_semiregular_unit(v: int, k: int) -> int:
@@ -186,8 +180,8 @@ def furino_ddf(base, k: int, half: bool = False) -> Family:
     congruent to 1 mod k — giving orbits of the least semiregular unit of
     order k on Z_v, or a product ring whose field orders q_i are all
     congruent to 1 mod k, giving orbits of the canonical order-k unit
-    subgroup.  With ``half=True`` (requires v*k odd) the negation split is
-    applied and the first half, a (v, k, (k-1)/2) family, is returned.
+    subgroup.  With ``half=True`` (requires v*k odd) only the first half of
+    the negation split, a (v, k, (k-1)/2) family, is built and counted.
     """
     if k < 1:
         raise ConstructionError(f"block size must be positive, got {k}")
@@ -220,7 +214,9 @@ def furino_ddf(base, k: int, half: bool = False) -> Family:
             raise ConstructionError(
                 f"v*k = {group.order}*{k} is even; no half-index variant"
             )
-        return orbit_ddf_split(group, action)[0]
+        orbits = _semiregular_orbits(group, action)
+        first = _first_half(orbits, ScalarAction(group, -1).index_map())
+        return _certified(Family.of_indices(group, first), (k - 1) // 2, "half-index orbit family")
     return orbit_ddf(group, action)
 
 
@@ -297,10 +293,7 @@ def cyclotomic_half_ddf(
     columns = [list(map(row.__getitem__, starts)) for row in _unit_table(ring, k)]
     flat = list(itertools.chain.from_iterable(zip(*columns)))
     family = Family.of_flat(ring.additive_group(), flat, [k] * len(starts))
-    _require(verify_df(family, (k - 1) // 2), "half-index family")
-    if classify_family(family) == "plain":
-        raise ConstructionError("transversal multiples overlap")  # unreachable
-    return family
+    return _certified(family, (k - 1) // 2, "half-index family")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +313,14 @@ def trivial_ds(k: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
 
 
 def _unit_table(ring: RingDescriptor, k: int) -> list[list[int]]:
-    """One row per member a of the canonical order-k unit subgroup, in
-    power order: the index map of multiplication by a, so row a read at
-    the canonical index of x is the canonical index of a * x."""
-    members = unit_subgroup_of_order(ring, k).elements()
-    return [UnitAction(ring, a).index_map() for a in members]
+    """One row per member u^j of the canonical order-k unit subgroup, in
+    power order: row j read at the canonical index of x is the canonical
+    index of u^j * x, so row j + 1 is the index map of u read at row j."""
+    step = unit_subgroup_of_order(ring, k).index_map()
+    rows = [list(range(ring.order))]
+    for _ in range(k - 1):
+        rows.append(list(map(step.__getitem__, rows[-1])))
+    return rows
 
 
 def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
@@ -392,10 +388,7 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
         for j in range(hdm_h.columns)
     ]
     blocks += [tuple(g0_index * v_h + y for y in block_b) for block_b in family_h.indices]
-    family = Family.of_indices(big, blocks)
-    _require(verify_df(family, k - 1), "product family")
-    if classify_family(family) == "plain":
-        raise ConstructionError("product blocks overlap")  # unreachable
+    family = _certified(Family.of_indices(big, blocks), k - 1, "product family")
     leftover = _one_uncovered(family, "product family")
     if leftover != g0 + h0:
         raise ConstructionError("product family misses an unexpected element")

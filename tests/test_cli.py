@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 from diffam import admissibility, algebra, cli, constructions, designs, fileformat
-from diffam.algebra import abelian_iso, build_ring, cyclic_group
+from diffam.algebra import abelian_iso, build_ring, cyclic_group, product_group
 from diffam.cli import main
-from diffam.constructions import dds_from_ds, singer_ds, units_hdm
-from diffam.designs import hdm_to_dm, verify_df
+from diffam.constructions import dds_from_ds, furino_ddf, singer_ds, units_hdm
+from diffam.designs import extend_to_pdf, family_params, hdm_to_dm, verify_df
 from diffam.fileformat import DesignFile, load_design, save_design
 
 
@@ -43,7 +43,7 @@ def test_the_cli_imports_only_the_standard_library():
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],
         env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -63,7 +63,7 @@ def _loaded_by(argv, cwd) -> tuple[int, set]:
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code, *map(str, argv)],
+        [sys.executable, "-B", "-c", code, *map(str, argv)],
         env={"PYTHONPATH": src},
         cwd=cwd,
         capture_output=True,
@@ -706,6 +706,118 @@ def test_verify_matrix_files_check_the_declared_lambda(tmp_path):
     save_design(path, DesignFile(kind="dm", group=dm.group, params=params, rows=dm.rows))
     rc, out, err = run(["verify", path])
     assert (rc, out, err) == (2, "", "error: design file params are missing 'lambda'\n")
+
+
+def _verify_written(path, design):
+    save_design(path, design)
+    return run(["verify", path])
+
+
+def test_verify_family_files_check_the_declared_v_k_and_K(tmp_path):
+    path = tmp_path / "f.json"
+    pdf = extend_to_pdf(furino_ddf(13, 3))
+    design = DesignFile("pdf", pdf.group, family_params(pdf, 2), pdf.blocks)
+    assert _verify_written(path, design) == (
+        0, "PASS: pdf over Z13 [K=3^4,1 lambda=2 v=13]\n", ""
+    )
+
+    params = {"v": 13, "K": [3, 3, 3, 1, 1, 1, 1, 1], "lambda": 2}
+    assert _verify_written(path, DesignFile("pdf", pdf.group, params, pdf.blocks)) == (
+        1,
+        "FAIL: pdf over Z13 [K=3^3,1^5 lambda=2 v=13]\n"
+        "  declared K does not match the blocks\n",
+        "",
+    )
+
+    params = {**family_params(pdf, 2), "v": 14}
+    assert _verify_written(path, DesignFile("pdf", pdf.group, params, pdf.blocks)) == (
+        1,
+        "FAIL: pdf over Z13 [K=3^4,1 lambda=2 v=14]\n"
+        "  declared v=14 but the group has order 13\n",
+        "",
+    )
+
+    ddf = furino_ddf(13, 3)
+    params = {"v": 13, "k": 4, "lambda": 2}
+    assert _verify_written(path, DesignFile("ddf", ddf.group, params, ddf.blocks)) == (
+        1,
+        "FAIL: ddf over Z13 [k=4 lambda=2 v=13]\n"
+        "  declared k does not match the blocks\n",
+        "",
+    )
+
+
+def test_verify_names_field_coordinates_in_the_deviation_map(tmp_path):
+    group = product_group(build_ring([4]).additive_group(), cyclic_group(3))
+    params = {"v": 12, "k": 3, "lambda": 1}
+    design = DesignFile("df", group, params, (((0, 0), (1, 1), (2, 2)),))
+    assert _verify_written(tmp_path / "df.json", design) == (
+        1,
+        "FAIL: df over GF(4) x Z3 [k=3 lambda=1 v=12]\n"
+        "  5 of 11 nonzero elements deviate from lambda=1\n"
+        "  element ([0,0],1): count 0\n"
+        "  element ([0,0],2): count 0\n"
+        "  element ([0,1],0): count 0\n"
+        "  element ([1,0],0): count 0\n"
+        "  element ([1,1],0): count 0\n",
+        "",
+    )
+
+
+def test_verify_refuses_a_ds_file_with_two_blocks(tmp_path):
+    block = ((1,), (2,), (4,))
+    params = {"v": 7, "k": 3, "lambda": 1}
+    design = DesignFile("ds", cyclic_group(7), params, (block, block))
+    assert _verify_written(tmp_path / "ds.json", design) == (
+        1,
+        "FAIL: ds over Z7 [k=3 lambda=1 v=7]\n  a ds design must have exactly one block\n",
+        "",
+    )
+
+
+def test_verify_lists_the_row_pairs_of_a_spoiled_dm(tmp_path):
+    dm = hdm_to_dm(units_hdm(build_ring([7]), 3))
+    rows = [list(row) for row in dm.rows]
+    rows[1][1], rows[1][2] = rows[1][2], rows[1][1]
+    params = {"v": 7, "k": 4, "lambda": 1}
+    design = DesignFile("dm", dm.group, params, rows=rows)
+    assert _verify_written(tmp_path / "dm.json", design) == (
+        1,
+        "FAIL: dm over GF(7) [k=4 lambda=1 v=7]\n"
+        "  8 (row pair, element) difference counts != 1\n"
+        "  rows (1,2), element 0: count 2\n"
+        "  rows (1,2), element 4: count 2\n"
+        "  rows (1,2), element 5: count 0\n"
+        "  rows (1,2), element 6: count 0\n"
+        "  rows (1,3), element 0: count 2\n"
+        "  rows (1,3), element 1: count 0\n"
+        "  rows (1,3), element 4: count 0\n"
+        "  rows (1,3), element 5: count 2\n",
+        "",
+    )
+
+
+def test_verify_checks_the_declared_k_of_a_dds(tmp_path):
+    built = dds_from_ds(*singer_ds(2, 3), 2)
+    params = {"m": 7, "n": 2, "k": 5, "lambda1": 6, "lambda2": 2}
+    design = DesignFile("dds", built.group, params, (built.elements,), subgroup=built.subgroup)
+    assert _verify_written(tmp_path / "dds.json", design) == (
+        1,
+        "FAIL: dds over Z7 x Z2 [k=6 lambda1=6 lambda2=2 m=7 n=2]\n  declared k=5, found 6\n",
+        "",
+    )
+
+
+def test_bad_option_values_and_a_wrong_matrix_file_are_usage_errors(tmp_path):
+    path = tmp_path / "f13.json"
+    run(["construct", "furino", "--v", 13, "--k", 3, "--out", path])
+    assert run(["verify", path, "--expect-params", "1,x"]) == (
+        2, "", "error: bad --expect-params value '1,x'\n"
+    )
+    argv = ["construct", "product", "--ddf-g", path, "--ddf-h", path, "--dm", path]
+    assert run([*argv, "--out", tmp_path / "out.json"]) == (
+        2, "", f"error: {path}: expected a difference-matrix design, found 'ddf'\n"
+    )
 
 
 def test_verify_missing_and_malformed_files(tmp_path):

@@ -258,6 +258,37 @@ def test_furino_half_needs_odd_vk():
         furino_ddf(build_ring([4]), 3, half=True)
 
 
+def test_each_returned_family_is_counted_once(monkeypatch):
+    """One exact count certifies each family a recipe returns: the half
+    furino builds and counts only the half it returns, and an even v*k is
+    refused before the orbit walk."""
+    calls = []
+
+    def counted(family, lam):
+        calls.append(lam)
+        return verify_df(family, lam)
+
+    monkeypatch.setattr(constructions, "verify_df", counted)
+    g = cyclic_group(13)
+    for build, lams in [
+        (lambda: furino_ddf(91, 3, half=True), [1]),
+        (lambda: furino_ddf(build_ring([7, 13]), 3, half=True), [1]),
+        (lambda: orbit_ddf(g, ScalarAction(g, 3)), [2]),
+        (lambda: orbit_ddf_split(g, ScalarAction(g, 3)), [1, 1]),
+        (lambda: cyclotomic_half_ddf(build_ring([7, 13, 19]), 3), [1]),
+    ]:
+        calls.clear()
+        build()
+        assert calls == lams
+
+    def no_walk(*args):
+        raise AssertionError("the orbit walk ran")
+
+    monkeypatch.setattr(constructions, "_semiregular_orbits", no_walk)
+    with pytest.raises(ConstructionError, match=r"^v\*k = 13\*4 is even; no half-index variant$"):
+        furino_ddf(13, 4, half=True)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic half-class family
 # ---------------------------------------------------------------------------
