@@ -583,12 +583,13 @@ class GroupDescriptor:
         the coordinates read in the mixed radix of the factor sizes."""
         return self.column_indices([map(itemgetter(i), xs) for i in range(len(self.factors))])
 
-    def column_indices(self, columns: Sequence[Iterable[int]]) -> list[int]:
+    def column_indices(self, columns: Sequence[Iterable[int]], radices: Sequence[int] = ()) -> list[int]:
         """The canonical indices of elements given as coordinate columns, one
-        per factor (the inverse of ``coordinates``), built through one chain
-        of iterators; a lone column that is a list is returned as it is."""
+        per factor (the inverse of ``coordinates``), or as digit columns when
+        ``radices`` are ``digit_radices()``, built through one chain of
+        iterators; a lone column that is a list is returned as it is."""
         total = columns[0]
-        for size, coords in zip(self.factor_sizes[1:], columns[1:]):
+        for size, coords in zip((radices or self.factor_sizes)[1:], columns[1:]):
             total = map(add, map(mul, total, itertools.repeat(size)), coords)
         return total if isinstance(total, list) else list(total)
 

@@ -41,6 +41,7 @@ from .designs import (
     Family,
     Report,
     classify_family,
+    counting_lambda,
     dm_to_hdm,
     family_params,
     normalize_dm,
@@ -301,9 +302,7 @@ def _design_file(kind: str, built) -> DesignFile:
                 f"the construction gives no blocks over {built.group!r}; "
                 "a design file needs at least one block"
             )
-        # a certified family meets sum k(k-1) = lambda(v-1) exactly, and no
-        # recipe puts a block in a group of order 1
-        lam = sum(k * (k - 1) for k in map(len, built.indices)) // (built.v - 1)
+        lam = counting_lambda(built.v, map(len, built.indices))
         blocks = IndexLists.of_blocks(built.group, built.indices)
         return DesignFile(kind, built.group, family_params(built, lam), blocks)
     if isinstance(built, DiffMatrix):

@@ -37,6 +37,7 @@ __all__ = [
     "DiffMultiset",
     "Report",
     "DiffMatrix",
+    "counting_lambda",
     "ds_lambda",
     "delta_multiset",
     "family_params",
@@ -102,11 +103,16 @@ class DSParams(namedtuple("DSParams", "v k lam")):
         return f"({self.v},{self.k},{self.lam})"
 
 
-def ds_lambda(v: int, k: int) -> int | None:
-    """The lambda that lambda*(v-1) = k*(k-1) forces on a k-subset of a group
-    of order v, or None when it is not an integer."""
-    lam, rest = divmod(k * (k - 1), v - 1) if v > 1 else (0, 0)
+def counting_lambda(v: int, sizes: Iterable[int]) -> int | None:
+    """The lambda that sum k(k-1) = lambda*(v-1) forces on blocks of these
+    sizes in a group of order v (0 if v <= 1), or None if not an integer."""
+    lam, rest = divmod(sum(k * (k - 1) for k in sizes), v - 1) if v > 1 else (0, 0)
     return None if rest else lam
+
+
+def ds_lambda(v: int, k: int) -> int | None:
+    """The one-block case of counting_lambda: lambda*(v-1) = k*(k-1)."""
+    return counting_lambda(v, (k,))
 
 
 class DDSParams(namedtuple("DDSParams", "m n k lam1 lam2")):

@@ -24,8 +24,10 @@ newline — so identical designs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from itertools import chain, groupby, islice, repeat
+from json.decoder import WHITESPACE, JSONObject
 from operator import eq, itemgetter
 
 from .algebra import (
@@ -253,7 +255,8 @@ def design_to_obj(design: DesignFile) -> dict:
     return obj
 
 
-def design_from_obj(obj) -> DesignFile:
+def _header_from_obj(obj) -> tuple[str, GroupDescriptor, dict]:
+    """The kind, group and parameters of a design object, its keys checked."""
     if not isinstance(obj, dict):
         raise ValueError("design file must contain a JSON object")
     kind = obj.get("kind")
@@ -268,7 +271,11 @@ def design_from_obj(obj) -> DesignFile:
     params = obj.get("params")
     if not isinstance(params, dict):
         raise ValueError("design file needs a 'params' object")
-    params = _params_to_obj(params)
+    return kind, group, _params_to_obj(params)
+
+
+def design_from_obj(obj) -> DesignFile:
+    kind, group, params = _header_from_obj(obj)
     blocks = rows = subgroup = None
     if kind in MATRIX_KINDS:
         raw = obj.get("rows")
@@ -290,68 +297,20 @@ def design_from_obj(obj) -> DesignFile:
     return DesignFile(kind, group, params, blocks, rows, subgroup)
 
 
-_JSON_INT = frozenset((int,))  # json.loads gives bool, not int, for true/false
-
-
-def _columns_from_obj(group: GroupDescriptor, raw: list) -> list[int] | None:
-    """The canonical index of every element object in raw, decoded one
-    coordinate column at a time, accepting exactly what element_from_obj
-    accepts: list and length checks, JSON-int type checks, then min/max
-    against the radix.  Field coefficient lists map through one dict of
-    the lists present.  None when any check fails; the caller then decodes
-    element by element, so the error names the first offender."""
-    width = len(group.factors)
-    if not all(map(isinstance, raw, repeat(list))) or any(
-        map(width.__ne__, map(len, raw))
-    ):
-        return None
-    columns = []
-    for i, fac in enumerate(group.factors):
-        col = list(map(itemgetter(i), raw))
-        if isinstance(fac, FieldDescriptor):
-            if not all(map(isinstance, col, repeat(list))) or any(
-                map(fac.n.__ne__, map(len, col))
-            ):
-                return None
-            col = list(map(tuple, col))
-            digits, radix = list(chain.from_iterable(col)), fac.p
-        else:
-            digits, radix = col, fac
-        if digits and (
-            not _JSON_INT.issuperset(map(type, digits))
-            or min(digits) < 0
-            or max(digits) >= radix
-        ):
-            return None
-        if isinstance(fac, FieldDescriptor):
-            table = {key: fac.element(key) for key in set(col)}
-            col = list(map(table.__getitem__, col))  # the tuples go now, not at the end
-        columns.append(col)
-    return group.column_indices(columns)
-
-
 def _payload_from_obj(group: GroupDescriptor, raw: list, what: str) -> IndexLists:
-    """Blocks or matrix rows: the canonical index of every element, decoded
-    in one column pass, and the length of each list of the file."""
-    if all(map(isinstance, raw, repeat(list))):
-        flat = _columns_from_obj(group, list(chain.from_iterable(raw)))
-        if flat is not None:
-            return IndexLists(group, flat, list(map(len, raw)))
-    lists = [[element_from_obj(group, x) for x in _expect_list(item, what)] for item in raw]
-    flat = group.indices(list(chain.from_iterable(lists)))
-    return IndexLists(group, flat, list(map(len, lists)))
+    """Blocks or matrix rows, decoded element by element: an error names the first offender."""
+    lists = []
+    for item in raw:
+        if not isinstance(item, list):
+            raise ValueError(f"each {what} must be a list, got {item!r}")
+        lists.append(group.indices([element_from_obj(group, x) for x in item]))
+    return IndexLists.of_blocks(group, lists)
 
 
 def _runs(lengths) -> list[tuple[int, int]]:
     """(length, count) for each run of equal consecutive list lengths: the
     codec reads and writes a run of equal-length lists with one template."""
     return [(k, len(list(run))) for k, run in groupby(lengths)]
-
-
-def _expect_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"each {what} must be a list, got {value!r}")
-    return value
 
 
 def _list_template(item: str, count: int, depth: int) -> str:
@@ -461,7 +420,84 @@ def _parse(text: str):
         raise ValueError("design file is nested too deeply to parse") from exc
 
 
+_SPACE = b" \t\n\r"  # JSON whitespace
+# a payload byte's shape: "d" for a digit or minus, "?" (in no shape) for all but "[],"
+_SHAPE = bytes(c if c in b"[]," else 100 if c in b"0123456789-" else 63 for c in range(256))
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+# characters read at a time: a chunk's buffers stay below glibc's mmap threshold
+_CHUNK = 1 << 16
+_DECODER = json.JSONDecoder()
+# what follows a top-level value: the next key and its colon, or the last brace
+_MEMBER = re.compile(r'(?:,[ \t\n\r]*"(?:[^"\\]|\\.)*"[ \t\n\r]*:|\}[ \t\n\r]*\Z)')
+
+
+def _walk(text: str) -> dict | None:
+    """The top-level object of a text, read by json's object parser with each
+    list that holds no string or object kept as its span (start, end), up to
+    the comma or brace before the next member.  A span replaced by a
+    repeated key must be JSON."""
+
+    def value(text: str, i: int):
+        quote = text.find('"', i) % (len(text) + 1)  # the text's end if there is none
+        end = max(text.rfind(",", i, quote), text.rfind("}", i, quote))
+        if text.startswith("[", i) and end >= 0 and _MEMBER.match(text, end):
+            return (i, end), end  # a quote or brace inside the list opens no member
+        return _DECODER.scan_once(text, i)
+
+    brace = WHITESPACE.match(text).end()  # str.index refuses any other first token
+    pairs, end = JSONObject((text, text.index("{", brace, brace + 1) + 1), True, value, None, list)
+    obj = dict(pairs)
+    replaced = [span for key, span in pairs if isinstance(span, tuple) and obj[key] is not span]
+    valid = all(WHITESPACE.match(text, _DECODER.raw_decode(text, i)[1]).end() == j for i, j in replaced)
+    return obj if valid and WHITESPACE.match(text, end).end() == len(text) else None
+
+
+def _scanned_lists(group: GroupDescriptor, text: str, start: int, end: int, one: bool):
+    """The lists of elements (one list if `one`) in text[start:end], or None
+    unless they are JSON in the writer's shape, whitespace aside, with each
+    int in range.  Each chunk of about _CHUNK characters, ending after a
+    comma, gives its shape (its brackets and commas, and "x" for each int)
+    and its ints, read by json.loads with the brackets blanked."""
+    shapes, nums = [], []
+    while start < end:
+        stop = text.find(",", start + _CHUNK, end) + 1 or end
+        chunk = text[start:stop].encode("ascii")
+        shape = chunk.translate(_SHAPE, _SPACE)
+        shapes.append(shape.replace(b"d]", b"x]").replace(b"d,", b"x,").translate(None, b"d"))
+        body = chunk.translate(_UNBRACKET)
+        if b"[]" in shape:  # regroup the commas around an empty list
+            body = b",".join(body.replace(b",", b" ").split())
+        nums += json.loads(b"[" + body.removesuffix(b",") + b"]")
+        start = stop
+    # an element's shape: the writer's text of a list holding the zero element
+    zero = _lists_texts(group, IndexLists(group, [0], [1]), 0)[0].encode().translate(_SHAPE, _SPACE)
+    items = (b"[" * one + b"".join(shapes) + b"]" * one).replace(zero[1:-1].replace(b"d", b"x"), b"e")
+    sizes = [] if items == b"[]" else list(map(len, items.translate(None, b",")[2:-2].split(b"][")))
+    texts = {k: b"[" + b",".join([b"e"] * k) + b"]" for k in set(sizes)}
+    radices = group.digit_radices()
+    if items != b"[%b]" % b",".join(map(texts.__getitem__, sizes)) or len(nums) != len(radices) * sum(sizes):
+        return None
+    columns = [nums[j :: len(radices)] for j in range(len(radices))] if len(radices) > 1 else [nums]
+    if nums and any(min(col) < 0 or max(col) >= r for col, r in zip(columns, radices)):
+        return None
+    lists = IndexLists(group, group.column_indices(columns, radices), sizes)
+    return lists[0] if one else lists
+
+
 def loads_design(text: str) -> DesignFile:
+    """The design of a file text, its payload scanned straight into indices.
+    A text the scan refuses goes through json.loads and design_from_obj,
+    whose error names the first offender."""
+    try:
+        obj = _walk(text) if isinstance(text, str) else None
+        kind, group, params = _header_from_obj(obj)
+        names = ["rows" if kind in MATRIX_KINDS else "blocks"] + ["subgroup"] * (kind == "dds")
+        if ("subgroup" not in obj or kind == "dds") and all(isinstance(obj.get(n), tuple) for n in names):
+            lists = {n: _scanned_lists(group, text, *obj[n], n == "subgroup") for n in names}
+            if None not in lists.values() and all(lists.get(n, 1) for n in ("rows", "subgroup")):
+                return DesignFile(kind, group, params, **lists)
+    except (ValueError, RecursionError):
+        pass  # the scan refuses the text; the tree path decides
     return design_from_obj(_parse(text))
 
 
@@ -476,5 +512,4 @@ def save_design(path, design: DesignFile) -> None:
 
 def load_design(path) -> DesignFile:
     with open(path, "r", encoding="utf-8") as handle:
-        obj = _parse(handle.read())  # the text is freed before the decode
-    return design_from_obj(obj)
+        return loads_design(handle.read())

@@ -468,6 +468,30 @@ def test_every_recipe_writes_its_pinned_bytes(tmp_path, monkeypatch):
         assert rc == 0 and out.startswith("PASS: "), argv
 
 
+def test_no_recipe_output_is_read_through_the_json_tree(tmp_path, monkeypatch):
+    """Every recipe's file, and the files product and dds-product read,
+    load by the payload scan alone, to the design the tree decodes."""
+    monkeypatch.chdir(tmp_path)
+    design_from_obj = fileformat.design_from_obj
+
+    def tree(*args):
+        raise AssertionError("a valid file reached the JSON tree")
+
+    monkeypatch.setattr(fileformat, "design_from_obj", tree)
+    monkeypatch.setattr(fileformat, "_parse", tree)
+    for name, argv, _ in RECIPE_DIGESTS:
+        assert run(["construct", *argv, "--out", name])[:3:2] == (0, ""), argv
+        oracle = design_from_obj(json.loads((tmp_path / name).read_text()))
+        design = load_design(name)
+        assert design == oracle, argv
+        if design.rows is None:
+            assert design.family().indices == oracle.family().indices, argv
+        else:
+            assert design.matrix() == oracle.matrix(), argv
+        rc, out, err = run(["verify", name])
+        assert rc == 0 and out.startswith("PASS: "), argv
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

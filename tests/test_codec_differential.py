@@ -2,7 +2,8 @@
 
 The design-file writer is checked byte for byte against
 ``json.dumps(design_to_obj(d), sort_keys=True, indent=2) + "\\n"``, the
-reader against its own element-by-element decode, the family and the
+reader's payload scan against ``design_from_obj(json.loads(text))``, which
+decodes the JSON tree element by element, the family and the
 matrix of a read file against ``Family`` and ``DiffMatrix`` of the decoded
 blocks and rows, and the shared column element check against
 ``GroupDescriptor.contains``, on every group shape and design kind, valid
@@ -29,6 +30,7 @@ from diffam.fileformat import (
     design_to_obj,
     dumps_design,
     element_from_obj,
+    loads_design,
 )
 
 # cyclic orders (Z_1 included), GF(p) as a field factor, GF(2^n) and GF(p^n)
@@ -179,9 +181,8 @@ def test_reader_matches_the_per_element_decode(design, data):
     obj = copy.deepcopy(obj[1])
     if data.draw(st.booleans()):
         _spoil_obj(obj, data)
-    fast = _outcome(design_from_obj, obj)
-    with mock.patch.object(fileformat, "_columns_from_obj", lambda group, raw: None):
-        slow = _outcome(design_from_obj, obj)
+    fast = _outcome(loads_design, json.dumps(obj))
+    slow = _outcome(design_from_obj, obj)
     assert fast == slow
     if fast[0] == "ok" and "blocks" in obj:
         assert _family_outcomes(fast[1], slow[1]) == [_family_oracle(obj)] * 2
@@ -221,9 +222,8 @@ def test_family_of_a_read_file_matches_the_family_oracle(blocks, message):
         "params": {"v": 7, "k": 3, "lambda": 1},
         "blocks": [[[x] for x in block] for block in blocks],
     }
-    fast = design_from_obj(obj)
-    with mock.patch.object(fileformat, "_columns_from_obj", lambda group, raw: None):
-        slow = design_from_obj(obj)
+    fast = loads_design(json.dumps(obj))
+    slow = design_from_obj(obj)
     oracle = _family_oracle(obj)
     assert _family_outcomes(fast, slow) == [oracle] * 2
     assert oracle[0] == ("ValueError" if message else "ok")
@@ -239,9 +239,8 @@ def test_a_spoiled_coordinate_is_refused_before_the_family(spoiled):
         "params": {"v": 7, "k": 3, "lambda": 1},
         "blocks": [[[1], [2], [4]], [[3], spoiled, [6]]],
     }
-    fast = _outcome(design_from_obj, obj)
-    with mock.patch.object(fileformat, "_columns_from_obj", lambda group, raw: None):
-        slow = _outcome(design_from_obj, obj)
+    fast = _outcome(loads_design, json.dumps(obj))
+    slow = _outcome(design_from_obj, obj)
     assert fast == slow
     assert fast[0] == "ValueError"
     assert fast == _family_oracle(obj)
@@ -392,3 +391,127 @@ def test_dumps_design_refuses_a_bool_coordinate(bad):
     design = DesignFile("ds", group, {"v": 7}, (((1,), (bad,)),))
     with pytest.raises(ValueError, match="bool"):
         dumps_design(design)
+
+
+SPACE = " \t\n\r"
+# earlier values of a repeated key: any JSON, strings holding brackets,
+# braces and quotes, lists of strings and objects
+JUNK = [[], [[[0]]], [[[1.5]]], [["x"]], [1, "}"], "}", {"a": "]"}, None, [[['"}']]], {"blocks": []}]
+
+
+def _layout(pairs, rnd):
+    """The JSON object of the (key, value) pairs, in their order, with a
+    random run of JSON whitespace between every two tokens."""
+
+    def ws():
+        return "".join(rnd.choices(SPACE, k=rnd.choice((0, 0, 1, 2, 5))))
+
+    def members(items):
+        return "{" + (",".join(ws() + json.dumps(k) + ws() + ":" + value(x) for k, x in items) or ws()) + "}"
+
+    def value(x):
+        if isinstance(x, dict):
+            text = members(x.items())
+        elif isinstance(x, list):
+            text = "[" + (",".join(value(y) for y in x) or ws()) + "]"
+        else:
+            text = json.dumps(x, ensure_ascii=False)
+        return ws() + text + ws()
+
+    return value(dict.fromkeys(range(0))) if not pairs else ws() + members(pairs) + ws()
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs(), st.data())
+def test_the_scan_reads_any_layout_of_a_file_as_the_tree_does(design, data):
+    """Any whitespace, key order and repeated key: a file the tree reads is
+    read by the scan alone, to the same design, family and matrix; any
+    other file gives the tree's error."""
+    obj = _outcome(design_to_obj, design)
+    if obj[0] != "ok":
+        return
+    pairs = data.draw(st.permutations(list(obj[1].items())))
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        junk = data.draw(st.sampled_from(JUNK + [pairs[j][1]]))
+        pairs.insert(data.draw(st.integers(0, j)), (pairs[j][0], junk))
+    text = _layout(pairs, data.draw(st.randoms(use_true_random=False)))
+    oracle = _outcome(design_from_obj, json.loads(text))
+    # chunks of a few characters put a chunk end after every kind of comma
+    with mock.patch.object(fileformat, "_CHUNK", data.draw(st.sampled_from([1, 7, 1 << 16]))):
+        if oracle[0] == "ok":
+            with mock.patch.object(fileformat, "_parse", side_effect=AssertionError("tree")):
+                design = loads_design(text)
+            assert design == oracle[1]
+            made = [_outcome(d.family if d.rows is None else d.matrix) for d in (design, oracle[1])]
+            assert made[0] == made[1]
+        else:
+            assert _outcome(loads_design, text) == oracle
+
+
+BASE = (
+    '{"blocks": [[[1], [2], [%s]]], "group": {"factors": [{"cyclic": 7}]},'
+    ' "kind": "df", "params": {"k": 3, "lambda": 1, "v": 7}}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (BASE % "-0", "ok"),
+        (BASE % "6", "ok"),
+        (BASE % " \t\n\r4\r\n", "ok"),
+        (BASE % "01", "design file is not valid JSON: Expecting ','"),
+        (BASE % "1.0", "coordinate 0 out of range for Z_7: 1.0"),
+        (BASE % "1e0", "coordinate 0 out of range for Z_7: 1.0"),
+        (BASE % "true", "coordinate 0 out of range for Z_7: True"),
+        (BASE % "7", "coordinate 0 out of range for Z_7: 7"),
+        (BASE % "-1", "coordinate 0 out of range for Z_7: -1"),
+        (BASE % ("9" * 5000), "Exceeds the limit (4300 digits)"),
+        (BASE % "1 2", "design file is not valid JSON: Expecting ','"),
+        (BASE % "- 1", "design file is not valid JSON: Expecting value"),
+        (BASE % "5[1]", "design file is not valid JSON: Expecting ','"),
+        (BASE % "[1]", "coordinate 0 out of range for Z_7: [1]"),
+        (BASE % "", "element must be a list of 1 coordinates, got []"),
+        (BASE % "４", "design file is not valid JSON: Expecting value"),
+        (BASE % ("[" * 100000), "design file is nested too deeply to parse"),
+        (BASE.replace('"k": 3', '"k": ' + "[" * 100000) % "4", "design file is nested too deeply to parse"),
+        (BASE.replace('"k"', '"ü"') % "4", "ok"),
+        (BASE.replace("[2], ", "[2],\f") % "4", "design file is not valid JSON: Expecting value"),
+        (BASE.replace(', "kind"', ',\f"kind"') % "4", "design file is not valid JSON: Expecting"),
+        ("﻿" + BASE % "4", "design file is not valid JSON: Unexpected UTF-8 BOM"),
+        (BASE.replace('"blocks"', '"bl\\u006fcks"') % "4", "ok"),
+        (BASE.replace("{", '{"blocks": [["x", {"}": 1}]], ', 1) % "4", "ok"),
+        (BASE.replace("{", '{"blocks": [[1.5]], ', 1) % "4", "ok"),
+        (BASE.replace("{", '{"blocks": [[1.5]] ', 1) % "4", "design file is not valid JSON"),
+        (BASE.replace("]]],", "]]],,") % "4", "design file is not valid JSON"),
+        (BASE.replace("]]],", "],]],") % "4", "design file is not valid JSON"),
+        (BASE.replace("{", '{"blocks": [[1 2]], ', 1) % "4", "design file is not valid JSON"),
+        (BASE.replace("{", '{"blocks": [{}], ', 1) % "4", "ok"),
+        (BASE.replace("[[[1]", "[[], [[1]") % "5 6", "design file is not valid JSON: Expecting ','"),
+        (BASE.replace("[[[1]", "[[], [[1]") % "5[6]", "design file is not valid JSON: Expecting ','"),
+        (BASE.replace("[[[1]", "[[], [[1]") % "0", "ok"),
+        ((BASE % "4")[:-1] + ', "kind": "ds"}', "ok"),
+        ((BASE % "4")[:-1] + ', "subgroup": [[1]]}', "kind 'df' must not carry a subgroup"),
+        (BASE.replace('"df"', '"dds"') % "4", "kind 'dds' needs a nonempty 'subgroup' list"),
+        (BASE.replace('"df"', '"dds"')[:-1] % "4" + ', "subgroup": 5}', "kind 'dds' needs a nonempty"),
+        (BASE.replace('"df"', '"dds"')[:-1] % "4" + ', "subgroup": []}', "kind 'dds' needs a nonempty"),
+        (BASE.replace('"df"', '"dds"')[:-1] % "4" + ', "subgroup": [[0]]}', "ok"),
+        (BASE.replace('"df"', '"dm"') % "4", "unexpected design file keys: ['blocks']"),
+        (BASE.replace('"df"', '"dm"').replace('"blocks"', '"rows"') % "4", "ok"),
+        (BASE.replace('"df"', '"dm"').replace('"blocks": [[[1], [2], [%s]]]', '"rows": []'), "kind 'dm' needs a nonempty 'rows' list"),
+        ((BASE % "4") + "\n \t", "ok"),
+        ((BASE % "4") + " 1", "design file is not valid JSON: Extra data"),
+    ],
+    ids=lambda value: repr(value)[:40],
+)
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+def test_the_scan_keeps_json_and_the_tree_on_edge_tokens(text, expected, chunk, monkeypatch):
+    """Each text gives the tree's exact design, read by the scan alone, or
+    the tree's exact error, which the scan leaves to it."""
+    monkeypatch.setattr(fileformat, "_CHUNK", chunk)
+    oracle = _outcome(lambda: design_from_obj(fileformat._parse(text)))
+    assert expected == "ok" if oracle[0] == "ok" else expected in oracle[1]
+    with mock.patch.object(fileformat, "_parse", wraps=fileformat._parse) as tree:
+        assert _outcome(loads_design, text) == oracle
+    assert tree.called == (oracle[0] != "ok")

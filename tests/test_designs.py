@@ -20,7 +20,9 @@ from diffam.designs import (
     DiffMatrix,
     Family,
     classify_family,
+    counting_lambda,
     delta_multiset,
+    ds_lambda,
     dm_to_hdm,
     extend_to_pdf,
     hdm_to_dm,
@@ -63,6 +65,21 @@ def test_params_str_and_scaled():
         DSParams(7, -1, 0)
     with pytest.raises(ValueError):
         DDSParams(7, 0, 3, 3, 1)
+
+
+def test_counting_lambda_reads_lambda_off_the_block_sizes():
+    assert counting_lambda(13, [4]) == ds_lambda(13, 4) == 1
+    assert counting_lambda(13, [3, 3]) == 1  # the (13, 3, 1) ddf
+    assert counting_lambda(21, [5, 4, 3, 2]) == 2  # 20 + 12 + 6 + 2 = 2 * 20
+    assert counting_lambda(28, [3] * 9) == 2
+    assert counting_lambda(28, [3] * 8) is None
+    assert counting_lambda(7, []) == 0
+    for v in (-1, 0, 1):
+        assert counting_lambda(v, [3, 5]) == ds_lambda(v, 3) == 0
+    for v in range(2, 40):
+        for k in range(v + 1):
+            lam, rest = divmod(k * (k - 1), v - 1)
+            assert ds_lambda(v, k) == counting_lambda(v, [k]) == (None if rest else lam)
 
 
 def test_report_truthiness():
