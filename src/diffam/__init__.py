@@ -30,6 +30,9 @@ _EXPORTS = {
     )
     for name in names.split()
 }
+# the additive core, also served by algebra, comes from groups; __all__ keeps its order
+_CORE = "GROUP_ORDER_CAP ExhaustiveCapError GroupDescriptor cyclic_group product_group"
+_EXPORTS.update(dict.fromkeys(_CORE.split(), "groups"))
 __all__ = list(_EXPORTS)
 
 

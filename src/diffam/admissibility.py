@@ -25,7 +25,7 @@ import sys
 from collections import namedtuple
 from math import gcd, log10
 
-from .algebra import GROUP_ORDER_CAP, prime_power
+from .groups import GROUP_ORDER_CAP, prime_power
 from .designs import DDSParams, DSParams, ds_lambda
 
 __all__ = [
@@ -163,3 +163,78 @@ def refute_result3(q: int, m: int, e: int, h: int) -> Result3Verdict:
             f"inconsistent verdict for (q,m,e,h)=({q},{m},{e},{h})"
         )  # the identities make these equivalent
     return Result3Verdict(singer_case, singer_case, base, mu, triple, evidence, residual)
+
+
+# ---------------------------------------------------------------------------
+# the check command (``diffam check``, whose parser is in diffam.cli)
+# ---------------------------------------------------------------------------
+
+
+def _print_identity(verdict, label: str) -> None:
+    relation = "=" if verdict.lhs == verdict.rhs else "!="
+    print(f"  {label}: {verdict.lhs} {relation} {verdict.rhs}")
+    if verdict.note:
+        print(f"  {verdict.note}")
+
+
+def _refuse_unprintable(values: dict) -> None:
+    """Refuse, before any output, a value the check would print whose
+    decimal text passes Python's int-to-str digit limit, naming it (as
+    refute_result3 refuses its parameters)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for name, x in values.items():
+        if limit and abs(x) >= 10**limit:
+            raise ValueError(
+                f"{name} has more than {limit} digits, more than Python prints"
+            )
+
+
+def cmd_check(args) -> int:
+    if args.what == "ds":
+        _refuse_unprintable({"v": args.v, "k": args.k, "lambda": args.lam})
+        params = DSParams(args.v, args.k, args.lam)
+        verdict = ds_admissible(params)
+        _refuse_unprintable({"lambda*(v-1)": verdict.lhs, "k*(k-1)": verdict.rhs})
+        print(f"ds {params}: {'ADMISSIBLE' if verdict.ok else 'INADMISSIBLE'}")
+        _print_identity(verdict, "lambda*(v-1) vs k*(k-1)")
+        return 0 if verdict.ok else 1
+    if args.what == "dds":
+        values = (args.m, args.n, args.k, args.lam1, args.lam2)
+        _refuse_unprintable(dict(zip(("m", "n", "k", "lambda1", "lambda2"), values)))
+        params = DDSParams(*values)
+        verdict = dds_counting_identity(params)
+        _refuse_unprintable(
+            {"k*(k-1)": verdict.lhs, "lambda1*(n-1) + lambda2*n*(m-1)": verdict.rhs}
+        )
+        print(f"dds {params}: {'CONSISTENT' if verdict.ok else 'INCONSISTENT'}")
+        _print_identity(verdict, "k*(k-1) vs lambda1*(n-1) + lambda2*n*(m-1)")
+        return 0 if verdict.ok else 1
+    if args.what == "proportional":
+        _refuse_unprintable({"v": args.v, "k": args.k, "lambda": args.lam, "mu": args.mu})
+        params = DSParams(args.v, args.k, args.lam)
+        # the base identity is printed when it fails; once it holds,
+        # 0 <= lambda <= k <= v, so mu*v bounds every other printed value
+        base = ds_admissible(params)
+        _refuse_unprintable(
+            {"lambda*(v-1)": base.lhs, "k*(k-1)": base.rhs, "mu*v": args.mu * args.v}
+        )
+        verdict = proportional_pair_admissible(params, args.mu)
+        scaled = params.scaled(args.mu)
+        status = "ADMISSIBLE" if verdict.ok else "INADMISSIBLE"
+        print(f"proportional {params} scaled by {args.mu} -> {scaled}: {status}")
+        _print_identity(verdict, "(v-k)*(mu-1) vs 0")
+        return 0 if verdict.ok else 1
+    # result3
+    verdict = refute_result3(args.q, args.m, args.e, args.h)
+    header = f"result3 (q,m,e,h)=({args.q},{args.m},{args.e},{args.h})"
+    if verdict.ok:
+        print(f"{header}: VALID (hyperplane case e=q-1, h=1), triple {verdict.triple}")
+        return 0
+    print(f"{header}: REFUTED")
+    print(
+        f"  base triple {verdict.base} scaled by mu={verdict.mu} "
+        f"claims {verdict.triple}"
+    )
+    _print_identity(verdict.evidence, "lambda*(v-1) vs k*(k-1)")
+    _print_identity(verdict.residual, "(v-k)*(mu-1) vs 0")
+    return 1

@@ -21,39 +21,17 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import groupby
-from math import prod
 
-from .algebra import (
-    FieldDescriptor,
-    GroupDescriptor,
-    ScalarAction,
-    build_ring,
-    check_cap,
-    cyclic_group,
-    unit_subgroup_of_order,
-)
 from .designs import (
-    PARAM_KEYS,
-    ConstructionError,
-    DDSParams,
-    DSParams,
-    DiffMatrix,
-    Family,
-    Report,
-    classify_family,
-    counting_lambda,
-    dm_to_hdm,
-    family_params,
-    normalize_dm,
-    verify_dds,
-    verify_df,
-    verify_dm,
-    verify_ds,
+    PARAM_KEYS, ConstructionError, DDSParams, DSParams, DiffMatrix, Family, Report,
+    classify_family, dm_to_hdm, normalize_dm, verify_dds, verify_df, verify_dm, verify_ds,
     verify_hdm,
 )
+from .groups import AdditiveField, GroupDescriptor
 
 # the codec (diffam.fileformat, and with it json) is imported only by the
-# functions that read or write a design file, so `check` never loads it
+# functions that read or write a design file, so `check` never loads it, and
+# only construct loads diffam.constructions and diffam.algebra
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +40,7 @@ from .designs import (
 
 
 def _coord_str(fac, coord: int) -> str:
-    if isinstance(fac, FieldDescriptor) and fac.n > 1:
+    if isinstance(fac, AdditiveField) and fac.n > 1:
         return "[" + ",".join(str(c) for c in fac.coeffs(coord)) + "]"
     return str(coord)
 
@@ -116,33 +94,6 @@ def _print_report(design_kind: str, group: GroupDescriptor, report: Report) -> N
 # ---------------------------------------------------------------------------
 
 
-def _parse_factors(text: str) -> list[int]:
-    try:
-        factors = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad --factors value {text!r}") from exc
-    if not factors:
-        raise ValueError(f"bad --factors value {text!r}")
-    check_cap(prod(f for f in factors if f > 1))  # before any factor is factored
-    return factors
-
-
-def _parse_sigma_choice(text: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            idx, fac = piece.split(":")
-            out[int(idx)] = int(fac)
-        except ValueError as exc:
-            raise ValueError(
-                f"bad --sigma-choice entry {piece!r}, expected CLASS:FACTOR"
-            ) from exc
-    return out
-
-
 def _parse_expect_params(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -159,33 +110,9 @@ def _int_param(params: dict, key: str) -> int:
     return value
 
 
-def _require_flag(args, flag: str):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise ValueError(f"construction {args.name!r} requires {flag}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
-
-
-def _ring(args):
-    return build_ring(_parse_factors(_require_flag(args, "--factors")))
-
-
-def _orbit_inputs(args):
-    if args.factors is not None:
-        ring = _ring(args)
-        k = _require_flag(args, "--k")
-        return ring.additive_group(), unit_subgroup_of_order(ring, k)
-    if args.v is not None:
-        mult = _require_flag(args, "--mult")
-        check_cap(args.v)  # before ScalarAction walks the multiplier's order
-        group = cyclic_group(args.v)
-        return group, ScalarAction(group, mult)
-    raise ValueError("orbit constructions need --v with --mult, or --factors with --k")
 
 
 def _load_family(path) -> Family:
@@ -208,110 +135,24 @@ def _load_hdm(path) -> DiffMatrix:
     raise ValueError(f"{path}: expected a difference-matrix design, found {design.kind!r}")
 
 
-def _furino(args, recipes):
-    k = _require_flag(args, "--k")
-    if args.factors is not None:
-        base = _ring(args)
-    elif args.v is not None:
-        base = args.v
-    else:
-        raise ValueError("furino needs --v or --factors")
-    return recipes.furino_ddf(base, k, half=args.half)
-
-
-def _cyclotomic_half(args, recipes):
-    ring = _ring(args)
-    k = _require_flag(args, "--k")
-    sigma = _parse_sigma_choice(args.sigma_choice) if args.sigma_choice else None
-    return recipes.cyclotomic_half_ddf(ring, k, sigma)
-
-
-def _product(args, recipes):
-    return recipes.product_ddf(
-        _load_family(_require_flag(args, "--ddf-g")),
-        _load_family(_require_flag(args, "--ddf-h")),
-        _load_hdm(_require_flag(args, "--dm")),
-    )
-
-
-def _one_block(dset, group) -> Family:
-    return Family(group, [dset])
-
-
-def _dds_product(args, recipes):
-    from .fileformat import load_design
-
-    source = load_design(_require_flag(args, "--ds"))
-    if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
-        raise ValueError("--ds must point to a single-block ds design file")
-    return recipes.dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
-
-
 # recipe name -> (kind of design it writes, builder).  A builder reads its
 # flags and returns what the recipe certified: a Family for a ddf or (its one
-# block) a ds, a DiffMatrix for an hdm, a DDSConstruction for a dds.
-# Builders are passed the diffam.constructions module, which only construct
-# imports, and look the recipe functions up in it at call time, so a
-# rebinding of those names (a test double, a tracer) is seen.
+# block) a ds, a DiffMatrix for an hdm, a DDSConstruction for a dds.  It looks
+# names up at call time in c, the diffam.constructions module (which construct
+# alone imports), so a rebinding (a test double, a tracer) is seen.
 RECIPES = {
-    "orbit": ("ddf", lambda args, recipes: recipes.orbit_ddf(*_orbit_inputs(args))),
-    "orbit-split": (
-        "ddf",
-        lambda args, recipes: recipes.orbit_ddf_split(*_orbit_inputs(args))[0],
-    ),
-    "furino": ("ddf", _furino),
-    "cyclotomic-half": ("ddf", _cyclotomic_half),
-    "units-hdm": (
-        "hdm",
-        lambda args, recipes: recipes.units_hdm(_ring(args), _require_flag(args, "--k")),
-    ),
-    "product": ("ddf", _product),
-    "result1": (
-        "ddf",
-        lambda args, recipes: recipes.result1_ddf(_require_flag(args, "--k"), _ring(args)),
-    ),
-    "trivial-ds": (
-        "ds",
-        lambda args, recipes: _one_block(*recipes.trivial_ds(_require_flag(args, "--k"))),
-    ),
-    "singer": (
-        "ds",
-        lambda args, recipes: _one_block(
-            *recipes.singer_ds(_require_flag(args, "--q"), _require_flag(args, "--m"))
-        ),
-    ),
-    "dds-product": ("dds", _dds_product),
-    "result3star": (
-        "dds",
-        lambda args, recipes: recipes.result3star_dds(
-            *(_require_flag(args, flag) for flag in ("--q", "--d", "--e", "--h"))
-        ),
-    ),
+    "orbit": ("ddf", lambda args, c: c.orbit_ddf(*c._orbit_inputs(args))),
+    "orbit-split": ("ddf", lambda args, c: c._orbit_half(*c._orbit_inputs(args))[0]),
+    "furino": ("ddf", lambda args, c: c._furino(args)),
+    "cyclotomic-half": ("ddf", lambda args, c: c._cyclotomic_half(args)),
+    "units-hdm": ("hdm", lambda args, c: c.units_hdm(c._ring(args), c._require_flag(args, "--k"))),
+    "product": ("ddf", lambda args, c: c._product(args, _load_family, _load_hdm)),
+    "result1": ("ddf", lambda args, c: c.result1_ddf(c._require_flag(args, "--k"), c._ring(args))),
+    "trivial-ds": ("ds", lambda args, c: c._one_block(*c.trivial_ds(c._require_flag(args, "--k")))),
+    "singer": ("ds", lambda args, c: c._singer(args)),
+    "dds-product": ("dds", lambda args, c: c._dds_product(args)),
+    "result3star": ("dds", lambda args, c: c._result3star(args)),
 }
-
-
-def _design_file(kind: str, built) -> DesignFile:
-    """The design file of a recipe's certified output, with the parameters
-    read off that output."""
-    from .fileformat import DesignFile, IndexLists
-
-    if isinstance(built, Family):
-        if not built.indices:
-            # no lambda or K describes an empty family, so none is written
-            raise ValueError(
-                f"the construction gives no blocks over {built.group!r}; "
-                "a design file needs at least one block"
-            )
-        lam = counting_lambda(built.v, map(len, built.indices))
-        blocks = IndexLists.of_blocks(built.group, built.indices)
-        return DesignFile(kind, built.group, family_params(built, lam), blocks)
-    if isinstance(built, DiffMatrix):
-        params = {"v": built.group.order, "k": built.k, "lambda": 1}
-        rows = IndexLists.of_blocks(built.group, built.indices)
-        return DesignFile(kind, built.group, params, rows=rows)
-    # a DDSConstruction
-    params = dict(zip(PARAM_KEYS[kind], built.params))
-    return DesignFile(kind, built.group, params, (built.elements,), subgroup=built.subgroup)
 
 
 def cmd_construct(args) -> int:
@@ -319,7 +160,7 @@ def cmd_construct(args) -> int:
     from .fileformat import save_design
 
     kind, build = RECIPES[args.name]
-    design = _design_file(kind, build(args, constructions))
+    design = constructions._design_file(kind, build(args, constructions))
     save_design(args.out, design)
     if design.rows is not None:
         payload = f"{len(design.rows)} rows"
@@ -438,76 +279,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_identity(verdict, label: str) -> None:
-    relation = "=" if verdict.lhs == verdict.rhs else "!="
-    print(f"  {label}: {verdict.lhs} {relation} {verdict.rhs}")
-    if verdict.note:
-        print(f"  {verdict.note}")
-
-
-def _refuse_unprintable(values: dict) -> None:
-    """Refuse, before any output, a value the check would print whose
-    decimal text passes Python's int-to-str digit limit, naming it (as
-    refute_result3 refuses its parameters)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for name, x in values.items():
-        if limit and abs(x) >= 10**limit:
-            raise ValueError(
-                f"{name} has more than {limit} digits, more than Python prints"
-            )
-
-
 def cmd_check(args) -> int:
     from . import admissibility  # the one command that checks admissibility
 
-    if args.what == "ds":
-        _refuse_unprintable({"v": args.v, "k": args.k, "lambda": args.lam})
-        params = DSParams(args.v, args.k, args.lam)
-        verdict = admissibility.ds_admissible(params)
-        _refuse_unprintable({"lambda*(v-1)": verdict.lhs, "k*(k-1)": verdict.rhs})
-        print(f"ds {params}: {'ADMISSIBLE' if verdict.ok else 'INADMISSIBLE'}")
-        _print_identity(verdict, "lambda*(v-1) vs k*(k-1)")
-        return 0 if verdict.ok else 1
-    if args.what == "dds":
-        values = (args.m, args.n, args.k, args.lam1, args.lam2)
-        _refuse_unprintable(dict(zip(("m", "n", "k", "lambda1", "lambda2"), values)))
-        params = DDSParams(*values)
-        verdict = admissibility.dds_counting_identity(params)
-        _refuse_unprintable(
-            {"k*(k-1)": verdict.lhs, "lambda1*(n-1) + lambda2*n*(m-1)": verdict.rhs}
-        )
-        print(f"dds {params}: {'CONSISTENT' if verdict.ok else 'INCONSISTENT'}")
-        _print_identity(verdict, "k*(k-1) vs lambda1*(n-1) + lambda2*n*(m-1)")
-        return 0 if verdict.ok else 1
-    if args.what == "proportional":
-        _refuse_unprintable({"v": args.v, "k": args.k, "lambda": args.lam, "mu": args.mu})
-        params = DSParams(args.v, args.k, args.lam)
-        # the base identity is printed when it fails; once it holds,
-        # 0 <= lambda <= k <= v, so mu*v bounds every other printed value
-        base = admissibility.ds_admissible(params)
-        _refuse_unprintable(
-            {"lambda*(v-1)": base.lhs, "k*(k-1)": base.rhs, "mu*v": args.mu * args.v}
-        )
-        verdict = admissibility.proportional_pair_admissible(params, args.mu)
-        scaled = params.scaled(args.mu)
-        status = "ADMISSIBLE" if verdict.ok else "INADMISSIBLE"
-        print(f"proportional {params} scaled by {args.mu} -> {scaled}: {status}")
-        _print_identity(verdict, "(v-k)*(mu-1) vs 0")
-        return 0 if verdict.ok else 1
-    # result3
-    verdict = admissibility.refute_result3(args.q, args.m, args.e, args.h)
-    header = f"result3 (q,m,e,h)=({args.q},{args.m},{args.e},{args.h})"
-    if verdict.ok:
-        print(f"{header}: VALID (hyperplane case e=q-1, h=1), triple {verdict.triple}")
-        return 0
-    print(f"{header}: REFUTED")
-    print(
-        f"  base triple {verdict.base} scaled by mu={verdict.mu} "
-        f"claims {verdict.triple}"
-    )
-    _print_identity(verdict.evidence, "lambda*(v-1) vs k*(k-1)")
-    _print_identity(verdict.residual, "(v-k)*(mu-1) vs 0")
-    return 1
+    return admissibility.cmd_check(args)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ each pair halves every difference count, giving a (v, k, (k-1)/2) family.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import gcd
+from math import gcd, prod
 
 import itertools
 
@@ -27,6 +27,7 @@ from .algebra import (
     _validated_maps,
     abelian_iso,
     build_field,
+    build_ring,
     check_cap,
     check_power_cap,
     cyclic_group,
@@ -39,6 +40,7 @@ from .algebra import (
     unit_subgroup_of_order,
 )
 from .designs import (
+    PARAM_KEYS,
     ConstructionError,
     DDSParams,
     DSParams,
@@ -49,7 +51,9 @@ from .designs import (
     _element_indices,
     _Record,
     classify_family,
+    counting_lambda,
     ds_lambda,
+    family_params,
     verify_df,
     verify_dds,
     verify_ds,
@@ -133,6 +137,23 @@ def _first_half(orbits: list[tuple[int, ...]], neg: list[int]) -> list[tuple[int
     return [b for b in orbits if b[0] < min(map(neg.__getitem__, b))]
 
 
+def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
+    """The first half of the negation split of a semiregular order-k
+    action's orbits (``_first_half``), certified by one count as a
+    (v, k, (k-1)/2) family, and negation as a permutation of canonical
+    indices.  An even v*k is refused after the walk, which finds k."""
+    orbits = _semiregular_orbits(group, action)
+    v = group.order
+    k = len(orbits[0]) if orbits else 1
+    if (v * k) % 2 == 0:
+        raise ConstructionError(
+            f"v*k = {v}*{k} is even; the negation split needs v*k odd"
+        )
+    neg = ScalarAction(group, -1).index_map()
+    half = Family.of_indices(group, _first_half(orbits, neg))
+    return _certified(half, (k - 1) // 2, "half-index orbit family"), neg
+
+
 def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
     """Split the orbit family of a semiregular order-k action into the two
     half-index (v, k, (k-1)/2) families given by negation pairing.
@@ -142,20 +163,10 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
     (k-1)/2 times.  The first half holds each B with min B < min(-B), the
     second the negations -B in the same order.
     """
-    orbits = _semiregular_orbits(group, action)
-    v = group.order
-    k = len(orbits[0]) if orbits else 1
-    if (v * k) % 2 == 0:
-        raise ConstructionError(
-            f"v*k = {v}*{k} is even; the negation split needs v*k odd"
-        )
-    neg = ScalarAction(group, -1).index_map()
-    first = _first_half(orbits, neg)
-    second = [tuple(sorted(map(neg.__getitem__, b))) for b in first]
-    return tuple(
-        _certified(Family.of_indices(group, half), (k - 1) // 2, "half-index orbit family")
-        for half in (first, second)
-    )
+    first, neg = _orbit_half(group, action)
+    second = [tuple(sorted(map(neg.__getitem__, b))) for b in first.indices]
+    lam = ((first.uniform_k() or 1) - 1) // 2  # (k-1)/2, and 0 for v = 1
+    return first, _certified(Family.of_indices(group, second), lam, "half-index orbit family")
 
 
 def _least_semiregular_unit(v: int, k: int) -> int:
@@ -214,9 +225,7 @@ def furino_ddf(base, k: int, half: bool = False) -> Family:
             raise ConstructionError(
                 f"v*k = {group.order}*{k} is even; no half-index variant"
             )
-        orbits = _semiregular_orbits(group, action)
-        first = _first_half(orbits, ScalarAction(group, -1).index_map())
-        return _certified(Family.of_indices(group, first), (k - 1) // 2, "half-index orbit family")
+        return _orbit_half(group, action)[0]
     return orbit_ddf(group, action)
 
 
@@ -545,3 +554,134 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
     )
     _require(verify_dds(moved, target, subgroup, params), "transported divisible set")
     return DDSConstruction(tuple(moved), target, tuple(subgroup), params)
+
+
+# ---------------------------------------------------------------------------
+# the construct command: flags in, one certified design file out.  Only
+# diffam.cli's construct runs these, through its recipe table (cli.RECIPES);
+# nothing here imports diffam.cli, which `python -m diffam.cli` runs as
+# __main__, so an import of it would compile and run it a second time.
+# ---------------------------------------------------------------------------
+
+
+def _require_flag(args, flag: str):
+    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    if value is None:
+        raise ValueError(f"construction {args.name!r} requires {flag}")
+    return value
+
+
+def _parse_factors(text: str) -> list[int]:
+    try:
+        factors = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"bad --factors value {text!r}") from exc
+    if not factors:
+        raise ValueError(f"bad --factors value {text!r}")
+    check_cap(prod(f for f in factors if f > 1))  # before any factor is factored
+    return factors
+
+
+def _parse_sigma_choice(text: str) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        try:
+            idx, fac = piece.split(":")
+            out[int(idx)] = int(fac)
+        except ValueError as exc:
+            raise ValueError(
+                f"bad --sigma-choice entry {piece!r}, expected CLASS:FACTOR"
+            ) from exc
+    return out
+
+
+def _ring(args) -> RingDescriptor:
+    return build_ring(_parse_factors(_require_flag(args, "--factors")))
+
+
+def _orbit_inputs(args):
+    if args.factors is not None:
+        ring = _ring(args)
+        k = _require_flag(args, "--k")
+        return ring.additive_group(), unit_subgroup_of_order(ring, k)
+    if args.v is not None:
+        mult = _require_flag(args, "--mult")
+        check_cap(args.v)  # before ScalarAction walks the multiplier's order
+        group = cyclic_group(args.v)
+        return group, ScalarAction(group, mult)
+    raise ValueError("orbit constructions need --v with --mult, or --factors with --k")
+
+
+def _furino(args) -> Family:
+    k = _require_flag(args, "--k")
+    if args.factors is not None:
+        base = _ring(args)
+    elif args.v is not None:
+        base = args.v
+    else:
+        raise ValueError("furino needs --v or --factors")
+    return furino_ddf(base, k, half=args.half)
+
+
+def _cyclotomic_half(args) -> Family:
+    ring = _ring(args)
+    k = _require_flag(args, "--k")
+    sigma = _parse_sigma_choice(args.sigma_choice) if args.sigma_choice else None
+    return cyclotomic_half_ddf(ring, k, sigma)
+
+
+def _product(args, load_family, load_hdm) -> Family:
+    """product_ddf of the files its flags name, read by cli's loaders."""
+    return product_ddf(
+        load_family(_require_flag(args, "--ddf-g")),
+        load_family(_require_flag(args, "--ddf-h")),
+        load_hdm(_require_flag(args, "--dm")),
+    )
+
+
+def _one_block(dset, group) -> Family:
+    return Family(group, [dset])
+
+
+def _singer(args) -> Family:
+    return _one_block(*singer_ds(_require_flag(args, "--q"), _require_flag(args, "--m")))
+
+
+def _dds_product(args) -> DDSConstruction:
+    from .fileformat import load_design
+
+    source = load_design(_require_flag(args, "--ds"))
+    if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
+        raise ValueError("--ds must point to a single-block ds design file")
+    return dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
+
+
+def _result3star(args) -> DDSConstruction:
+    return result3star_dds(*(_require_flag(args, flag) for flag in ("--q", "--d", "--e", "--h")))
+
+
+def _design_file(kind: str, built) -> DesignFile:
+    """The design file of a recipe's certified output, with the parameters
+    read off that output."""
+    from .fileformat import DesignFile, IndexLists
+
+    if isinstance(built, Family):
+        if not built.indices:
+            # no lambda or K describes an empty family, so none is written
+            raise ValueError(
+                f"the construction gives no blocks over {built.group!r}; "
+                "a design file needs at least one block"
+            )
+        lam = counting_lambda(built.v, map(len, built.indices))
+        blocks = IndexLists.of_blocks(built.group, built.indices)
+        return DesignFile(kind, built.group, family_params(built, lam), blocks)
+    if isinstance(built, DiffMatrix):
+        params = {"v": built.group.order, "k": built.k, "lambda": 1}
+        rows = IndexLists.of_blocks(built.group, built.indices)
+        return DesignFile(kind, built.group, params, rows=rows)
+    # a DDSConstruction
+    params = dict(zip(PARAM_KEYS[kind], built.params))
+    return DesignFile(kind, built.group, params, (built.elements,), subgroup=built.subgroup)

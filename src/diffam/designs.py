@@ -25,7 +25,7 @@ from itertools import accumulate, chain, compress, count, groupby, islice, repea
 from math import prod
 from operator import add, eq, floordiv, ge, mod, mul, ne, sub
 
-from .algebra import Element, GroupDescriptor, check_cap
+from .groups import Element, GroupDescriptor, check_cap
 
 __all__ = [
     "ConstructionError",
@@ -674,12 +674,11 @@ def verify_ds(
 ) -> Report:
     """Exhaustively check a (v, k, lambda) difference set."""
     family, k = _set_family(group, dset)
-    rparams = {"v": group.order, "k": k, "lambda": params.lam}
+    declared = dict(zip(PARAM_KEYS["ds"], params))  # the found ones, once checked
     if group.order != params.v or k != params.k:
-        return Report(
-            False, "ds", rparams, message=f"declared {params}, found v={group.order}, k={k}"
-        )
-    return _scan("ds", rparams, family, params.lam)
+        message = f"declared {params}, found v={group.order}, k={k}"
+        return Report(False, "ds", declared, message=message)
+    return _scan("ds", declared, family, params.lam)
 
 
 def _check_subgroup(group: GroupDescriptor, members: Iterable[Element]) -> frozenset[int]:
@@ -724,19 +723,13 @@ def verify_dds(
         raise ValueError(
             f"subgroup has order {len(nset)}, parameters declare n={params.n}"
         )
-    rparams = {
-        "m": params.m,
-        "n": params.n,
-        "k": k,
-        "lambda1": params.lam1,
-        "lambda2": params.lam2,
-    }
+    declared = dict(zip(PARAM_KEYS["dds"], params))  # the found ones, once checked
     if group.order != params.m * params.n:
         message = f"group order {group.order} != m*n = {params.m * params.n}"
-        return Report(False, "dds", rparams, message=message)
+        return Report(False, "dds", declared, message=message)
     if k != params.k:
-        return Report(False, "dds", rparams, {}, f"declared k={params.k}, found {k}")
-    return _scan("dds", rparams, family, params.lam2, nset, params.lam1)
+        return Report(False, "dds", declared, {}, f"declared k={params.k}, found {k}")
+    return _scan("dds", declared, family, params.lam2, nset, params.lam1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ from itertools import chain, groupby, islice, repeat
 from json.decoder import WHITESPACE, JSONObject
 from operator import eq, itemgetter
 
-from .algebra import (
-    Element,
-    FieldDescriptor,
-    GroupDescriptor,
-    check_cap,
-    check_power_cap,
-)
+from .groups import AdditiveField, Element, GroupDescriptor, check_cap, check_power_cap
 from .designs import PARAM_KEYS, DiffMatrix, Family, IndexedElements, _element_indices, _Record
 
 KINDS = tuple(PARAM_KEYS)
@@ -49,7 +43,7 @@ MATRIX_KINDS = ("dm", "hdm")
 def group_to_obj(group: GroupDescriptor) -> dict:
     factors = []
     for fac in group.factors:
-        if isinstance(fac, FieldDescriptor):
+        if isinstance(fac, AdditiveField):
             factors.append(
                 {"field": {"p": fac.p, "n": fac.n, "modulus": list(fac.modulus)}}
             )
@@ -94,7 +88,7 @@ def group_from_obj(obj) -> GroupDescriptor:
             # refuse an over-cap field before is_prime trial-divides p
             check_cap(order * p)
             check_power_cap(p, n)
-            factors.append(FieldDescriptor(p, n, modulus))  # validates irreducibility
+            factors.append(AdditiveField(p, n, modulus))  # validates irreducibility
             order *= factors[-1].q
             check_cap(order)
         else:
@@ -106,7 +100,7 @@ def element_to_obj(group: GroupDescriptor, x: Element) -> list:
     group.validate_element(x)
     out = []
     for fac, coord in zip(group.factors, x):
-        if isinstance(fac, FieldDescriptor):
+        if isinstance(fac, AdditiveField):
             out.append(list(fac.coeffs(coord)))
         else:
             out.append(coord)
@@ -120,7 +114,7 @@ def element_from_obj(group: GroupDescriptor, obj) -> Element:
         )
     coords = []
     for i, (fac, coord) in enumerate(zip(group.factors, obj)):
-        if isinstance(fac, FieldDescriptor):
+        if isinstance(fac, AdditiveField):
             if not isinstance(coord, list) or not all(_is_int(c) for c in coord):
                 raise ValueError(
                     f"coordinate {i} must be a coefficient list for {fac!r}"
@@ -354,7 +348,7 @@ def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int) -> list[
     coefficient-list text up in a table of the values present."""
     columns = []
     for fac, col in zip(group.factors, group.coordinates(lists.flat)):
-        if isinstance(fac, FieldDescriptor):
+        if isinstance(fac, AdditiveField):
             col = list(col)
             fmt = _list_template("{}", fac.n, depth + 2).format
             table = {c: fmt(*fac.coeffs(c)) for c in set(col)}

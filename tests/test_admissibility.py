@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from diffam import admissibility, algebra
+from diffam import admissibility, groups
 from diffam.admissibility import (
     dds_counting_identity,
     ds_admissible,
@@ -164,7 +164,7 @@ def test_refute_result3_refuses_large_parameters_before_work(monkeypatch):
         raise AssertionError(f"factored {n}")
 
     monkeypatch.setattr(admissibility, "prime_power", never)
-    monkeypatch.setattr(algebra, "factorize", never)
+    monkeypatch.setattr(groups, "factorize", never)
     for args, name in (
         ((10**18 + 3, 3, 1, 1), "q = 1000000000000000003"),
         ((3, 10**7 + 1, 2, 1), "m = 10000001"),

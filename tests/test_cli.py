@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from diffam import admissibility, algebra, cli, constructions, designs, fileformat
+from diffam import admissibility, algebra, cli, constructions, designs, fileformat, groups
 from diffam.algebra import abelian_iso, build_ring, cyclic_group, product_group
 from diffam.cli import main
-from diffam.constructions import dds_from_ds, furino_ddf, singer_ds, units_hdm
+from diffam.constructions import _design_file, dds_from_ds, furino_ddf, singer_ds, units_hdm
 from diffam.designs import extend_to_pdf, family_params, hdm_to_dm, verify_df
 from diffam.fileformat import DesignFile, load_design, save_design
 
@@ -85,6 +85,28 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert {"diffam.constructions", "diffam.fileformat", "json", "dataclasses"}.isdisjoint(
         loaded
     )
+    assert "diffam.algebra" not in loaded
+    # verify reads, counts and prints with the additive core (diffam.groups):
+    # no field multiplication, for any kind and over GF(p^n) factors too
+    for name, kind, built in (
+        ("ring.json", "ddf", furino_ddf(build_ring([4, 25, 7]), 3)),
+        ("hdm.json", "hdm", units_hdm(build_ring([4, 7]), 3)),
+        ("dds.json", "dds", dds_from_ds(*singer_ds(2, 3), 2)),
+    ):
+        save_design(tmp_path / name, _design_file(kind, built))
+    for name in ("ds.json", "ring.json", "dds.json", "hdm.json"):
+        rc, loaded = _loaded_by(["verify", name], tmp_path)
+        assert rc == 0 and {"diffam.groups", "diffam.fileformat"} <= loaded, name
+        unloaded = {"diffam.algebra", "diffam.constructions", "diffam.admissibility"}
+        assert unloaded.isdisjoint(loaded), name
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", "import sys, diffam.cli; print(*sys.modules)"],
+        env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "diffam.cli" in out and {"diffam.algebra", "diffam.fileformat"}.isdisjoint(out)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +196,23 @@ def test_construct_orbit_and_split(tmp_path):
     assert len(load_design(halved).blocks) == 2
 
 
+def test_construct_orbit_split_counts_only_the_half_it_writes(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(family, lam):
+        calls.append((len(family.indices), lam))
+        return verify_df(family, lam)
+
+    monkeypatch.setattr(constructions, "verify_df", counted)
+    halved = tmp_path / "h.json"
+    assert run(["construct", "orbit-split", "--v", 13, "--mult", 3, "--out", halved])[0] == 0
+    assert calls == [(2, 1)]
+    calls.clear()
+    rc, out, err = run(["construct", "orbit-split", "--v", 13, "--mult", 5, "--out", halved])
+    assert (rc, err) == (1, "error: v*k = 13*4 is even; the negation split needs v*k odd\n")
+    assert calls == []
+
+
 def test_construct_orbit_not_semiregular(tmp_path):
     rc, out, err = run(["construct", "orbit", "--v", 8, "--mult", 3, "--out", tmp_path / "x.json"])
     assert rc == 1
@@ -201,7 +240,7 @@ def test_construct_cyclic_cap_precedes_unit_search(tmp_path, monkeypatch):
     def never(*args):
         raise AssertionError(f"called with {args!r}")
 
-    monkeypatch.setattr(cli, "ScalarAction", never)
+    monkeypatch.setattr(constructions, "ScalarAction", never)
     monkeypatch.setattr(constructions, "_least_semiregular_unit", never)
     cap = "error: group order 1000000009 exceeds the exhaustive-verification cap 1000000\n"
     for argv in (
@@ -214,7 +253,7 @@ def test_construct_cyclic_cap_precedes_unit_search(tmp_path, monkeypatch):
 
 
 def test_construct_refuses_over_cap_flags_before_work(tmp_path, monkeypatch):
-    monkeypatch.setattr(algebra, "factorize", lambda n: pytest.fail(f"factorize({n})"))
+    monkeypatch.setattr(groups, "factorize", lambda n: pytest.fail(f"factorize({n})"))
     monkeypatch.setattr(constructions, "cyclic_group", lambda n: pytest.fail(f"Z_{n}"))
     for argv, order in (
         (["furino", "--factors", 10**30 + 57, "--k", 2], str(10**30 + 57)),
@@ -827,9 +866,23 @@ def test_verify_checks_the_declared_k_of_a_dds(tmp_path):
     design = DesignFile("dds", built.group, params, (built.elements,), subgroup=built.subgroup)
     assert _verify_written(tmp_path / "dds.json", design) == (
         1,
-        "FAIL: dds over Z7 x Z2 [k=6 lambda1=6 lambda2=2 m=7 n=2]\n  declared k=5, found 6\n",
+        "FAIL: dds over Z7 x Z2 [k=5 lambda1=6 lambda2=2 m=7 n=2]\n  declared k=5, found 6\n",
         "",
     )
+
+
+def test_a_ds_fail_header_shows_the_declared_parameters(tmp_path):
+    """As for df and dm files, the header of a ds file whose declared v or
+    k is wrong shows what the file declares; the message names both."""
+    dset, group = singer_ds(2, 3)
+    for params, header in (
+        ({"v": 7, "k": 4, "lambda": 1}, "[k=4 lambda=1 v=7]\n  declared (7,4,1), found v=7, k=3"),
+        ({"v": 8, "k": 3, "lambda": 1}, "[k=3 lambda=1 v=8]\n  declared (8,3,1), found v=7, k=3"),
+    ):
+        design = DesignFile("ds", group, params, (dset,))
+        assert _verify_written(tmp_path / "ds.json", design) == (
+            1, f"FAIL: ds over Z7 {header}\n", ""
+        )
 
 
 def test_bad_option_values_and_a_wrong_matrix_file_are_usage_errors(tmp_path):
@@ -899,7 +952,7 @@ def test_verify_refuses_a_modulus_coefficient_out_of_range(tmp_path):
 
 
 def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):
-    monkeypatch.setattr(algebra, "is_prime", lambda n: pytest.fail(f"is_prime({n})"))
+    monkeypatch.setattr(groups, "is_prime", lambda n: pytest.fail(f"is_prime({n})"))
     path = tmp_path / "big.json"
     for field, order in (
         ({"p": 10**30 + 57, "n": 1, "modulus": [0, 1]}, str(10**30 + 57)),

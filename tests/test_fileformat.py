@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from diffam import algebra
+from diffam import groups
 from diffam.algebra import (
     ExhaustiveCapError,
     FieldDescriptor,
@@ -105,7 +105,7 @@ def test_group_from_obj_strict(monkeypatch):
         with pytest.raises(ValueError):
             group_from_obj({"factors": [fac]})
     # over-cap orders are refused before a primality test or a huge power
-    monkeypatch.setattr(algebra, "is_prime", _never_called)
+    monkeypatch.setattr(groups, "is_prime", _never_called)
     for factors in (
         [{"cyclic": 10**6 + 1}],
         [{"cyclic": 1000}, {"cyclic": 1001}],
