@@ -23,7 +23,7 @@ import sys
 from itertools import groupby
 
 from .designs import (
-    PARAM_KEYS, ConstructionError, DDSParams, DSParams, DiffMatrix, Family, Report,
+    KIND_TABLE, ConstructionError, DDSParams, DSParams, DiffMatrix, Family, Report,
     classify_family, dm_to_hdm, normalize_dm, verify_dds, verify_df, verify_dm, verify_ds,
     verify_hdm,
 )
@@ -116,10 +116,10 @@ def _int_param(params: dict, key: str) -> int:
 
 
 def _load_family(path) -> Family:
-    from .fileformat import FAMILY_KINDS, load_design
+    from .fileformat import load_design
 
     design = load_design(path)
-    if design.kind in FAMILY_KINDS or design.kind == "ds":
+    if KIND_TABLE[design.kind].payload == ("blocks",):
         return design.family()
     raise ValueError(f"{path}: expected a block-family design, found {design.kind!r}")
 
@@ -162,14 +162,11 @@ def cmd_construct(args) -> int:
     kind, build = RECIPES[args.name]
     design = constructions._design_file(kind, build(args, constructions))
     save_design(args.out, design)
-    if design.rows is not None:
-        payload = f"{len(design.rows)} rows"
-    else:
-        count = len(design.blocks)
-        payload = f"{count} block" + ("s" if count != 1 else "")
+    name = KIND_TABLE[kind].payload[0]  # "blocks" or "rows"
+    count = len(getattr(design, name))
     print(
-        f"wrote {design.kind} over {design.group!r} "
-        f"[{_format_params(design.params)}] ({payload}) to {args.out}"
+        f"wrote {design.kind} over {design.group!r} [{_format_params(design.params)}] "
+        f"({count} {name[:-1]}{'s' * (count != 1)}) to {args.out}"
     )
     return 0
 
@@ -217,22 +214,20 @@ def _verify_family_design(design: DesignFile) -> Report:
 
 
 def _verify_design(design: DesignFile) -> Report:
-    from .fileformat import FAMILY_KINDS, SET_KINDS
-
     kind = design.kind
-    if kind in FAMILY_KINDS:
-        return _verify_family_design(design)
-    if kind in SET_KINDS:
-        if design.blocks is None or len(design.blocks) != 1:
+    if kind in ("ds", "dds"):
+        if len(design.blocks) != 1:
             return _fail(
                 kind, design.params, f"a {kind} design must have exactly one block"
             )
-        values = [_int_param(design.params, key) for key in PARAM_KEYS[kind]]
+        values = [_int_param(design.params, key) for key in KIND_TABLE[kind].params]
         if kind == "ds":
             return verify_ds(design.blocks[0], design.group, DSParams(*values))
         return verify_dds(
             design.blocks[0], design.group, design.subgroup, DDSParams(*values)
         )
+    if design.rows is None:
+        return _verify_family_design(design)
     mat = design.matrix()
     for key, actual, found in (
         ("k", mat.k, f"the matrix has {mat.k} rows"),
@@ -256,7 +251,7 @@ def cmd_verify(args) -> int:
         return 1
     if args.expect_params is not None:
         expected = _parse_expect_params(args.expect_params)
-        keys = PARAM_KEYS[design.kind]
+        keys = KIND_TABLE[design.kind].params
         if len(expected) != len(keys):
             raise ValueError(
                 f"--expect-params for kind {design.kind!r} needs "
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="re-verify a design file from scratch")
     ver.add_argument("file", help="design file path")
-    ver.add_argument("--expect-kind", choices=tuple(PARAM_KEYS))
+    ver.add_argument("--expect-kind", choices=tuple(KIND_TABLE))
     ver.add_argument(
         "--expect-params",
         help="comma-separated integers that must match the declared parameters",

@@ -40,7 +40,7 @@ from .algebra import (
     unit_subgroup_of_order,
 )
 from .designs import (
-    PARAM_KEYS,
+    KIND_TABLE,
     ConstructionError,
     DDSParams,
     DSParams,
@@ -292,11 +292,6 @@ def cyclotomic_half_ddf(
             else:
                 coordinate_sets.append((0,))
         transversal.extend(itertools.product(*coordinate_sets))
-    v = ring.order
-    if len(transversal) * 2 * k != v - 1:
-        raise ConstructionError(
-            f"transversal has {len(transversal)} members, expected {(v - 1) // (2 * k)}"
-        )  # unreachable
     # the block of x is row j of the unit table read at x, for every j
     starts = ring.indices(transversal)
     columns = [list(map(row.__getitem__, starts)) for row in _unit_table(ring, k)]
@@ -535,10 +530,6 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
         raise ConstructionError(f"need 1 <= h <= e, got h={h}, e={e}")
     dset, base_group = singer_ds(q, d)
     big, lifted, subgroup, params = _lift(dset, base_group, h * (q - 1) // e)
-    if (q**d - 1) % e != 0:
-        raise ConstructionError(
-            f"{e} does not divide q^d - 1 = {q**d - 1}"
-        )  # unreachable given e | q - 1
     target = GroupDescriptor(((q**d - 1) // e, h))
     iso = abelian_iso(big, target)
     if iso is None:
@@ -654,7 +645,7 @@ def _dds_product(args) -> DDSConstruction:
     from .fileformat import load_design
 
     source = load_design(_require_flag(args, "--ds"))
-    if source.kind != "ds" or source.blocks is None or len(source.blocks) != 1:
+    if source.kind != "ds" or len(source.blocks) != 1:
         raise ValueError("--ds must point to a single-block ds design file")
     return dds_from_ds(source.blocks[0], source.group, _require_flag(args, "--h"))
 
@@ -668,20 +659,19 @@ def _design_file(kind: str, built) -> DesignFile:
     read off that output."""
     from .fileformat import DesignFile, IndexLists
 
-    if isinstance(built, Family):
-        if not built.indices:
-            # no lambda or K describes an empty family, so none is written
-            raise ValueError(
-                f"the construction gives no blocks over {built.group!r}; "
-                "a design file needs at least one block"
-            )
-        lam = counting_lambda(built.v, map(len, built.indices))
-        blocks = IndexLists.of_blocks(built.group, built.indices)
-        return DesignFile(kind, built.group, family_params(built, lam), blocks)
-    if isinstance(built, DiffMatrix):
+    if isinstance(built, DDSConstruction):  # the set as one block, and the subgroup
+        params = dict(zip(KIND_TABLE[kind].params, built.params))
+        lists = [(built.elements,), built.subgroup]
+    elif isinstance(built, DiffMatrix):
         params = {"v": built.group.order, "k": built.k, "lambda": 1}
-        rows = IndexLists.of_blocks(built.group, built.indices)
-        return DesignFile(kind, built.group, params, rows=rows)
-    # a DDSConstruction
-    params = dict(zip(PARAM_KEYS[kind], built.params))
-    return DesignFile(kind, built.group, params, (built.elements,), subgroup=built.subgroup)
+        lists = [IndexLists.of_blocks(built.group, built.indices)]
+    elif built.indices:
+        params = family_params(built, counting_lambda(built.v, map(len, built.indices)))
+        lists = [IndexLists.of_blocks(built.group, built.indices)]
+    else:
+        # no lambda or K describes an empty family, so none is written
+        raise ValueError(
+            f"the construction gives no blocks over {built.group!r}; "
+            "a design file needs at least one block"
+        )
+    return DesignFile(kind, built.group, params, **dict(zip(KIND_TABLE[kind].payload, lists)))

@@ -133,16 +133,21 @@ class DDSParams(namedtuple("DDSParams", "m n k lam1 lam2")):
 
 # kind -> the integer parameters its file declares, in the order DSParams,
 # DDSParams and `verify --expect-params` take them (a family with blocks of
-# several sizes declares the size list K instead of k)
-PARAM_KEYS = {
-    "df": ("v", "k", "lambda"),
-    "ddf": ("v", "k", "lambda"),
-    "pdf": ("v", "k", "lambda"),
-    "ds": ("v", "k", "lambda"),
-    "dds": ("m", "n", "k", "lambda1", "lambda2"),
-    "dm": ("v", "k", "lambda"),
-    "hdm": ("v", "k", "lambda"),
+# several sizes declares the size list K instead of k), and the element lists
+# it carries: "blocks" (lists of elements, possibly none) or "rows" (lists of
+# elements), and for dds also "subgroup" (one list of elements)
+Kind = namedtuple("Kind", "params payload")
+KIND_TABLE = {
+    "df": Kind(("v", "k", "lambda"), ("blocks",)),
+    "ddf": Kind(("v", "k", "lambda"), ("blocks",)),
+    "pdf": Kind(("v", "k", "lambda"), ("blocks",)),
+    "ds": Kind(("v", "k", "lambda"), ("blocks",)),
+    "dds": Kind(("m", "n", "k", "lambda1", "lambda2"), ("blocks", "subgroup")),
+    "dm": Kind(("v", "k", "lambda"), ("rows",)),
+    "hdm": Kind(("v", "k", "lambda"), ("rows",)),
 }
+# the payload lists that are never empty
+NONEMPTY = ("rows", "subgroup")
 
 
 class Family:
@@ -674,7 +679,7 @@ def verify_ds(
 ) -> Report:
     """Exhaustively check a (v, k, lambda) difference set."""
     family, k = _set_family(group, dset)
-    declared = dict(zip(PARAM_KEYS["ds"], params))  # the found ones, once checked
+    declared = dict(zip(KIND_TABLE["ds"].params, params))  # the found ones, once checked
     if group.order != params.v or k != params.k:
         message = f"declared {params}, found v={group.order}, k={k}"
         return Report(False, "ds", declared, message=message)
@@ -723,7 +728,7 @@ def verify_dds(
         raise ValueError(
             f"subgroup has order {len(nset)}, parameters declare n={params.n}"
         )
-    declared = dict(zip(PARAM_KEYS["dds"], params))  # the found ones, once checked
+    declared = dict(zip(KIND_TABLE["dds"].params, params))  # the found ones, once checked
     if group.order != params.m * params.n:
         message = f"group order {group.order} != m*n = {params.m * params.n}"
         return Report(False, "dds", declared, message=message)

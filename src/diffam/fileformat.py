@@ -28,16 +28,14 @@ import re
 from collections.abc import Sequence
 from itertools import chain, groupby, islice, repeat
 from json.decoder import WHITESPACE, JSONObject
-from operator import eq, itemgetter
+from operator import eq
 
-from .groups import AdditiveField, Element, GroupDescriptor, check_cap, check_power_cap
-from .designs import PARAM_KEYS, DiffMatrix, Family, IndexedElements, _element_indices, _Record
+from .groups import AdditiveField, Element, GroupDescriptor, _is_int, check_cap, check_power_cap
+from .designs import (
+    KIND_TABLE, NONEMPTY, DiffMatrix, Family, IndexedElements, _element_indices, _Record,
+)
 
-KINDS = tuple(PARAM_KEYS)
-
-FAMILY_KINDS = ("df", "ddf", "pdf")
-SET_KINDS = ("ds", "dds")
-MATRIX_KINDS = ("dm", "hdm")
+KINDS = tuple(KIND_TABLE)  # a tuple: a kind read from a file may be unhashable
 
 
 def group_to_obj(group: GroupDescriptor) -> dict:
@@ -50,12 +48,6 @@ def group_to_obj(group: GroupDescriptor) -> dict:
         else:
             factors.append({"cyclic": fac})
     return {"factors": factors}
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: a JSON boolean parses to a Python bool, which is
-    an int subclass but never a valid count, order or coordinate."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def group_from_obj(obj) -> GroupDescriptor:
@@ -217,35 +209,44 @@ def _params_to_obj(params: dict) -> dict:
     return out
 
 
-def _payload(design: DesignFile) -> tuple[str, Sequence]:
-    """The payload key ("rows" or "blocks") and lists of a design to write,
-    after the rules every written file keeps: a known kind, the payload its
-    kind needs, and a subgroup for kind dds and no other."""
+# how the writer names a payload list its design lacks
+_NEEDS = {"blocks": "blocks", "rows": "matrix rows", "subgroup": "the forbidden subgroup"}
+
+
+def _payload(design: DesignFile) -> dict[str, Sequence]:
+    """The payload lists of a design to write, by name, after the rules
+    every read file keeps (``designs.KIND_TABLE``): a known kind, each list
+    its kind carries, none of them empty that must not be, and no other
+    list, each refused as the reader refuses it in a file."""
     kind = design.kind
     if kind not in KINDS:
         raise ValueError(f"unknown design kind {kind!r}")
-    key, what = ("rows", "matrix rows") if kind in MATRIX_KINDS else ("blocks", "blocks")
-    lists = getattr(design, key)
-    if lists is None:
-        raise ValueError(f"kind {kind!r} needs {what}")
-    if kind == "dds" and design.subgroup is None:
-        raise ValueError("kind 'dds' needs the forbidden subgroup")
-    if kind != "dds" and design.subgroup is not None:
+    names = KIND_TABLE[kind].payload
+    for name in names:
+        lists = getattr(design, name)
+        if lists is None or (name in NONEMPTY and not len(lists)):
+            raise ValueError(f"kind {kind!r} needs {_NEEDS[name]}")
+    if "subgroup" not in names and design.subgroup is not None:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
-    return key, lists
+    extra = [name for name in ("blocks", "rows") if name not in names and getattr(design, name) is not None]
+    if extra:
+        raise ValueError(f"unexpected design file keys: {extra}")
+    return {name: getattr(design, name) for name in names}
 
 
 def design_to_obj(design: DesignFile) -> dict:
-    key, lists = _payload(design)
+    payload = _payload(design)
     group = design.group
     obj: dict = {
         "kind": design.kind,
         "group": group_to_obj(group),
         "params": _params_to_obj(design.params),
-        key: [[element_to_obj(group, x) for x in items] for items in lists],
     }
-    if design.subgroup is not None:
-        obj["subgroup"] = [element_to_obj(group, x) for x in design.subgroup]
+    for name, lists in payload.items():
+        if name == "subgroup":  # one list of elements
+            obj[name] = [element_to_obj(group, x) for x in lists]
+        else:
+            obj[name] = [[element_to_obj(group, x) for x in items] for items in lists]
     return obj
 
 
@@ -256,9 +257,8 @@ def _header_from_obj(obj) -> tuple[str, GroupDescriptor, dict]:
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown design kind {kind!r}")
-    allowed = {"kind", "group", "params", "subgroup"}
-    allowed.add("rows" if kind in MATRIX_KINDS else "blocks")
-    extra = set(obj) - allowed
+    # a subgroup on another kind is refused once the payload is read
+    extra = set(obj) - {"kind", "group", "params", "subgroup", *KIND_TABLE[kind].payload}
     if extra:
         raise ValueError(f"unexpected design file keys: {sorted(extra)}")
     group = group_from_obj(obj.get("group"))
@@ -270,33 +270,26 @@ def _header_from_obj(obj) -> tuple[str, GroupDescriptor, dict]:
 
 def design_from_obj(obj) -> DesignFile:
     kind, group, params = _header_from_obj(obj)
-    blocks = rows = subgroup = None
-    if kind in MATRIX_KINDS:
-        raw = obj.get("rows")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError(f"kind {kind!r} needs a nonempty 'rows' list")
-        rows = _payload_from_obj(group, raw, "row")
-    else:
-        raw = obj.get("blocks")
-        if not isinstance(raw, list):
-            raise ValueError(f"kind {kind!r} needs a 'blocks' list")
-        blocks = _payload_from_obj(group, raw, "block")
-    if kind == "dds":
-        raw = obj.get("subgroup")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("kind 'dds' needs a nonempty 'subgroup' list")
-        subgroup = _payload_from_obj(group, [raw], "subgroup")[0]
-    elif "subgroup" in obj:
+    lists = {}
+    for name in KIND_TABLE[kind].payload:
+        raw, nonempty = obj.get(name), name in NONEMPTY
+        if not isinstance(raw, list) or (nonempty and not raw):
+            raise ValueError(f"kind {kind!r} needs a {'nonempty ' * nonempty}{name!r} list")
+        if name == "subgroup":  # one list of elements
+            lists[name] = _payload_from_obj(group, [raw], name)[0]
+        else:
+            lists[name] = _payload_from_obj(group, raw, name)
+    if "subgroup" in obj and "subgroup" not in lists:
         raise ValueError(f"kind {kind!r} must not carry a subgroup")
-    return DesignFile(kind, group, params, blocks, rows, subgroup)
+    return DesignFile(kind, group, params, **lists)
 
 
-def _payload_from_obj(group: GroupDescriptor, raw: list, what: str) -> IndexLists:
-    """Blocks or matrix rows, decoded element by element: an error names the first offender."""
+def _payload_from_obj(group: GroupDescriptor, raw: list, name: str) -> IndexLists:
+    """The lists of a payload, decoded element by element: an error names the first offender."""
     lists = []
     for item in raw:
         if not isinstance(item, list):
-            raise ValueError(f"each {what} must be a list, got {item!r}")
+            raise ValueError(f"each {name[:-1]} must be a list, got {item!r}")
         lists.append(group.indices([element_from_obj(group, x) for x in item]))
     return IndexLists.of_blocks(group, lists)
 
@@ -331,12 +324,7 @@ def _index_lists(group: GroupDescriptor, lists) -> IndexLists:
     if isinstance(lists, IndexLists) and lists.group == group:
         return lists
     lists = [tuple(items) for items in lists]
-    xs = list(chain.from_iterable(lists))
-    flat = _element_indices(group, xs)
-    for i in range(len(group.factors)):
-        if any(map(isinstance, map(itemgetter(i), xs), repeat(bool))):
-            x = next(x for x in xs if isinstance(x[i], bool))
-            raise ValueError(f"{x!r} has a bool coordinate, not an integer")
+    flat = _element_indices(group, chain.from_iterable(lists))
     return IndexLists(group, flat, list(map(len, lists)))
 
 
@@ -380,16 +368,17 @@ def _design_parts(design: DesignFile) -> list[str]:
     """The file text as pieces, keys in sorted order.  A payload list's text
     is a piece of its own, so the payload (most of the file) is never built
     as one string: each whole copy adds to the peak memory of a large write."""
-    key, lists = _payload(design)
+    payload, group = _payload(design), design.group
     texts = {
         "kind": [json.dumps(design.kind)],
-        "group": [_header_text(group_to_obj(design.group))],
+        "group": [_header_text(group_to_obj(group))],
         "params": [_header_text(_params_to_obj(design.params))],
-        key: _payload_parts(design.group, lists),
     }
-    if design.subgroup is not None:
-        subgroup = _index_lists(design.group, [design.subgroup])
-        texts["subgroup"] = _lists_texts(design.group, subgroup, 1)
+    for name, lists in payload.items():
+        if name == "subgroup":  # one list of elements
+            texts[name] = _lists_texts(group, _index_lists(group, [lists]), 1)
+        else:
+            texts[name] = _payload_parts(group, lists)
     parts: list[str] = []
     for name in sorted(texts):
         parts += (",\n  " if parts else "{\n  ", f'"{name}": ')
@@ -485,10 +474,10 @@ def loads_design(text: str) -> DesignFile:
     try:
         obj = _walk(text) if isinstance(text, str) else None
         kind, group, params = _header_from_obj(obj)
-        names = ["rows" if kind in MATRIX_KINDS else "blocks"] + ["subgroup"] * (kind == "dds")
-        if ("subgroup" not in obj or kind == "dds") and all(isinstance(obj.get(n), tuple) for n in names):
+        names = KIND_TABLE[kind].payload
+        if ("subgroup" not in obj or "subgroup" in names) and all(isinstance(obj.get(n), tuple) for n in names):
             lists = {n: _scanned_lists(group, text, *obj[n], n == "subgroup") for n in names}
-            if None not in lists.values() and all(lists.get(n, 1) for n in ("rows", "subgroup")):
+            if None not in lists.values() and all(lists[n] for n in names if n in NONEMPTY):
                 return DesignFile(kind, group, params, **lists)
     except (ValueError, RecursionError):
         pass  # the scan refuses the text; the tree path decides

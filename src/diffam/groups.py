@@ -41,6 +41,12 @@ class ExhaustiveCapError(ValueError):
     """An exhaustive computation would exceed GROUP_ORDER_CAP."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: a bool (as JSON's true and false parse) is
+    an int subclass but never a valid coordinate, count or order."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_cap(order: int) -> None:
     """Refuse exhaustive work on a group of more than GROUP_ORDER_CAP elements."""
     if order > GROUP_ORDER_CAP:
@@ -415,13 +421,12 @@ class GroupDescriptor:
         return list(zip(*self.coordinates(indices)))
 
     def contains(self, x) -> bool:
+        """Whether x is an element: a tuple of one int per factor, not a
+        bool, in the range of that factor."""
         return (
             isinstance(x, tuple)
             and len(x) == len(self.factors)
-            and all(
-                isinstance(c, int) and 0 <= c < s
-                for c, s in zip(x, self.factor_sizes)
-            )
+            and all(_is_int(c) and 0 <= c < s for c, s in zip(x, self.factor_sizes))
         )
 
     def check_elements(self, xs: Sequence) -> bool:
@@ -435,6 +440,8 @@ class GroupDescriptor:
         for i, size in enumerate(self.factor_sizes):
             col = list(map(itemgetter(i), xs))
             if not all(map(isinstance, col, itertools.repeat(int))):
+                return False
+            if any(map(isinstance, col, itertools.repeat(bool))):
                 return False
             if col and (min(col) < 0 or max(col) >= size):
                 return False

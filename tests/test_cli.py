@@ -365,6 +365,10 @@ def test_construct_units_hdm(tmp_path):
     design = load_design(path)
     assert design.kind == "hdm"
     assert len(design.rows) == 3 and len(design.rows[0]) == 7
+    # one row is counted as one block is
+    rc, out, err = run(["construct", "units-hdm", "--factors", "7", "--k", 1, "--out", path])
+    assert rc == 0
+    assert out == f"wrote hdm over GF(7) [k=1 lambda=1 v=7] (1 row) to {path}\n"
 
 
 def test_construct_product_from_hdm_or_dm_file(tmp_path):

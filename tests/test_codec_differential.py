@@ -5,25 +5,26 @@ The design-file writer is checked byte for byte against
 reader's payload scan against ``design_from_obj(json.loads(text))``, which
 decodes the JSON tree element by element, the family and the
 matrix of a read file against ``Family`` and ``DiffMatrix`` of the decoded
-blocks and rows, and the shared column element check against
-``GroupDescriptor.contains``, on every group shape and design kind, valid
-or with one coordinate spoiled."""
+blocks and rows, the shared column element check against
+``GroupDescriptor.contains``, and the writer against the reader (what one
+writes the other reads back, what the reader would refuse the writer
+refuses), on every group shape and design kind, valid or with one
+coordinate spoiled."""
 
 import copy
 import json
+import re
 from math import prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffam import fileformat
 from diffam.algebra import GroupDescriptor, build_field, build_ring
 from diffam.constructions import units_hdm
-from diffam.designs import DiffMatrix, Family, hdm_to_dm, verify_dm, verify_hdm
+from diffam.designs import KIND_TABLE, DiffMatrix, Family, hdm_to_dm, verify_dm, verify_hdm
 from diffam.fileformat import (
-    KINDS,
-    MATRIX_KINDS,
     DesignFile,
     IndexLists,
     design_from_obj,
@@ -31,6 +32,7 @@ from diffam.fileformat import (
     dumps_design,
     element_from_obj,
     loads_design,
+    save_design,
 )
 
 # cyclic orders (Z_1 included), GF(p) as a field factor, GF(2^n) and GF(p^n)
@@ -52,19 +54,28 @@ def groups(draw):
     )
 
 
-def _elements(group, min_size=0, max_size=6):
-    return st.lists(
-        st.sampled_from(list(group.elements())), min_size=min_size, max_size=max_size
-    )
+@st.composite
+def _element(draw, elements):
+    """An element, now and then with a bool for one coordinate."""
+    x = draw(st.sampled_from(elements))
+    if draw(st.integers(0, 19)) == 0:
+        i = draw(st.integers(0, len(x) - 1))
+        x = x[:i] + (draw(st.booleans()),) + x[i + 1:]
+    return x
+
+
+def _elements(group, max_size=6):
+    return st.lists(_element(list(group.elements())), max_size=max_size)
 
 
 @st.composite
 def designs(draw):
     """A DesignFile of any kind; the writer does not certify the design, so
     blocks, rows and the subgroup are any lists of elements (mixed sizes,
-    an empty payload list and repeated elements included)."""
+    empty payload lists, repeated elements, now and then a bool coordinate
+    and a list its kind does not carry included)."""
     group = draw(groups())
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(tuple(KIND_TABLE)))
     params = draw(
         st.dictionaries(
             st.sampled_from(["K", "k", "lambda", "lambda1", "m", "v"]),
@@ -72,13 +83,14 @@ def designs(draw):
             max_size=4,
         )
     )
-    payload = tuple(
-        tuple(b) for b in draw(st.lists(_elements(group), max_size=5))
-    )
-    if kind in MATRIX_KINDS:
-        return DesignFile(kind, group, params, rows=payload)
-    subgroup = tuple(draw(_elements(group, 1))) if kind == "dds" else None
-    return DesignFile(kind, group, params, payload, subgroup=subgroup)
+    lists = tuple(tuple(b) for b in draw(st.lists(_elements(group), max_size=5)))
+    names = list(KIND_TABLE[kind].payload)
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(["blocks", "rows", "subgroup"])))
+    payload = dict.fromkeys(names, lists)
+    if "subgroup" in payload:
+        payload["subgroup"] = tuple(draw(_elements(group)))
+    return DesignFile(kind, group, params, **payload)
 
 
 def _spots(design):
@@ -136,12 +148,6 @@ def test_dumps_design_matches_the_json_oracle(design, data):
             spoiled = x[:coord] + (bad,) + x[coord + 1:]
         design = _replace(design, spot, spoiled)
     fast = _outcome(dumps_design, design)
-    if spoil and isinstance(spoiled, tuple) and any(isinstance(c, bool) for c in spoiled):
-        # the oracle writes a bool as true/false (or, in a field factor, as
-        # the coefficients of 0/1), which the reader refuses; the fast
-        # writer refuses it instead
-        assert fast[0] == "ValueError"
-        return
     oracle = _outcome(oracle_text, design)
     if oracle[0] == "ok":
         assert fast == oracle
@@ -379,7 +385,7 @@ def test_check_elements_matches_contains(group, data):
 def test_check_elements_covers_bool_and_empty():
     group = GroupDescriptor((7, build_field(2, 2)))
     assert group.check_elements([])
-    assert group.check_elements([(True, 3)]) == group.contains((True, 3)) is True
+    assert group.check_elements([(True, 3)]) == group.contains((True, 3)) is False
     assert not group.check_elements([(6, 4)])
     assert not group.check_elements([(0, 0), (7, 0)])
     assert not group.check_elements([(0, 0), (-1, 0)])
@@ -389,8 +395,27 @@ def test_check_elements_covers_bool_and_empty():
 def test_dumps_design_refuses_a_bool_coordinate(bad):
     group = GroupDescriptor((7,))
     design = DesignFile("ds", group, {"v": 7}, (((1,), (bad,)),))
-    with pytest.raises(ValueError, match="bool"):
+    with pytest.raises(ValueError, match=re.escape(f"({bad},) is not an element of Z7")):
         dumps_design(design)
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs())
+@example(DesignFile("dm", GroupDescriptor((7,)), {}, rows=()))
+@example(DesignFile("dds", GroupDescriptor((7,)), {}, ((),), subgroup=()))
+def test_the_writer_refuses_what_the_reader_refuses(tmp_path_factory, design):
+    """A design the writer writes reads back, by the scan alone, to an equal
+    design; any other design the writer refuses, leaving a file as it was."""
+    written = _outcome(dumps_design, design)
+    if written[0] == "ok":
+        with mock.patch.object(fileformat, "_parse", side_effect=AssertionError("tree")):
+            assert loads_design(written[1]) == design
+        return
+    path = tmp_path_factory.getbasetemp() / "agreement.json"
+    path.write_text("before")
+    with pytest.raises(ValueError, match=re.escape(written[1])):
+        save_design(path, design)
+    assert path.read_text() == "before"
 
 
 SPACE = " \t\n\r"

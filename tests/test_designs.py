@@ -10,9 +10,12 @@ import pytest
 from diffam.algebra import (
     ExhaustiveCapError,
     GroupDescriptor,
+    UnitAction,
+    abelian_iso,
     build_field,
     build_ring,
     cyclic_group,
+    is_semiregular,
 )
 from diffam.designs import (
     DDSParams,
@@ -382,6 +385,32 @@ def test_a_subgroup_member_that_is_not_an_element_is_named():
     with pytest.raises(ValueError) as info:
         verify_dds([(1,)], cyclic_group(4), [[0], [2]], DDSParams(2, 2, 1, 0, 1))
     assert str(info.value) == "[0] is not an element of Z4"
+
+
+Z7 = cyclic_group(7)
+# Z7 with (1,) spelled as the equal (True,): the whole group, and its identity map
+Z7_WITH_TRUE = [(0,), (True,), *[(x,) for x in range(2, 7)]]
+IDENTITY_WITH_TRUE = dict(zip(Z7.elements(), Z7_WITH_TRUE))
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: Family(Z7, [[(True,), (2,), (4,)]]), "(True,) is not an element of Z7"),
+        (lambda: DiffMatrix(Z7, [[(0,)] * 7, [(True,)] * 7]), "(True,) is not an element of Z7"),
+        (lambda: verify_ds([(True,), (2,), (4,)], Z7, DSParams(7, 3, 1)), "(True,) is not an element of Z7"),
+        (lambda: verify_dds([(0,)], Z7, Z7_WITH_TRUE, DDSParams(1, 7, 1, 0, 0)), "(True,) is not an element of Z7"),
+        (lambda: UnitAction(build_ring([7]), (True,)), "(True,) is not an element of GF(7)"),
+        (lambda: abelian_iso(Z7, Z7).apply((True,)), "(True,) is not an element of Z7"),
+        (lambda: is_semiregular(Z7, [IDENTITY_WITH_TRUE]), "automorphism map is not a bijection"),
+    ],
+    ids=["Family", "DiffMatrix", "verify_ds", "verify_dds subgroup", "UnitAction", "Isomorphism.apply", "explicit map"],
+)
+def test_a_bool_coordinate_is_refused_everywhere(refuse, message):
+    # True == 1, so the bool would pass for the element (1,) were it taken
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
 
 
 def test_report_stats_name_the_engine():
