@@ -340,9 +340,7 @@ class ScalarAction:
             )
         self.group = group
         self.multiplier = multiplier % exponent
-        order = multiplicative_order(self.multiplier, exponent)
-        assert order is not None
-        self.order = order
+        self.order = multiplicative_order(self.multiplier, exponent)
 
     def step(self, x: Element) -> Element:
         return self.group.scalar_mul(self.multiplier, x)
@@ -376,7 +374,6 @@ def _validated_maps(group: GroupDescriptor, maps: Sequence[dict]) -> list[list[i
     generators, on index permutations), the identity is present, and the set
     is closed under composition.  Each map is returned as a permutation of
     canonical indices."""
-    check_cap(group.order)
     elements = list(group.elements())
     element_set = set(elements)
     gens = group.canonical_generators()
@@ -453,7 +450,6 @@ def index_orbits(group: GroupDescriptor, action) -> Iterator[tuple[int, ...]]:
     time, so a caller may stop at any orbit.  A ``UnitAction`` or
     ``ScalarAction`` is walked along its index permutation; under an
     explicit list, the orbit of x is the set of its images."""
-    check_cap(group.order)
     if not isinstance(action, (UnitAction, ScalarAction)):
         yield from _image_orbits(_validated_maps(group, action))
         return
@@ -595,7 +591,6 @@ def abelian_iso(g1: GroupDescriptor, g2: GroupDescriptor) -> Isomorphism | None:
     a2 = sorted(_atoms(g2), key=lambda at: (at.p, at.a))
     if [(at.p, at.a) for at in a1] != [(at.p, at.a) for at in a2]:
         return None
-    check_cap(g1.order)
     iso = Isomorphism(g1, g2, list(zip(a1, a2)))
     if len(set(iso.index_map())) != g1.order:
         raise RuntimeError("isomorphism candidate is not a bijection")

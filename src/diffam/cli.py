@@ -23,9 +23,8 @@ import sys
 from itertools import groupby
 
 from .designs import (
-    KIND_TABLE, ConstructionError, DDSParams, DSParams, DiffMatrix, Family, Report,
-    classify_family, dm_to_hdm, normalize_dm, verify_dds, verify_df, verify_dm, verify_ds,
-    verify_hdm,
+    KIND_TABLE, ConstructionError, DDSParams, DSParams, Report, classify_family, verify_dds,
+    verify_df, verify_dm, verify_ds, verify_hdm,
 )
 from .groups import AdditiveField, GroupDescriptor
 
@@ -115,26 +114,6 @@ def _int_param(params: dict, key: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_family(path) -> Family:
-    from .fileformat import load_design
-
-    design = load_design(path)
-    if KIND_TABLE[design.kind].payload == ("blocks",):
-        return design.family()
-    raise ValueError(f"{path}: expected a block-family design, found {design.kind!r}")
-
-
-def _load_hdm(path) -> DiffMatrix:
-    from .fileformat import load_design
-
-    design = load_design(path)
-    if design.kind == "hdm":
-        return design.matrix()
-    if design.kind == "dm":
-        return dm_to_hdm(normalize_dm(design.matrix()))
-    raise ValueError(f"{path}: expected a difference-matrix design, found {design.kind!r}")
-
-
 # recipe name -> (kind of design it writes, builder).  A builder reads its
 # flags and returns what the recipe certified: a Family for a ddf or (its one
 # block) a ds, a DiffMatrix for an hdm, a DDSConstruction for a dds.  It looks
@@ -146,7 +125,7 @@ RECIPES = {
     "furino": ("ddf", lambda args, c: c._furino(args)),
     "cyclotomic-half": ("ddf", lambda args, c: c._cyclotomic_half(args)),
     "units-hdm": ("hdm", lambda args, c: c.units_hdm(c._ring(args), c._require_flag(args, "--k"))),
-    "product": ("ddf", lambda args, c: c._product(args, _load_family, _load_hdm)),
+    "product": ("ddf", lambda args, c: c._product(args)),
     "result1": ("ddf", lambda args, c: c.result1_ddf(c._require_flag(args, "--k"), c._ring(args))),
     "trivial-ds": ("ds", lambda args, c: c._one_block(*c.trivial_ds(c._require_flag(args, "--k")))),
     "singer": ("ds", lambda args, c: c._singer(args)),

@@ -52,8 +52,10 @@ from .designs import (
     _Record,
     classify_family,
     counting_lambda,
+    dm_to_hdm,
     ds_lambda,
     family_params,
+    normalize_dm,
     verify_df,
     verify_dds,
     verify_ds,
@@ -374,13 +376,12 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
     if hdm_h.group != family_h.group:
         raise ConstructionError("matrix and second family live over different groups")
     big = product_group(family_g.group, family_h.group)
-    check_cap(big.order)
     _require(verify_df(family_g, k - 1), "first factor family")
     _require(verify_df(family_h, k - 1), "second factor family")
     if classify_family(family_g) == "plain" or classify_family(family_h) == "plain":
         raise ConstructionError("factor families must be disjoint")
     g0 = _one_uncovered(family_g, "first factor family")
-    h0 = _one_uncovered(family_h, "second factor family")
+    _one_uncovered(family_h, "second factor family")
     _require(verify_hdm(hdm_h), "homogeneous difference matrix")
     # (x, y) in G x H has canonical index index(x) * |H| + index(y), so each
     # block below is sorted as its (distinct) G coordinates are
@@ -392,11 +393,7 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
         for j in range(hdm_h.columns)
     ]
     blocks += [tuple(g0_index * v_h + y for y in block_b) for block_b in family_h.indices]
-    family = _certified(Family.of_indices(big, blocks), k - 1, "product family")
-    leftover = _one_uncovered(family, "product family")
-    if leftover != g0 + h0:
-        raise ConstructionError("product family misses an unexpected element")
-    return family
+    return _certified(Family.of_indices(big, blocks), k - 1, "product family")
 
 
 def result1_ddf(k: int, ring: RingDescriptor) -> Family:
@@ -466,14 +463,27 @@ class DDSConstruction(_Record):
         self.elements, self.group, self.subgroup, self.params = elements, group, subgroup, params
 
 
-def _lift(dset: Iterable[Element], group: GroupDescriptor, h: int):
-    """dds_from_ds's verified lift as (G x Z_h, lifted set, subgroup,
+def _lift(group: GroupDescriptor, block: list[int], lam: int, h: int):
+    """The lift D x Z_h of a (v, k, lam) difference set D in G, given as its
+    sorted canonical indices, as (G x Z_h, lifted set, subgroup {0} x Z_h,
     parameters), the two sets IndexedElements: (x, j) has canonical index
     x * h + j, so the lift of a sorted set is sorted."""
+    big = product_group(group, cyclic_group(h))
+    v, k = group.order, len(block)
+    lifted = IndexedElements(big, [x * h + j for x in block for j in range(h)])
+    params = DDSParams(v, h, k * h, k * h, lam * h)
+    return big, lifted, IndexedElements(big, range(h)), params
+
+
+def dds_from_ds(
+    dset: Iterable[Element], group: GroupDescriptor, h: int
+) -> DDSConstruction:
+    """Lift a (v, k, lambda) difference set D in G to the divisible
+    difference set D x Z_h in G x Z_h relative to {0} x Z_h, with parameters
+    (v, h, k*h, k*h, lambda*h)."""
     if h < 1:
         raise ConstructionError(f"subgroup order must be positive, got {h}")
-    big = product_group(group, cyclic_group(h))
-    check_cap(big.order)
+    check_cap(group.order * h)  # before Z_h is built, so the order named is v*h
     indices = _element_indices(group, dset)
     block = sorted(set(indices))
     if len(block) != len(indices):
@@ -488,20 +498,8 @@ def _lift(dset: Iterable[Element], group: GroupDescriptor, h: int):
         )
     ds_params = DSParams(v, k, lam)
     _require(verify_ds(IndexedElements(group, block), group, ds_params), "difference set input")
-    lifted = IndexedElements(big, [x * h + j for x in block for j in range(h)])
-    subgroup = IndexedElements(big, range(h))
-    params = DDSParams(v, h, k * h, k * h, lam * h)
+    big, lifted, subgroup, params = _lift(group, block, lam, h)
     _require(verify_dds(lifted, big, subgroup, params), "lifted divisible set")
-    return big, lifted, subgroup, params
-
-
-def dds_from_ds(
-    dset: Iterable[Element], group: GroupDescriptor, h: int
-) -> DDSConstruction:
-    """Lift a (v, k, lambda) difference set D in G to the divisible
-    difference set D x Z_h in G x Z_h relative to {0} x Z_h, with parameters
-    (v, h, k*h, k*h, lambda*h)."""
-    big, lifted, subgroup, params = _lift(dset, group, h)
     return DDSConstruction(tuple(lifted), big, tuple(subgroup), params)
 
 
@@ -528,8 +526,10 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
         raise ConstructionError(f"gcd(d, e) = gcd({d}, {e}) != 1")
     if not 1 <= h <= e:
         raise ConstructionError(f"need 1 <= h <= e, got h={h}, e={e}")
-    dset, base_group = singer_ds(q, d)
-    big, lifted, subgroup, params = _lift(dset, base_group, h * (q - 1) // e)
+    dset, base_group = singer_ds(q, d)  # certified; in Z_v, (i,) has index i
+    block = [i for (i,) in dset]
+    lam = ds_lambda(base_group.order, len(block))
+    big, lifted, subgroup, params = _lift(base_group, block, lam, h * (q - 1) // e)
     target = GroupDescriptor(((q**d - 1) // e, h))
     iso = abelian_iso(big, target)
     if iso is None:
@@ -600,7 +600,6 @@ def _orbit_inputs(args):
         return ring.additive_group(), unit_subgroup_of_order(ring, k)
     if args.v is not None:
         mult = _require_flag(args, "--mult")
-        check_cap(args.v)  # before ScalarAction walks the multiplier's order
         group = cyclic_group(args.v)
         return group, ScalarAction(group, mult)
     raise ValueError("orbit constructions need --v with --mult, or --factors with --k")
@@ -624,12 +623,32 @@ def _cyclotomic_half(args) -> Family:
     return cyclotomic_half_ddf(ring, k, sigma)
 
 
-def _product(args, load_family, load_hdm) -> Family:
-    """product_ddf of the files its flags name, read by cli's loaders."""
+def _load_family(path) -> Family:
+    from .fileformat import load_design
+
+    design = load_design(path)
+    if KIND_TABLE[design.kind].payload == ("blocks",):
+        return design.family()
+    raise ValueError(f"{path}: expected a block-family design, found {design.kind!r}")
+
+
+def _load_hdm(path) -> DiffMatrix:
+    from .fileformat import load_design
+
+    design = load_design(path)
+    if design.kind == "hdm":
+        return design.matrix()
+    if design.kind == "dm":
+        return dm_to_hdm(normalize_dm(design.matrix()))
+    raise ValueError(f"{path}: expected a difference-matrix design, found {design.kind!r}")
+
+
+def _product(args) -> Family:
+    """product_ddf of the files its flags name."""
     return product_ddf(
-        load_family(_require_flag(args, "--ddf-g")),
-        load_family(_require_flag(args, "--ddf-h")),
-        load_hdm(_require_flag(args, "--dm")),
+        _load_family(_require_flag(args, "--ddf-g")),
+        _load_family(_require_flag(args, "--ddf-h")),
+        _load_hdm(_require_flag(args, "--dm")),
     )
 
 

@@ -25,7 +25,7 @@ from itertools import accumulate, chain, compress, count, groupby, islice, repea
 from math import prod
 from operator import add, eq, floordiv, ge, mod, mul, ne, sub
 
-from .groups import Element, GroupDescriptor, check_cap
+from .groups import Element, GroupDescriptor
 
 __all__ = [
     "ConstructionError",
@@ -317,7 +317,6 @@ def _dense_counts(family: Family) -> tuple[list[int], str]:
     """The family's difference counts as one list in canonical element order
     (index 0, the zero element, stays 0), and the engine that counted them."""
     group, blocks = family.group, family.indices
-    check_cap(group.order)
     # the engine is chosen once per block size, not once per block
     sizes = set(map(len, blocks))
     convolve = {k for k in sizes if _use_convolution(group, k)}
@@ -806,7 +805,6 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
     """Count each element per row (hdm only), then per pair of rows as their
     difference."""
     group, v = mat.group, mat.group.order
-    check_cap(v)
     params = {"v": v, "k": mat.k, "lambda": 1}
     if mat.columns != v:
         message = f"matrix has {mat.columns} columns but the group has order {v}"

@@ -22,7 +22,7 @@ canonical order, so built-in sorting of element tuples sorts canonically and
 element's canonical index is its place in that order (its coordinates read
 in the mixed radix of the factor sizes): orbit walks, isomorphisms, block
 families and the count engines work on indices, and decode tuples only when
-asked for.  Exhaustive routines refuse groups larger than GROUP_ORDER_CAP.
+asked for.  No group of more than GROUP_ORDER_CAP elements can be built.
 """
 
 from __future__ import annotations
@@ -310,8 +310,9 @@ class AdditiveField:
 
 
 class GroupDescriptor:
-    """Finite abelian group: a product of Z_n factors and additive groups of
-    finite fields.  Elements are tuples of encoded ints, one per factor."""
+    """Finite abelian group of at most GROUP_ORDER_CAP elements: a product of
+    Z_n factors and additive groups of finite fields.  Elements are tuples of
+    encoded ints, one per factor."""
 
     def __init__(self, factors: Sequence):
         if not factors:
@@ -332,6 +333,7 @@ class GroupDescriptor:
         self.factors = tuple(factors)
         self.factor_sizes = tuple(sizes)
         self.order = prod(sizes)
+        check_cap(self.order)
         self._digits = tuple(digits)
         self.zero: Element = (0,) * len(self.factors)
 

@@ -777,9 +777,35 @@ def test_cap_errors():
     with pytest.raises(ExhaustiveCapError):
         check_cap(10**6 + 1)
     assert issubclass(ExhaustiveCapError, ValueError)
-    big = cyclic_group(10**6 + 1)
     with pytest.raises(ExhaustiveCapError):
+        big = cyclic_group(10**6 + 1)
         fixed_point_witness(big, ScalarAction(big, 10**6))
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (lambda: cyclic_group(10**6 + 1), 1000001),
+        (lambda: product_group(cyclic_group(1000), build_ring([1009])), 1009000),
+        (lambda: GroupDescriptor((1000, 1001)), 1001000),
+        (lambda: build_ring([1000003]), 1000003),
+    ],
+    ids=["cyclic", "product", "descriptor", "ring"],
+)
+def test_no_group_over_the_cap_can_be_built(monkeypatch, build, order):
+    """Every public constructor builds through GroupDescriptor, which refuses
+    an order over the cap with the one cap text; a ring is refused before
+    any field table or primitive element is computed."""
+
+    def never(*args):
+        raise AssertionError("a field table was built")
+
+    monkeypatch.setattr(FieldDescriptor, "_tables", never)
+    monkeypatch.setattr(FieldDescriptor, "_find_primitive", never)
+    message = f"group order {order} exceeds the exhaustive-verification cap 1000000"
+    with pytest.raises(ExhaustiveCapError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

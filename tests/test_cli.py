@@ -1000,7 +1000,7 @@ def test_verify_of_a_written_file_never_decodes_element_tuples(tmp_path, monkeyp
     report = cli._verify_design(design)
     assert report.ok, report.message
     if design.kind == "hdm":
-        assert cli._load_hdm("design.json") == design.matrix()
+        assert constructions._load_hdm("design.json") == design.matrix()
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,29 @@ def test_each_returned_family_is_counted_once(monkeypatch):
         furino_ddf(13, 4, half=True)
 
 
+def test_each_returned_dds_is_counted_once(monkeypatch):
+    """result3star_dds counts the Singer set once (singer_ds's certificate)
+    and only the transported set after it; dds_from_ds counts its outside
+    input and its lift once each."""
+    calls = []
+
+    def counted(name, verify):
+        def wrapped(*args):
+            calls.append(name)
+            return verify(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(constructions, "verify_ds", counted("ds", constructions.verify_ds))
+    monkeypatch.setattr(constructions, "verify_dds", counted("dds", constructions.verify_dds))
+    built = result3star_dds(3, 7, 2, 2)
+    assert calls == ["ds", "dds"]
+    assert built.params == DDSParams(1093, 2, 728, 728, 242)
+    calls.clear()
+    dds_from_ds([(1,), (2,), (4,)], cyclic_group(7), 2)
+    assert calls == ["ds", "dds"]
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic half-class family
 # ---------------------------------------------------------------------------

@@ -178,9 +178,9 @@ def test_delta_conservation():
 
 
 def test_delta_cap():
-    big = cyclic_group(10**6 + 3)
-    fam = Family(big, [[(0,), (1,)]])
     with pytest.raises(ExhaustiveCapError):
+        big = cyclic_group(10**6 + 3)
+        fam = Family(big, [[(0,), (1,)]])
         delta_multiset(fam)
 
 
