@@ -47,6 +47,7 @@ from .designs import (
     DiffMatrix,
     Family,
     IndexedElements,
+    IndexLists,
     NotSemiregularError,
     _element_indices,
     _Record,
@@ -99,8 +100,8 @@ def _certified(family: Family, lam: int, what: str) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]:
-    """The action's orbits on the nonzero elements as sorted tuples of
+def _semiregular_orbits(group: GroupDescriptor, action) -> IndexLists:
+    """The action's orbits on the nonzero elements as sorted lists of
     canonical indices, or NotSemiregularError with the fixed-point witness.
     By orbit-stabilizer an orbit with fewer members than the action has
     distinct members holds a fixed point, so the walk stops there and only
@@ -120,23 +121,25 @@ def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]
                 (x, j),
             )
         blocks.append(orbit)
-    return blocks
+    return IndexLists(group, list(itertools.chain.from_iterable(blocks)), list(map(len, blocks)))
 
 
 def orbit_ddf(group: GroupDescriptor, action) -> Family:
     """The orbits of a semiregular order-k automorphism group on the nonzero
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
-    blocks = _semiregular_orbits(group, action)
-    k = len(blocks[0]) if blocks else 1
-    return _certified(Family.of_indices(group, blocks), k - 1, "orbit difference family")
+    orbits = _semiregular_orbits(group, action)
+    k = orbits.sizes[0] if orbits else 1
+    return _certified(Family.of_lists(orbits), k - 1, "orbit difference family")
 
 
-def _first_half(orbits: list[tuple[int, ...]], neg: list[int]) -> list[tuple[int, ...]]:
+def _first_half(orbits: IndexLists, neg: list[int]) -> IndexLists:
     """The orbits B with min B < min(-B), in walk order.  The walk meets
     orbits in order of their least member, so these are the orbits met
     before their negations; an orbit fixed by negation is in neither half
     and fails the count."""
-    return [b for b in orbits if b[0] < min(map(neg.__getitem__, b))]
+    half = [b for b in orbits.cut() if b[0] < min(map(neg.__getitem__, b))]
+    flat = list(itertools.chain.from_iterable(half))
+    return IndexLists(orbits.group, flat, list(map(len, half)))
 
 
 def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
@@ -146,13 +149,13 @@ def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
     indices.  An even v*k is refused after the walk, which finds k."""
     orbits = _semiregular_orbits(group, action)
     v = group.order
-    k = len(orbits[0]) if orbits else 1
+    k = orbits.sizes[0] if orbits else 1
     if (v * k) % 2 == 0:
         raise ConstructionError(
             f"v*k = {v}*{k} is even; the negation split needs v*k odd"
         )
     neg = ScalarAction(group, -1).index_map()
-    half = Family.of_indices(group, _first_half(orbits, neg))
+    half = Family.of_lists(_first_half(orbits, neg))
     return _certified(half, (k - 1) // 2, "half-index orbit family"), neg
 
 
@@ -166,9 +169,10 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
     second the negations -B in the same order.
     """
     first, neg = _orbit_half(group, action)
-    second = [tuple(sorted(map(neg.__getitem__, b))) for b in first.indices]
+    # the negated blocks, each sorted by the constructor
+    second = IndexLists(group, list(map(neg.__getitem__, first.lists.flat)), first.lists.sizes)
     lam = ((first.uniform_k() or 1) - 1) // 2  # (k-1)/2, and 0 for v = 1
-    return first, _certified(Family.of_indices(group, second), lam, "half-index orbit family")
+    return first, _certified(Family.of_lists(second), lam, "half-index orbit family")
 
 
 def _least_semiregular_unit(v: int, k: int) -> int:
@@ -298,7 +302,7 @@ def cyclotomic_half_ddf(
     starts = ring.indices(transversal)
     columns = [list(map(row.__getitem__, starts)) for row in _unit_table(ring, k)]
     flat = list(itertools.chain.from_iterable(zip(*columns)))
-    family = Family.of_flat(ring.additive_group(), flat, [k] * len(starts))
+    family = Family.of_lists(IndexLists(ring.additive_group(), flat, [k] * len(starts)))
     return _certified(family, (k - 1) // 2, "half-index family")
 
 
@@ -336,8 +340,8 @@ def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
     Row differences (u - u')x run over the whole ring as x does because
     u - u' is a unit; each row ux is a permutation for the same reason.
     """
-    rows = _unit_table(ring, k)
-    mat = DiffMatrix.of_flat(ring.additive_group(), itertools.chain(*rows), [ring.order] * k)
+    flat = list(itertools.chain.from_iterable(_unit_table(ring, k)))
+    mat = DiffMatrix.of_lists(IndexLists(ring.additive_group(), flat, [ring.order] * k))
     _require(verify_hdm(mat), "unit multiplication table")
     return mat
 
@@ -384,16 +388,18 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
     _one_uncovered(family_h, "second factor family")
     _require(verify_hdm(hdm_h), "homogeneous difference matrix")
     # (x, y) in G x H has canonical index index(x) * |H| + index(y), so each
-    # block below is sorted as its (distinct) G coordinates are
-    v_h, rows = family_h.v, hdm_h.indices
+    # block below is ascending as its (distinct) G coordinates are
+    v_h, entries = family_h.v, hdm_h.lists.flat  # M[i][j] is entries[i * v_h + j]
     (g0_index,) = family_g.group.indices([g0])
-    blocks = [
-        tuple(a * v_h + rows[i][j] for i, a in enumerate(block_a))
-        for block_a in family_g.indices
-        for j in range(hdm_h.columns)
+    flat = [
+        a * v_h + entries[i * v_h + j]
+        for block_a in family_g.lists.cut()
+        for j in range(v_h)
+        for i, a in enumerate(block_a)
     ]
-    blocks += [tuple(g0_index * v_h + y for y in block_b) for block_b in family_h.indices]
-    return _certified(Family.of_indices(big, blocks), k - 1, "product family")
+    flat += [g0_index * v_h + y for y in family_h.lists.flat]
+    product = IndexLists(big, flat, [k] * (len(flat) // k))
+    return _certified(Family.of_lists(product), k - 1, "product family")
 
 
 def result1_ddf(k: int, ring: RingDescriptor) -> Family:
@@ -455,7 +461,7 @@ def singer_ds(q: int, m: int) -> tuple[tuple[Element, ...], GroupDescriptor]:
 
 class DDSConstruction(_Record):
     """A verified divisible difference set with its ambient group, the
-    forbidden subgroup, and parameters."""
+    forbidden subgroup (both sets IndexedElements from a recipe) and parameters."""
 
     _fields = ("elements", "group", "subgroup", "params")
 
@@ -500,7 +506,7 @@ def dds_from_ds(
     _require(verify_ds(IndexedElements(group, block), group, ds_params), "difference set input")
     big, lifted, subgroup, params = _lift(group, block, lam, h)
     _require(verify_dds(lifted, big, subgroup, params), "lifted divisible set")
-    return DDSConstruction(tuple(lifted), big, tuple(subgroup), params)
+    return DDSConstruction(lifted, big, subgroup, params)
 
 
 def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
@@ -544,7 +550,7 @@ def result3star_dds(q: int, d: int, e: int, h: int) -> DDSConstruction:
         for xs in (lifted, subgroup)
     )
     _require(verify_dds(moved, target, subgroup, params), "transported divisible set")
-    return DDSConstruction(tuple(moved), target, tuple(subgroup), params)
+    return DDSConstruction(moved, target, subgroup, params)
 
 
 # ---------------------------------------------------------------------------
@@ -676,17 +682,18 @@ def _result3star(args) -> DDSConstruction:
 def _design_file(kind: str, built) -> DesignFile:
     """The design file of a recipe's certified output, with the parameters
     read off that output."""
-    from .fileformat import DesignFile, IndexLists
+    from .fileformat import DesignFile
 
     if isinstance(built, DDSConstruction):  # the set as one block, and the subgroup
         params = dict(zip(KIND_TABLE[kind].params, built.params))
-        lists = [(built.elements,), built.subgroup]
+        block = _element_indices(built.group, built.elements)
+        lists = [IndexLists(built.group, block, [len(block)]), built.subgroup]
     elif isinstance(built, DiffMatrix):
         params = {"v": built.group.order, "k": built.k, "lambda": 1}
-        lists = [IndexLists.of_blocks(built.group, built.indices)]
-    elif built.indices:
-        params = family_params(built, counting_lambda(built.v, map(len, built.indices)))
-        lists = [IndexLists.of_blocks(built.group, built.indices)]
+        lists = [built.lists]
+    elif built.lists:
+        params = family_params(built, counting_lambda(built.v, built.lists.sizes))
+        lists = [built.lists]
     else:
         # no lambda or K describes an empty family, so none is written
         raise ValueError(

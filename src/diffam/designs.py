@@ -33,6 +33,7 @@ __all__ = [
     "DSParams",
     "DDSParams",
     "Family",
+    "IndexLists",
     "IndexedElements",
     "DiffMultiset",
     "Report",
@@ -150,12 +151,69 @@ KIND_TABLE = {
 NONEMPTY = ("rows", "subgroup")
 
 
-class Family:
+class IndexLists(Sequence):
+    """Lists of group elements held as canonical indices: ``flat``, the
+    index of every element in order, and ``sizes``, the length of each
+    list.  The indices are trusted to lie in the group.  This is the one
+    store of a family's blocks, a matrix's rows and a read file's payload
+    lists.  Each list reads as an IndexedElements, decoded on demand; the
+    lists compare equal to the tuple of the element tuples they hold."""
+
+    def __init__(self, group: GroupDescriptor, flat: list[int], sizes: list[int]):
+        self.group, self.flat, self.sizes = group, flat, sizes
+
+    def cut(self) -> tuple[tuple[int, ...], ...]:
+        """The indices of each list as a tuple."""
+        return tuple(_cut(self.flat, self.sizes))
+
+    def decoded(self) -> tuple[tuple[Element, ...], ...]:
+        """The elements of each list as a tuple."""
+        return tuple(_cut(self.group.elements_at(self.flat), self.sizes))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i: int) -> "IndexedElements":
+        return IndexedElements(self.group, self.cut()[i])
+
+    def __iter__(self):
+        return (IndexedElements(self.group, items) for items in self.cut())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IndexLists):
+            return (self.group, self.flat, self.sizes) == (other.group, other.flat, other.sizes)
+        return self.decoded() == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.decoded()!r})"
+
+
+class _Indexed:
+    """Lists of canonical indices of a group, held as one IndexLists
+    (``lists``) in the shape the class checks (``_shaped``); ``indices``
+    cuts them into tuples on demand.  The instance is treated as immutable."""
+
+    @classmethod
+    def of_lists(cls, lists: IndexLists):
+        """The one constructor from indices, trusted to lie in the group: only
+        the shape is checked, and the lists are copied only to sort a block."""
+        new = cls.__new__(cls)
+        new.group, new.lists = lists.group, cls._shaped(lists)
+        return new
+
+    @property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        return self.lists.cut()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self.lists == other.lists
+
+
+class Family(_Indexed):
     """An ordered list of blocks over a fixed group.
 
-    Blocks are sets (no repeated elements), each stored sorted in canonical
-    order as a tuple of canonical indices (``indices``); ``blocks`` decodes
-    the element tuples on demand.  The instance is treated as immutable."""
+    Blocks are sets (no repeated elements), each ascending in canonical
+    order; ``blocks`` decodes the element tuples on demand."""
 
     def __init__(self, group: GroupDescriptor, blocks: Iterable):
         normalized = list(map(tuple, blocks))
@@ -169,29 +227,28 @@ class Family:
                     group.validate_element(x)
                 _check_block(sorted(b))
         self.group = group
-        indices = _index_blocks(group, group.indices(flat), list(map(len, normalized)))
-        self.indices: tuple[tuple[int, ...], ...] = tuple(indices)
+        self.lists = self._shaped(IndexLists(group, group.indices(flat), list(map(len, normalized))))
 
-    @classmethod
-    def of_indices(cls, group: GroupDescriptor, blocks: Sequence[tuple]) -> "Family":
-        """A family of blocks trusted to be sorted tuples of distinct indices."""
-        family = cls.__new__(cls)
-        family.group, family.indices = group, tuple(blocks)
-        return family
-
-    @classmethod
-    def of_flat(
-        cls, group: GroupDescriptor, flat: Sequence[int], sizes: Sequence[int]
-    ) -> "Family":
-        """A family of blocks of canonical indices of the group, given as one
-        flat list and the block sizes: each block is sorted and checked to be
-        nonempty and free of repeats, but the indices are not range-checked."""
-        return cls.of_indices(group, _index_blocks(group, flat, sizes))
+    @staticmethod
+    def _shaped(lists: IndexLists) -> IndexLists:
+        """The blocks, each ascending.  diffam writes blocks ascending, and
+        then every descent of the flat list falls at a block end: the lists
+        are kept as they stand, with no sort, copy or set pass.  Otherwise
+        each block is sorted into a new flat list, and a block that is empty
+        or repeats an element is refused, named by its elements."""
+        flat, sizes = lists.flat, lists.sizes
+        descents = compress(count(1), map(ge, flat, islice(flat, 1, None)))
+        if all(sizes) and set(accumulate(sizes)).issuperset(descents):
+            return lists
+        blocks = list(map(sorted, _cut(flat, sizes)))
+        if not all(sizes) or sum(map(len, map(set, blocks))) != len(flat):
+            for block in blocks:
+                _check_block(lists.group.elements_at(block))
+        return IndexLists(lists.group, list(chain.from_iterable(blocks)), sizes)
 
     @property
     def blocks(self) -> tuple[tuple[Element, ...], ...]:
-        flat = self.group.elements_at(chain.from_iterable(self.indices))
-        return tuple(_cut(flat, map(len, self.indices)))
+        return self.lists.decoded()
 
     @property
     def v(self) -> int:
@@ -199,25 +256,21 @@ class Family:
 
     def block_sizes(self) -> tuple[int, ...]:
         """Sizes as a multiset, largest first."""
-        return tuple(sorted(map(len, self.indices), reverse=True))
+        return tuple(sorted(self.lists.sizes, reverse=True))
 
     def uniform_k(self) -> int | None:
-        sizes = set(map(len, self.indices))
+        sizes = set(self.lists.sizes)
         return sizes.pop() if len(sizes) == 1 else None
 
     def covered(self) -> set[Element]:
-        return set(self.group.elements_at(set(chain.from_iterable(self.indices))))
+        return set(self.group.elements_at(set(self.lists.flat)))
 
     def uncovered(self) -> list[Element]:
-        covered = set(chain.from_iterable(self.indices))
+        covered = set(self.lists.flat)
         return self.group.elements_at(i for i in range(self.v) if i not in covered)
 
-    def __eq__(self, other: object) -> bool:
-        same_group = isinstance(other, Family) and self.group == other.group
-        return same_group and self.indices == other.indices
-
     def __repr__(self) -> str:
-        return f"<family of {len(self.indices)} blocks over {self.group!r}>"
+        return f"<family of {len(self.lists)} blocks over {self.group!r}>"
 
 
 def _check_block(block: Sequence) -> None:
@@ -226,24 +279,6 @@ def _check_block(block: Sequence) -> None:
         raise ValueError("blocks must be nonempty")
     if any(map(eq, block, islice(block, 1, None))):
         raise ValueError(f"block {tuple(block)} has a repeated element")
-
-
-def _index_blocks(
-    group: GroupDescriptor, flat: Sequence[int], sizes: Sequence[int]
-) -> list[tuple]:
-    """The flat list of canonical indices cut into blocks of the given
-    sizes, each sorted.  diffam writes blocks ascending, and then every
-    descent of the flat list falls at a block end: the blocks are cut as
-    they are, with no sort and no set pass.  A block that is empty or
-    repeats an element is refused, named by its elements."""
-    descents = compress(count(1), map(ge, flat, islice(flat, 1, None)))
-    if all(sizes) and set(accumulate(sizes)).issuperset(descents):
-        return _cut(flat, sizes)
-    blocks = list(map(tuple, map(sorted, _cut(flat, sizes))))
-    if not all(sizes) or sum(map(len, map(set, blocks))) != len(flat):
-        for block in blocks:
-            _check_block(group.elements_at(block))
-    return blocks
 
 
 def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
@@ -259,8 +294,8 @@ def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
 class IndexedElements(Sequence):
     """A read-only sequence of group elements held as their canonical
     indices (``indices``); items decode to element tuples on demand.  It
-    compares equal to the tuple of the same elements, so a block read from a
-    file compares equal to the block that was written."""
+    compares equal to, and is shown as, the tuple of the same elements, so
+    a block read from a file compares equal to the block that was written."""
 
     def __init__(self, group: GroupDescriptor, indices: Iterable[int]):
         self.group, self.indices = group, tuple(indices)
@@ -280,7 +315,7 @@ class IndexedElements(Sequence):
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({tuple(self)!r})"
+        return repr(tuple(self))
 
 
 class DiffMultiset(_Record):
@@ -316,17 +351,15 @@ def delta_multiset(family: Family) -> DiffMultiset:
 def _dense_counts(family: Family) -> tuple[list[int], str]:
     """The family's difference counts as one list in canonical element order
     (index 0, the zero element, stays 0), and the engine that counted them."""
-    group, blocks = family.group, family.indices
+    group, flat, sizes = family.group, family.lists.flat, family.lists.sizes
     # the engine is chosen once per block size, not once per block
-    sizes = set(map(len, blocks))
-    convolve = {k for k in sizes if _use_convolution(group, k)}
-    dense = _pairwise_counts(
-        group, [b for b in blocks if len(b) not in convolve] if convolve else blocks
-    )
-    for block in blocks:
-        if len(block) in convolve:
-            dense = list(map(add, dense, _convolution_counts(group, block)))
-    engines = {"convolution" if k in convolve else "pairwise" for k in sizes}
+    kinds = set(sizes)
+    convolve = {k for k in kinds if _use_convolution(group, k)}
+    dense = _pairwise_counts(group, flat, sizes, convolve)
+    for start, k in zip(accumulate(sizes, initial=0), sizes) if convolve else ():
+        if k in convolve:  # the block is a slice of the flat list
+            dense = list(map(add, dense, _convolution_counts(group, flat[start : start + k])))
+    engines = {"convolution" if k in convolve else "pairwise" for k in kinds}
     engine = "both" if len(engines) == 2 else next(iter(engines), "pairwise")
     return dense, engine
 
@@ -450,18 +483,27 @@ class _Layout:
 _layout = lru_cache(maxsize=16)(_Layout)
 
 
-def _pairwise_counts(group: GroupDescriptor, blocks: Sequence[Sequence[int]]) -> list[int]:
-    """The difference counts of blocks of canonical indices in canonical
-    element order, pair by pair: blocks of one size become columns of
-    positions, each unordered pair of columns is subtracted and tallied
+def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[int], skip=()) -> list[int]:
+    """The difference counts, in canonical element order, of blocks given as
+    one flat list of canonical indices and their sizes, but for blocks of a
+    size in skip.  Column i of the size-k blocks holds the positions of their
+    i-th members, cut off the flat list's positions a run of equal sizes at a
+    time; each unordered pair of a size's columns is subtracted and tallied
     once, and each distinct key is folded for both orders."""
     layout = _layout(group)
+    positions = layout.positions(group.coordinates(flat))
+    columns: dict[int, list[list[int]]] = {}
+    start = 0
+    for k, run in groupby(sizes):
+        stop = start + k * len(list(run))
+        if k not in skip:
+            for i, column in enumerate(columns.setdefault(k, [[] for _ in range(k)])):
+                column += positions[start + i : stop : k]
+        start = stop
     tally: Counter = Counter()
-    for k, same in groupby(sorted(blocks, key=len), len):
-        flat = layout.positions(group.coordinates(chain.from_iterable(same)))
-        columns = [flat[i::k] for i in range(k)]
-        for i, xs in enumerate(columns):
-            for ys in columns[:i]:
+    for cut in columns.values():
+        for i, xs in enumerate(cut):
+            for ys in cut[:i]:
                 tally.update(layout.differences(xs, ys))
     return layout.dense(tally, mirror=True)
 
@@ -637,8 +679,8 @@ def verify_df(family: Family, lam: int) -> Report:
 def classify_family(family: Family) -> str:
     """'plain' (blocks overlap), 'disjoint', or 'partitioned' (disjoint and
     covering the whole group)."""
-    total = sum(map(len, family.indices))
-    if len(set(chain.from_iterable(family.indices))) != total:
+    total = len(family.lists.flat)
+    if len(set(family.lists.flat)) != total:
         return "plain"
     return "partitioned" if total == family.v else "disjoint"
 
@@ -649,9 +691,10 @@ def extend_to_pdf(family: Family) -> Family:
     cls = classify_family(family)
     if cls == "plain":
         raise ValueError("blocks overlap; only disjoint families can be extended")
-    covered = set(chain.from_iterable(family.indices))
-    extra = ((i,) for i in range(family.v) if i not in covered)
-    return Family.of_indices(family.group, (*family.indices, *extra))
+    flat, covered = family.lists.flat, set(family.lists.flat)
+    extra = [i for i in range(family.v) if i not in covered]
+    sizes = family.lists.sizes + [1] * len(extra)
+    return Family.of_lists(IndexLists(family.group, flat + extra, sizes))
 
 
 def _element_indices(group: GroupDescriptor, xs: Iterable[Element]) -> list[int]:
@@ -670,7 +713,7 @@ def _set_family(group: GroupDescriptor, dset: Iterable[Element]) -> tuple[Family
     """A (divisible) difference set as a one-block family, and its size k;
     the empty set is the empty family."""
     block = _element_indices(group, dset)
-    return Family.of_flat(group, block, [len(block)] if block else []), len(block)
+    return Family.of_lists(IndexLists(group, block, [len(block)] if block else [])), len(block)
 
 
 def verify_ds(
@@ -698,10 +741,11 @@ def _check_subgroup(group: GroupDescriptor, members: Iterable[Element]) -> froze
     # of its members (then -b = 0 - b and a + b = a - (-b) are in it too);
     # then each nonzero member is the difference of n ordered pairs and no
     # other element is one, so one count of the set as a block decides closure
-    family = Family.of_indices(group, [tuple(sorted(mset))])
+    block = sorted(mset)
+    family = Family.of_lists(IndexLists(group, block, [len(block)]))
     deviations = _scan("subgroup", {}, family, 0, mset, len(mset)).deviations
     if deviations:
-        elements = group.elements_at(family.indices[0])
+        elements = group.elements_at(block)
         inside = set(elements)
         missing = next(x for x in deviations if x not in inside)
         for a in elements:
@@ -741,49 +785,37 @@ def verify_dds(
 # ---------------------------------------------------------------------------
 
 
-class DiffMatrix:
-    """A rectangular matrix of group elements, stored as rows of canonical
-    indices (``indices``); ``rows`` decodes the element tuples on demand."""
+class DiffMatrix(_Indexed):
+    """A rectangular matrix of group elements, its rows held as canonical
+    indices, all of one size; ``rows`` decodes the element tuples on demand."""
 
     def __init__(self, group: GroupDescriptor, rows: Iterable[Iterable[Element]]):
         normalized = [tuple(row) for row in rows]
         flat = _element_indices(group, chain.from_iterable(normalized))
-        mat = DiffMatrix.of_flat(group, flat, list(map(len, normalized)))
-        self.group, self.indices = group, mat.indices
+        self.group = group
+        self.lists = self._shaped(IndexLists(group, flat, list(map(len, normalized))))
 
-    @classmethod
-    def of_flat(
-        cls, group: GroupDescriptor, flat: Iterable[int], sizes: Sequence[int]
-    ) -> "DiffMatrix":
-        """A matrix of canonical indices of the group, given as one flat
-        sequence and the row lengths: only the shape is checked."""
+    @staticmethod
+    def _shaped(lists: IndexLists) -> IndexLists:
+        """The rows, refused unless there are some, all of one nonzero size."""
+        sizes = lists.sizes
         if not sizes or not sizes[0]:
             raise ValueError("difference matrix must have at least one row and column")
         if any(map(sizes[0].__ne__, sizes)):
             raise ValueError("rows have unequal lengths")
-        mat = cls.__new__(cls)
-        mat.group, mat.indices = group, tuple(_cut(flat, sizes))
-        return mat
+        return lists
 
     @property
     def rows(self) -> tuple[tuple[Element, ...], ...]:
-        flat = self.group.elements_at(chain.from_iterable(self.indices))
-        return tuple(_cut(flat, repeat(self.columns, self.k)))
+        return self.lists.decoded()
 
     @property
     def k(self) -> int:
-        return len(self.indices)
+        return len(self.lists.sizes)
 
     @property
     def columns(self) -> int:
-        return len(self.indices[0])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DiffMatrix)
-            and self.group == other.group
-            and self.indices == other.indices
-        )
+        return self.lists.sizes[0]
 
     def __repr__(self) -> str:
         return f"<{self.k} x {self.columns} matrix over {self.group!r}>"
@@ -810,7 +842,7 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
         message = f"matrix has {mat.columns} columns but the group has order {v}"
         return Report(False, kind, params, message=message)
     ones, deviations = [1] * v, {}
-    for i, row in enumerate(mat.indices if kind == "hdm" else ()):
+    for i, row in enumerate(mat.lists.cut() if kind == "hdm" else ()):
         counts = list(map(Counter(row).get, range(v), repeat(0)))
         for x, c in _deviations(group, counts, ones).items():
             deviations[("row", i, x)] = c
@@ -818,7 +850,7 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
         message = f"{len(deviations)} (row, element) occurrence counts != 1"
         return Report(False, kind, params, deviations, message)
     layout = _layout(group)
-    rows = [layout.positions(group.coordinates(row)) for row in mat.indices]
+    rows = _cut(layout.positions(group.coordinates(mat.lists.flat)), mat.lists.sizes)
     for i in range(mat.k):
         for j in range(i + 1, mat.k):
             counts = layout.dense(Counter(layout.differences(rows[i], rows[j])))
@@ -835,9 +867,9 @@ def normalize_dm(mat: DiffMatrix) -> DiffMatrix:
     if not report.ok:
         raise ValueError(f"not a difference matrix: {report.message}")
     group, layout = mat.group, _layout(mat.group)
-    rows = [layout.positions(group.coordinates(row)) for row in mat.indices]
-    flat = chain.from_iterable(layout.subtract(row, rows[0]) for row in rows)
-    return DiffMatrix.of_flat(group, flat, [mat.columns] * mat.k)
+    rows = _cut(layout.positions(group.coordinates(mat.lists.flat)), mat.lists.sizes)
+    flat = list(chain.from_iterable(layout.subtract(row, rows[0]) for row in rows))
+    return DiffMatrix.of_lists(IndexLists(group, flat, mat.lists.sizes))
 
 
 def hdm_to_dm(mat: DiffMatrix) -> DiffMatrix:
@@ -846,8 +878,8 @@ def hdm_to_dm(mat: DiffMatrix) -> DiffMatrix:
     report = verify_hdm(mat)
     if not report.ok:
         raise ValueError(f"not a homogeneous difference matrix: {report.message}")
-    flat = chain(repeat(0, mat.columns), *mat.indices)  # index 0 is the zero element
-    return DiffMatrix.of_flat(mat.group, flat, [mat.columns] * (mat.k + 1))
+    flat = [0] * mat.columns + mat.lists.flat  # index 0 is the zero element
+    return DiffMatrix.of_lists(IndexLists(mat.group, flat, [mat.columns] * (mat.k + 1)))
 
 
 def dm_to_hdm(mat: DiffMatrix) -> DiffMatrix:
@@ -856,12 +888,12 @@ def dm_to_hdm(mat: DiffMatrix) -> DiffMatrix:
     report = verify_dm(mat)
     if not report.ok:
         raise ValueError(f"not a difference matrix: {report.message}")
-    zero_row = (0,) * mat.columns  # index 0 is the zero element
-    for i, row in enumerate(mat.indices):
-        if row == zero_row:
-            remaining = mat.indices[:i] + mat.indices[i + 1 :]
+    flat, c = mat.lists.flat, mat.columns
+    zero_row = [0] * c  # index 0 is the zero element
+    for start in range(0, len(flat), c):
+        if flat[start : start + c] == zero_row:
+            remaining = flat[:start] + flat[start + c :]
             if not remaining:
                 raise ValueError("matrix has no rows besides the zero row")
-            sizes = [mat.columns] * len(remaining)
-            return DiffMatrix.of_flat(mat.group, chain.from_iterable(remaining), sizes)
+            return DiffMatrix.of_lists(IndexLists(mat.group, remaining, mat.lists.sizes[1:]))
     raise ValueError("no all-zero row; normalize the matrix first")

@@ -28,12 +28,9 @@ import re
 from collections.abc import Sequence
 from itertools import chain, groupby, islice, repeat
 from json.decoder import WHITESPACE, JSONObject
-from operator import eq
 
 from .groups import AdditiveField, Element, GroupDescriptor, _is_int, check_cap, check_power_cap
-from .designs import (
-    KIND_TABLE, NONEMPTY, DiffMatrix, Family, IndexedElements, _element_indices, _Record,
-)
+from .designs import KIND_TABLE, NONEMPTY, DiffMatrix, Family, IndexLists, _element_indices, _Record
 
 KINDS = tuple(KIND_TABLE)  # a tuple: a kind read from a file may be unhashable
 
@@ -119,44 +116,6 @@ def element_from_obj(group: GroupDescriptor, obj) -> Element:
     return tuple(coords)
 
 
-class IndexLists(Sequence):
-    """Lists of group elements held as canonical indices: ``flat``, the
-    index of every element in order, and ``sizes``, the length of each
-    list.  The indices are trusted to lie in the group.  Each list reads as
-    an IndexedElements, decoded on demand; the lists compare equal to the
-    tuple of the element tuples they hold."""
-
-    def __init__(self, group: GroupDescriptor, flat: list[int], sizes: list[int]):
-        self.group, self.flat, self.sizes = group, flat, sizes
-
-    @classmethod
-    def of_blocks(cls, group: GroupDescriptor, blocks: Sequence[tuple]) -> "IndexLists":
-        """Lists given as tuples of indices, such as a family's ``indices``."""
-        return cls(group, list(chain.from_iterable(blocks)), list(map(len, blocks)))
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def __getitem__(self, i: int) -> IndexedElements:
-        i = range(len(self.sizes))[i]
-        start = sum(islice(self.sizes, i))
-        return IndexedElements(self.group, self.flat[start : start + self.sizes[i]])
-
-    def __iter__(self):
-        flat = iter(self.flat)
-        return (IndexedElements(self.group, islice(flat, k)) for k in self.sizes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IndexLists):
-            return (self.group, self.flat, self.sizes) == (other.group, other.flat, other.sizes)
-        if isinstance(other, tuple):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({tuple(map(tuple, self))!r})"
-
-
 class DesignFile(_Record):
     """A design file: the declared kind and parameters plus the payload
     (blocks, or matrix rows, and for divisible sets the subgroup).  Blocks
@@ -184,14 +143,14 @@ class DesignFile(_Record):
         if blocks is None:
             raise ValueError(f"design of kind {self.kind!r} has no blocks")
         if isinstance(blocks, IndexLists) and blocks.group == self.group:
-            return Family.of_flat(self.group, blocks.flat, blocks.sizes)
+            return Family.of_lists(blocks)
         return Family(self.group, blocks)
 
     def matrix(self) -> DiffMatrix:
         if self.rows is None:
             raise ValueError(f"design of kind {self.kind!r} has no matrix rows")
         if isinstance(self.rows, IndexLists) and self.rows.group == self.group:
-            return DiffMatrix.of_flat(self.group, self.rows.flat, self.rows.sizes)
+            return DiffMatrix.of_lists(self.rows)
         return DiffMatrix(self.group, self.rows)
 
 
@@ -291,7 +250,7 @@ def _payload_from_obj(group: GroupDescriptor, raw: list, name: str) -> IndexList
         if not isinstance(item, list):
             raise ValueError(f"each {name[:-1]} must be a list, got {item!r}")
         lists.append(group.indices([element_from_obj(group, x) for x in item]))
-    return IndexLists.of_blocks(group, lists)
+    return IndexLists(group, list(chain.from_iterable(lists)), list(map(len, lists)))
 
 
 def _runs(lengths) -> list[tuple[int, int]]:
@@ -375,8 +334,9 @@ def _design_parts(design: DesignFile) -> list[str]:
         "params": [_header_text(_params_to_obj(design.params))],
     }
     for name, lists in payload.items():
-        if name == "subgroup":  # one list of elements
-            texts[name] = _lists_texts(group, _index_lists(group, [lists]), 1)
+        if name == "subgroup":  # one list of elements, its indices taken as they stand
+            flat = _element_indices(group, lists)
+            texts[name] = _lists_texts(group, IndexLists(group, flat, [len(flat)]), 1)
         else:
             texts[name] = _payload_parts(group, lists)
     parts: list[str] = []

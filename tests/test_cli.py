@@ -466,6 +466,22 @@ def test_construct_result3star(tmp_path):
     assert design.subgroup == ((0, 0), (0, 1))
 
 
+def test_dds_recipes_write_their_index_lists_without_decoding(monkeypatch):
+    """The set and subgroup of a dds-product or result3star design reach the
+    writer as the canonical indices the recipe holds: no element tuple is
+    decoded, checked or encoded again on the way to the text."""
+    recipes = (dds_from_ds(*singer_ds(3, 5), 2), constructions.result3star_dds(3, 5, 2, 2))
+    texts = [fileformat.dumps_design(_design_file("dds", built)) for built in recipes]
+
+    def refused(*args):
+        raise AssertionError("the writer decoded or checked an element")
+
+    monkeypatch.setattr(groups.GroupDescriptor, "elements_at", refused)
+    monkeypatch.setattr(groups.GroupDescriptor, "check_elements", refused)
+    for built, text in zip(recipes, texts):
+        assert fileformat.dumps_design(_design_file("dds", built)) == text
+
+
 # out file, construct arguments, sha256 of the bytes written; product reads
 # the three files before it, and dds-product the singer file
 RECIPE_DIGESTS = (

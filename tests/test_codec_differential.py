@@ -269,9 +269,7 @@ def families(draw):
 @given(families(), st.sampled_from(["df", "ddf", "pdf"]))
 def test_a_family_design_writes_the_oracle_bytes(family, kind):
     params = {"v": family.v, "lambda": 1}
-    indexed = DesignFile(
-        kind, family.group, params, IndexLists.of_blocks(family.group, family.indices)
-    )
+    indexed = DesignFile(kind, family.group, params, family.lists)
     assert dumps_design(indexed) == oracle_text(
         DesignFile(kind, family.group, params, family.blocks)
     )

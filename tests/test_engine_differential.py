@@ -34,6 +34,7 @@ from diffam.designs import (
     DiffMatrix,
     Family,
     _convolution_counts,
+    _dense_counts,
     _Layout,
     _layout,
     _pairwise_counts,
@@ -192,7 +193,8 @@ def test_pairwise_counts_match_oracle(data):
     blocks = data.draw(st.lists(_block(group, 1), max_size=5))
     if blocks:
         blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
-    counts = _pairwise_counts(group, [group.indices(b) for b in blocks])
+    flat = group.indices([x for b in blocks for x in b])
+    counts = _pairwise_counts(group, flat, list(map(len, blocks)))
     assert as_dict(group, counts) == oracle_counts(group, blocks)
 
 
@@ -208,7 +210,8 @@ def test_small_and_large_tallies_fold_through_both_cuts():
     small = [rng.sample(elements, 3)]
     large = [rng.sample(elements, 12) for _ in range(6)]
     for blocks, built in ((small, False), (large, True), (small, True)):
-        counts = _pairwise_counts(group, [group.indices(b) for b in blocks])
+        flat = group.indices([x for b in blocks for x in b])
+        counts = _pairwise_counts(group, flat, list(map(len, blocks)))
         assert as_dict(group, counts) == oracle_counts(group, blocks)
         assert (layout.wide_runs is not None) == built
 
@@ -426,3 +429,20 @@ def test_engine_choice():
     assert not _use_convolution(cyclic_group(125003), 3)
     assert not _use_convolution(GroupDescriptor([build_field(2, 16)]), 4096)
     assert _use_convolution(cyclic_group(3280), 1093)
+
+
+@pytest.mark.parametrize("group", [cyclic_group(500), GroupDescriptor([4, build_field(5, 3)])], ids=repr)
+def test_a_product_block_between_pairwise_blocks(group):
+    """A block the model sends to the product sits between blocks of other
+    sizes that stay on the pairwise loop, and sizes recur in separate runs:
+    the product's block and the pairwise columns are cut from one flat list,
+    and the counts match the oracle with both engines reported."""
+    assert _use_convolution(group, 100) and not _use_convolution(group, 5)
+    rng = random.Random(group.order)
+    elements = list(group.elements())
+    blocks = [rng.sample(elements, k) for k in (3, 5, 100, 3, 5, 4)]
+    family = Family(group, blocks)
+    assert as_dict(group, _dense_counts(family)[0]) == oracle_counts(group, blocks)
+    report = verify_df(family, 1)
+    assert report.stats["engine"] == "both"
+    _same(report, oracle_deviations(group, blocks, lambda x: 1))

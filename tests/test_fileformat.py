@@ -396,6 +396,28 @@ def test_family_of_a_read_file_takes_ascending_blocks_and_sorts_others(blocks, i
     assert loads_design(json.dumps(obj)).family().indices == indices
 
 
+@pytest.mark.parametrize(
+    "blocks, ascending",
+    [([[1, 2, 4], [0, 5], [3]], True), ([[1, 2, 4], [5, 0], [3]], False)],
+)
+def test_family_of_a_read_file_shares_its_list_or_sorts_a_copy(blocks, ascending):
+    """A read file's ascending blocks become the family's blocks with no
+    copy of the reader's flat list; unsorted blocks are sorted into a new
+    list, and the read design is left equal to its tree-path oracle."""
+    text = json.dumps({
+        "kind": "df",
+        "group": {"factors": [{"cyclic": 7}]},
+        "params": {"v": 7, "K": [3, 2, 1], "lambda": 1},
+        "blocks": [[[x] for x in block] for block in blocks],
+    })
+    design = loads_design(text)
+    family = design.family()
+    assert (family.lists.flat is design.blocks.flat) == ascending
+    assert family.indices == ((1, 2, 4), (0, 5), (3,))
+    assert family.blocks == (((1,), (2,), (4,)), ((0,), (5,)), ((3,),))
+    assert design == design_from_obj(json.loads(text))
+
+
 def test_family_of_a_read_file_refuses_a_repeated_element():
     obj = {
         "kind": "df",

@@ -24,7 +24,7 @@ from diffam.algebra import (
     index_orbits,
     orbits,
 )
-from diffam.designs import Family, classify_family, verify_df
+from diffam.designs import Family, IndexLists, classify_family, verify_df
 
 # cyclic orders, prime fields and extension fields GF(p^n), n > 1
 CYCLIC_SPECS = [1, 2, 3, 4, 6, 8, 9, 10, 12, 15]
@@ -89,7 +89,8 @@ def _check(group, action, lam):
     witness = (short[0][0], len(short[0])) if short else None
     assert fixed_point_witness(group, action) == witness
     checked = Family(group, expected)
-    indexed = Family.of_indices(group, walk)
+    flat = [i for orbit in walk for i in orbit]
+    indexed = Family.of_lists(IndexLists(group, flat, list(map(len, walk))))
     assert checked == indexed
     assert checked.blocks == indexed.blocks == tuple(expected)
     assert checked.block_sizes() == indexed.block_sizes()
