@@ -100,8 +100,8 @@ def _certified(family: Family, lam: int, what: str) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _semiregular_orbits(group: GroupDescriptor, action) -> IndexLists:
-    """The action's orbits on the nonzero elements as sorted lists of
+def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]:
+    """The action's orbits on the nonzero elements as sorted tuples of
     canonical indices, or NotSemiregularError with the fixed-point witness.
     By orbit-stabilizer an orbit with fewer members than the action has
     distinct members holds a fixed point, so the walk stops there and only
@@ -121,25 +121,24 @@ def _semiregular_orbits(group: GroupDescriptor, action) -> IndexLists:
                 (x, j),
             )
         blocks.append(orbit)
-    return IndexLists(group, list(itertools.chain.from_iterable(blocks)), list(map(len, blocks)))
+    return blocks
 
 
 def orbit_ddf(group: GroupDescriptor, action) -> Family:
     """The orbits of a semiregular order-k automorphism group on the nonzero
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
-    orbits = _semiregular_orbits(group, action)
-    k = orbits.sizes[0] if orbits else 1
+    blocks = _semiregular_orbits(group, action)
+    k = len(blocks[0]) if blocks else 1
+    orbits = IndexLists(group, list(itertools.chain.from_iterable(blocks)), [k] * len(blocks))
     return _certified(Family.of_lists(orbits), k - 1, "orbit difference family")
 
 
-def _first_half(orbits: IndexLists, neg: list[int]) -> IndexLists:
+def _first_half(orbits: list[tuple[int, ...]], neg: list[int]) -> list[tuple[int, ...]]:
     """The orbits B with min B < min(-B), in walk order.  The walk meets
     orbits in order of their least member, so these are the orbits met
     before their negations; an orbit fixed by negation is in neither half
     and fails the count."""
-    half = [b for b in orbits.cut() if b[0] < min(map(neg.__getitem__, b))]
-    flat = list(itertools.chain.from_iterable(half))
-    return IndexLists(orbits.group, flat, list(map(len, half)))
+    return [b for b in orbits if b[0] < min(map(neg.__getitem__, b))]
 
 
 def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
@@ -149,14 +148,15 @@ def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
     indices.  An even v*k is refused after the walk, which finds k."""
     orbits = _semiregular_orbits(group, action)
     v = group.order
-    k = orbits.sizes[0] if orbits else 1
+    k = len(orbits[0]) if orbits else 1
     if (v * k) % 2 == 0:
         raise ConstructionError(
             f"v*k = {v}*{k} is even; the negation split needs v*k odd"
         )
     neg = ScalarAction(group, -1).index_map()
-    half = Family.of_lists(_first_half(orbits, neg))
-    return _certified(half, (k - 1) // 2, "half-index orbit family"), neg
+    orbits = _first_half(orbits, neg)  # rebound twice: the count runs with no orbit tuple alive
+    orbits = IndexLists(group, list(itertools.chain.from_iterable(orbits)), [k] * len(orbits))
+    return _certified(Family.of_lists(orbits), (k - 1) // 2, "half-index orbit family"), neg
 
 
 def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
