@@ -130,6 +130,7 @@ def orbit_ddf(group: GroupDescriptor, action) -> Family:
     blocks = _semiregular_orbits(group, action)
     k = len(blocks[0]) if blocks else 1
     orbits = IndexLists(group, list(itertools.chain.from_iterable(blocks)), [k] * len(blocks))
+    del blocks  # the count runs with no orbit tuple alive
     return _certified(Family.of_lists(orbits), k - 1, "orbit difference family")
 
 

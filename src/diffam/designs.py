@@ -18,12 +18,12 @@ report is itself a checkable certificate.
 from __future__ import annotations
 
 import sys
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat, starmap, tee
 from math import prod
-from operator import add, eq, floordiv, ge, mod, mul, ne, sub
+from operator import add, eq, floordiv, ge, mod, mul, ne, not_, setitem, sub
 
 from .groups import Element, GroupDescriptor
 
@@ -232,13 +232,12 @@ class Family(_Indexed):
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
         """The blocks, each ascending.  diffam writes blocks ascending, and
-        then every descent of the flat list falls at a block end: the lists
-        are kept as they stand, with no sort, copy or set pass.  Otherwise
-        each block is sorted into a new flat list, and a block that is empty
-        or repeats an element is refused, named by its elements."""
+        then the lists are kept as they stand, with no sort or copy.
+        Otherwise each block is sorted into a new flat list, and a block
+        that is empty or repeats an element is refused, named by its
+        elements."""
         flat, sizes = lists.flat, lists.sizes
-        descents = compress(count(1), map(ge, flat, islice(flat, 1, None)))
-        if all(sizes) and set(accumulate(sizes)).issuperset(descents):
+        if _ascending(flat, sizes):
             return lists
         blocks = list(map(sorted, _cut(flat, sizes)))
         if not all(sizes) or sum(map(len, map(set, blocks))) != len(flat):
@@ -263,11 +262,10 @@ class Family(_Indexed):
         return sizes.pop() if len(sizes) == 1 else None
 
     def covered(self) -> set[Element]:
-        return set(self.group.elements_at(set(self.lists.flat)))
+        return set(self.group.elements_at(compress(count(), _coverage(self))))
 
     def uncovered(self) -> list[Element]:
-        covered = set(self.lists.flat)
-        return self.group.elements_at(i for i in range(self.v) if i not in covered)
+        return self.group.elements_at(_uncovered(self))
 
     def __repr__(self) -> str:
         return f"<family of {len(self.lists)} blocks over {self.group!r}>"
@@ -279,6 +277,34 @@ def _check_block(block: Sequence) -> None:
         raise ValueError("blocks must be nonempty")
     if any(map(eq, block, islice(block, 1, None))):
         raise ValueError(f"block {tuple(block)} has a repeated element")
+
+
+def _coverage(family: Family) -> bytearray:
+    """One byte per group element in canonical order: 1 if a block holds
+    it, filled at C level."""
+    seen = bytearray(family.v)
+    deque(map(setitem, repeat(seen), family.lists.flat, repeat(1)), maxlen=0)
+    return seen
+
+
+def _uncovered(family: Family) -> list[int]:
+    """The canonical indices no block holds, ascending."""
+    return list(compress(count(), map(not_, _coverage(family))))
+
+
+def _ascending(flat: list[int], sizes: list[int]) -> bool:
+    """Whether every block is nonempty and strictly ascending: the flat
+    list's descents, a byte per position, all fall at block ends, which a
+    run of equal sizes finds in one strided slice."""
+    if not all(sizes):
+        return False
+    descents = bytes(map(ge, flat, islice(flat, 1, None)))  # 1 at i if flat[i] >= flat[i + 1]
+    at_ends = start = 0
+    for k, run in groupby(sizes):
+        stop = start + k * sum(1 for _ in run)
+        at_ends += descents[start + k - 1 : stop : k].count(1)
+        start = stop
+    return at_ends == descents.count(1)
 
 
 def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
@@ -377,7 +403,8 @@ class _Layout:
     2(r - 1) - t of y - x.  A Z_n or GF(p) coordinate's position is the
     coordinate times its place; only a GF(p^n) factor, n > 1, has a table of
     its q positions.  A group of one digit needs no fold: its keys are the
-    index differences mod v.  Other keys fold by one table lookup per run of
+    index differences, in (-v, v), and a list tally counts the key -d at
+    slot v - d, the index of -d.  Other keys fold by one table lookup per run of
     digits: runs of one digit until a tally pays for runs of at most 4 v
     padded slots (built once, by dense), so each table stays O(v)."""
 
@@ -402,6 +429,7 @@ class _Layout:
             else:
                 terms[i] = [t + d * place for t in terms.get(i, [0]) for d in range(r)]
         self.terms = tuple(terms.values())
+        self.coordinates = group.coordinates
         self.runs = () if self.cyclic else self._runs(0)  # one digit each
         self.wide_runs = None  # runs of at most 4 v slots, built by dense
 
@@ -432,16 +460,30 @@ class _Layout:
             total = part if total is None else map(add, total, part)
         return [] if total is None else list(total)
 
+    def at(self, flat: list[int]) -> list[int]:
+        """The positions of elements given by canonical index: the index list
+        itself in a group of one digit."""
+        return flat if self.cyclic else self.positions(self.coordinates(flat))
+
     def differences(self, xs: Sequence[int], ys: Sequence[int]) -> Iterable[int]:
         """The keys of x - y for positions x, y taken in step: position
-        differences, or canonical indices for a group of one digit."""
-        diffs = map(sub, xs, ys)
-        return map(mod, diffs, repeat(self.order)) if self.cyclic else diffs
+        differences.  In a group of one digit a key is an index difference in
+        (-v, v), which a tally's list of v counts reads as it stands: the key
+        -d names the slot v - d, the index of -d."""
+        return map(sub, xs, ys)
 
     def subtract(self, xs: Sequence[int], ys: Sequence[int]) -> Iterable[int]:
         """The canonical index of x - y for positions x, y taken in step."""
         keys = list(self.differences(xs, ys))  # a fold reads them once per run
-        return keys if self.cyclic else self._indices(keys, self.wide_runs or self.runs, False)
+        if self.cyclic:
+            return list(map(mod, keys, repeat(self.order)))
+        return self._indices(keys, self.wide_runs or self.runs, False)
+
+    def tally(self, keys: Iterable[Iterable[int]]) -> Counter | list[int]:
+        """The difference keys of every iterable in keys, counted: in a group
+        of one digit, a list of v counts in canonical element order; else a
+        Counter of position differences, which take up to 1.5^n v values."""
+        return _index_counts(self.order, keys) if self.cyclic else Counter(chain.from_iterable(keys))
 
     def _indices(self, keys: Iterable[int], runs: tuple, mirror: bool) -> Iterable[int]:
         """The canonical index of x - y for each key pos(x) - pos(y), or of
@@ -457,14 +499,15 @@ class _Layout:
             index = term if index is None else map(add, index, term)
         return index
 
-    def dense(self, tally: Counter, mirror: bool = False) -> list[int]:
-        """A tally of difference keys as counts in canonical element order;
-        with mirror, each key counts as x - y and as y - x."""
+    def dense(self, tally: Counter | list[int], mirror: bool = False) -> list[int]:
+        """A tally of difference keys (``tally``, or any Counter of them) as
+        counts in canonical element order; with mirror, each key counts as
+        x - y and as y - x."""
         v = self.order
         if self.cyclic:
-            dense = list(map(tally.get, range(v), repeat(0)))
-            # the key of -x is v - x (and of -0 is 0)
-            return list(map(add, dense, dense[:1] + dense[:0:-1])) if mirror else dense
+            dense = tally if isinstance(tally, list) else list(map(tally.get, range(v), repeat(0)))
+            # the index of -x is v - x (and of -0 is 0)
+            return list(map(add, dense, chain(dense[:1], islice(reversed(dense), v - 1)))) if mirror else dense
         # wide runs pay for themselves at a key per 8 of a run's 4 v slots
         if self.wide_runs is None and 8 * len(tally) >= 4 * v:
             self.wide_runs = self._runs(4 * v)
@@ -483,6 +526,29 @@ class _Layout:
 _layout = lru_cache(maxsize=16)(_Layout)
 
 
+class _Tally(list):
+    """A list of counts that ``Counter.update(tally, keys)`` tallies keys
+    into: ``get`` reads the slot of a key, whatever the default.  The loop
+    over the keys runs in C, but each key costs one call of this Python
+    ``get``: for a mapping that is not a dict, ``Counter.update`` passes it
+    to ``collections._count_elements``, which then reads and writes through
+    the mapping's own ``get`` and ``__setitem__``."""
+
+    __slots__ = ()
+
+    def get(self, key: int, default: int) -> int:
+        return self[key]
+
+
+def _index_counts(v: int, keys: Iterable[Iterable[int]]) -> list[int]:
+    """How often each index below v occurs in the keys of every iterable in
+    keys, as a list of v counts; a key -d in (-v, 0) counts at v - d."""
+    tally = _Tally(repeat(0, v))
+    for part in keys:
+        Counter.update(tally, part)
+    return tally
+
+
 def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[int], skip=()) -> list[int]:
     """The difference counts, in canonical element order, of blocks given as
     one flat list of canonical indices and their sizes, but for blocks of a
@@ -491,7 +557,7 @@ def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[in
     time; each unordered pair of a size's columns is subtracted and tallied
     once, and each distinct key is folded for both orders."""
     layout = _layout(group)
-    positions = layout.positions(group.coordinates(flat))
+    positions = layout.at(flat)
     columns: dict[int, list[list[int]]] = {}
     start = 0
     for k, run in groupby(sizes):
@@ -500,12 +566,8 @@ def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[in
             for i, column in enumerate(columns.setdefault(k, [[] for _ in range(k)])):
                 column += positions[start + i : stop : k]
         start = stop
-    tally: Counter = Counter()
-    for cut in columns.values():
-        for i, xs in enumerate(cut):
-            for ys in cut[:i]:
-                tally.update(layout.differences(xs, ys))
-    return layout.dense(tally, mirror=True)
+    pairs = ((xs, ys) for cut in columns.values() for i, xs in enumerate(cut) for ys in cut[:i])
+    return layout.dense(layout.tally(starmap(layout.differences, pairs)), mirror=True)
 
 
 def _slot_bytes(k: int) -> int:
@@ -555,7 +617,7 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[in
     w = _slot_bytes(len(block))
     a = bytearray(slots * w)
     b = bytearray(slots * w)
-    for pos in layout.positions(group.coordinates(block)):
+    for pos in layout.at(block):
         a[pos * w] = 1
         b[(top - pos) * w] = 1
     a_int, b_int = int.from_bytes(a, "little"), int.from_bytes(b, "little")
@@ -680,7 +742,7 @@ def classify_family(family: Family) -> str:
     """'plain' (blocks overlap), 'disjoint', or 'partitioned' (disjoint and
     covering the whole group)."""
     total = len(family.lists.flat)
-    if len(set(family.lists.flat)) != total:
+    if _coverage(family).count(1) != total:
         return "plain"
     return "partitioned" if total == family.v else "disjoint"
 
@@ -691,10 +753,9 @@ def extend_to_pdf(family: Family) -> Family:
     cls = classify_family(family)
     if cls == "plain":
         raise ValueError("blocks overlap; only disjoint families can be extended")
-    flat, covered = family.lists.flat, set(family.lists.flat)
-    extra = [i for i in range(family.v) if i not in covered]
+    extra = _uncovered(family)
     sizes = family.lists.sizes + [1] * len(extra)
-    return Family.of_lists(IndexLists(family.group, flat + extra, sizes))
+    return Family.of_lists(IndexLists(family.group, family.lists.flat + extra, sizes))
 
 
 def _element_indices(group: GroupDescriptor, xs: Iterable[Element]) -> list[int]:
@@ -843,17 +904,16 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
         return Report(False, kind, params, message=message)
     ones, deviations = [1] * v, {}
     for i, row in enumerate(mat.lists.cut() if kind == "hdm" else ()):
-        counts = list(map(Counter(row).get, range(v), repeat(0)))
-        for x, c in _deviations(group, counts, ones).items():
+        for x, c in _deviations(group, _index_counts(v, [row]), ones).items():
             deviations[("row", i, x)] = c
     if deviations:
         message = f"{len(deviations)} (row, element) occurrence counts != 1"
         return Report(False, kind, params, deviations, message)
     layout = _layout(group)
-    rows = _cut(layout.positions(group.coordinates(mat.lists.flat)), mat.lists.sizes)
+    rows = _cut(layout.at(mat.lists.flat), mat.lists.sizes)
     for i in range(mat.k):
         for j in range(i + 1, mat.k):
-            counts = layout.dense(Counter(layout.differences(rows[i], rows[j])))
+            counts = layout.dense(layout.tally([layout.differences(rows[i], rows[j])]))
             for x, c in _deviations(group, counts, ones).items():
                 deviations[(i, j, x)] = c
     message = f"{len(deviations)} (row pair, element) difference counts != 1"
@@ -867,7 +927,7 @@ def normalize_dm(mat: DiffMatrix) -> DiffMatrix:
     if not report.ok:
         raise ValueError(f"not a difference matrix: {report.message}")
     group, layout = mat.group, _layout(mat.group)
-    rows = _cut(layout.positions(group.coordinates(mat.lists.flat)), mat.lists.sizes)
+    rows = _cut(layout.at(mat.lists.flat), mat.lists.sizes)
     flat = list(chain.from_iterable(layout.subtract(row, rows[0]) for row in rows))
     return DiffMatrix.of_lists(IndexLists(group, flat, mat.lists.sizes))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, groupby, islice, repeat
 from json.decoder import WHITESPACE, JSONObject
 
@@ -287,12 +287,13 @@ def _index_lists(group: GroupDescriptor, lists) -> IndexLists:
     return IndexLists(group, flat, list(map(len, lists)))
 
 
-def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int) -> list[str]:
+def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int, sep: str = "") -> Iterator[str]:
     """The text of each list of elements as json.dumps(indent=2) writes it
-    at indent depth `depth`, one template per run of equal-length lists.
-    The coordinate texts are built a column at a time from the indices: a
-    cyclic coordinate is its decimal text, a field coordinate looks its
-    coefficient-list text up in a table of the values present."""
+    at indent depth `depth`, after `sep`, one template per run of
+    equal-length lists, made as it is read.  The coordinate texts are built
+    a column at a time from the indices: a cyclic coordinate is its decimal
+    text, a field coordinate looks its coefficient-list text up in a table
+    of the values present."""
     columns = []
     for fac, col in zip(group.factors, group.coordinates(lists.flat)):
         if isinstance(fac, AdditiveField):
@@ -303,30 +304,27 @@ def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int) -> list[
         else:
             columns.append(map(int.__repr__, col))
     element = _list_template("{}", len(columns), depth + 1)
-    out: list[str] = []
-    for k, m in _runs(lists.sizes):
-        fmt = _list_template(element, k, depth).format
-        out.extend(islice(map(fmt, *(columns * k)), m) if k else repeat("[]", m))
-    return out
+    runs = ((k, m, (sep + _list_template(element, k, depth)).format) for k, m in _runs(lists.sizes))
+    return chain.from_iterable(
+        islice(map(fmt, *(columns * k)), m) if k else repeat(sep + "[]", m) for k, m, fmt in runs
+    )
 
 
-def _payload_parts(group: GroupDescriptor, lists) -> list[str]:
+def _payload_parts(group: GroupDescriptor, lists: IndexLists) -> Iterator[str]:
     """Blocks or matrix rows, a list at depth 1 of element lists, as the
-    pieces of its text: each list's text, and the brackets and separators
-    between them."""
-    texts = _lists_texts(group, _index_lists(group, lists), 2)
-    if not texts:
-        return ["[]"]
-    parts = [",\n    "] * (2 * len(texts) + 1)
-    parts[1::2] = texts
-    parts[0], parts[-1] = "[\n    ", "\n  ]"
-    return parts
+    pieces of its text: the brackets, and each list's text after a comma
+    and a new line, the first after the opening bracket instead."""
+    texts = _lists_texts(group, lists, 2, ",\n    ")
+    first = next(texts, None)
+    if first is None:
+        return iter(["[]"])
+    return chain(["[" + first[1:]], texts, ["\n  ]"])
 
 
-def _design_parts(design: DesignFile) -> list[str]:
-    """The file text as pieces, keys in sorted order.  A payload list's text
-    is a piece of its own, so the payload (most of the file) is never built
-    as one string: each whole copy adds to the peak memory of a large write."""
+def _design_parts(design: DesignFile) -> Iterator[str]:
+    """The file text as pieces, keys in sorted order, made as they are
+    read, so the payload (most of the file) is never built whole.  Every
+    check that can refuse the design runs before the first piece."""
     payload, group = _payload(design), design.group
     texts = {
         "kind": [json.dumps(design.kind)],
@@ -338,13 +336,10 @@ def _design_parts(design: DesignFile) -> list[str]:
             flat = _element_indices(group, lists)
             texts[name] = _lists_texts(group, IndexLists(group, flat, [len(flat)]), 1)
         else:
-            texts[name] = _payload_parts(group, lists)
-    parts: list[str] = []
-    for name in sorted(texts):
-        parts += (",\n  " if parts else "{\n  ", f'"{name}": ')
-        parts += texts[name]
-    parts.append("\n}\n")
-    return parts
+            texts[name] = _payload_parts(group, _index_lists(group, lists))
+    heads = chain(["{\n  "], repeat(",\n  "))
+    members = (chain((head, f'"{name}": '), texts[name]) for head, name in zip(heads, sorted(texts)))
+    return chain(chain.from_iterable(members), ["\n}\n"])
 
 
 def dumps_design(design: DesignFile) -> str:
@@ -413,18 +408,56 @@ def _scanned_lists(group: GroupDescriptor, text: str, start: int, end: int, one:
         nums += json.loads(b"[" + body.removesuffix(b",") + b"]")
         start = stop
     # an element's shape: the writer's text of a list holding the zero element
-    zero = _lists_texts(group, IndexLists(group, [0], [1]), 0)[0].encode().translate(_SHAPE, _SPACE)
-    items = (b"[" * one + b"".join(shapes) + b"]" * one).replace(zero[1:-1].replace(b"d", b"x"), b"e")
-    sizes = [] if items == b"[]" else list(map(len, items.translate(None, b",")[2:-2].split(b"][")))
-    texts = {k: b"[" + b",".join([b"e"] * k) + b"]" for k in set(sizes)}
+    zero = next(_lists_texts(group, IndexLists(group, [0], [1]), 0)).encode().translate(_SHAPE, _SPACE)
+    items = b"".join(shapes)
+    del shapes  # freed before the element pass copies items
+    items = (b"[" * one + items + b"]" * one).replace(zero[1:-1].replace(b"d", b"x"), b"e")
+    sizes = _sizes(items)
     radices = group.digit_radices()
-    if items != b"[%b]" % b",".join(map(texts.__getitem__, sizes)) or len(nums) != len(radices) * sum(sizes):
+    if sizes is None or len(nums) != len(radices) * sum(sizes):
         return None
     columns = [nums[j :: len(radices)] for j in range(len(radices))] if len(radices) > 1 else [nums]
     if nums and any(min(col) < 0 or max(col) >= r for col, r in zip(columns, radices)):
         return None
     lists = IndexLists(group, group.column_indices(columns, radices), sizes)
     return lists[0] if one else lists
+
+
+def _sizes(items: bytes) -> list[int] | None:
+    """The length of each list in items, the shape [[e,e],[e],...] of lists
+    of elements with each element an "e", or None unless items is exactly
+    that.  A run of equal lists is read at a time: its first list's text is
+    checked, and then how often it repeats, by comparing the text repeated
+    once, then twice as often while it matches (up to _CHUNK bytes), then
+    half as often, down to once: a run of m lists costs O(m) bytes compared
+    in O(log m) calls.  No object is made per list."""
+    sizes, pos, last = [], 1, len(items) - 1  # items[last] closes the outer list
+    if not items.startswith(b"[") or not items.endswith(b"]"):
+        return None
+    while pos < last:
+        if sizes:  # a comma after the last run
+            if not items.startswith(b",", pos):
+                return None
+            pos += 1
+        close = items.find(b"]", pos, last)
+        k = (close - pos) // 2  # "[e,e]" spans 2k + 1 bytes
+        text = b"[" + b",".join([b"e"] * k) + b"]"
+        if close < 0 or not items.startswith(text, pos):
+            return None
+        pos, m = pos + len(text), 1
+        unit = b"," + text
+        step, most, repeated = 1, max(1, _CHUNK // len(unit)), unit
+        while items.startswith(repeated, pos, last):
+            pos, m = pos + len(repeated), m + step
+            if 2 * step <= most:
+                step, repeated = 2 * step, repeated + repeated
+        while step > 1:  # fewer than step repeats are left
+            step //= 2
+            repeated = repeated[: len(unit) * step]
+            if items.startswith(repeated, pos, last):
+                pos, m = pos + len(repeated), m + step
+        sizes += repeat(k, m)
+    return sizes
 
 
 def loads_design(text: str) -> DesignFile:
@@ -445,12 +478,13 @@ def loads_design(text: str) -> DesignFile:
 
 
 def save_design(path, design: DesignFile) -> None:
-    # encode before opening, so a design that fails to encode leaves the file
-    # as it was; then write a few thousand pieces at a time, never the whole text
+    # check before opening, so a design that fails to encode leaves the file
+    # as it was; then make and write a few thousand pieces at a time, never
+    # the whole text
     parts = _design_parts(design)
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(0, len(parts), 4096):
-            handle.write("".join(parts[i : i + 4096]))
+        while batch := "".join(islice(parts, 2048)):
+            handle.write(batch)
 
 
 def load_design(path) -> DesignFile:

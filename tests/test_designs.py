@@ -6,6 +6,7 @@ over ordered pairs, independent of the module's counting code.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffam.algebra import (
     ExhaustiveCapError,
@@ -22,6 +23,8 @@ from diffam.designs import (
     DSParams,
     DiffMatrix,
     Family,
+    _ascending,
+    _coverage,
     classify_family,
     counting_lambda,
     delta_multiset,
@@ -535,3 +538,69 @@ def test_units_matrix_over_ring_group():
         tuple(ring.mul((m,), (c,)) for c in range(5)) for m in (1, 2, 4, 3)
     )
     assert verify_hdm(DiffMatrix(g, rows)).ok
+
+
+@st.composite
+def _shaped_families(draw):
+    """A family over Z_v or Z_a x GF(4) whose blocks partition the group,
+    are disjoint but miss some elements, or overlap."""
+    group = draw(st.sampled_from([cyclic_group(1), cyclic_group(2), cyclic_group(23), cyclic_group(60),
+                                  GroupDescriptor([3, build_field(2, 2)])]))
+    shape = draw(st.sampled_from(["partitioned", "disjoint", "plain"]))
+    order = draw(st.permutations(range(group.order)))
+    kept = len(order) if shape == "partitioned" else draw(st.integers(0, len(order) - 1))
+    cuts = sorted(draw(st.lists(st.integers(1, max(kept - 1, 1)), max_size=5, unique=True)))
+    bounds = [0] + [c for c in cuts if c < kept] + [kept]
+    blocks = [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    if shape == "plain" and blocks:
+        blocks.append(draw(st.lists(st.sampled_from(order[:kept]), min_size=1, unique=True)))
+    return Family(group, [group.elements_at(b) for b in blocks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shaped_families())
+def test_the_coverage_map_agrees_with_a_set_of_the_elements(family):
+    """One byte per element, shared by classify_family, covered, uncovered
+    and extend_to_pdf, gives what a set of the covered elements gives."""
+    group, blocks = family.group, family.blocks
+    held = [x for b in blocks for x in b]
+    covered = set(held)
+    uncovered = [x for x in group.elements() if x not in covered]
+    assert list(_coverage(family)) == [int(x in covered) for x in group.elements()]
+    assert family.covered() == covered
+    assert family.uncovered() == uncovered
+    expected = "plain" if len(covered) < len(held) else "partitioned" if not uncovered else "disjoint"
+    assert classify_family(family) == expected
+    if expected == "plain":
+        with pytest.raises(ValueError, match="overlap"):
+            extend_to_pdf(family)
+    else:
+        pdf = extend_to_pdf(family)
+        assert pdf.blocks == blocks + tuple((x,) for x in uncovered)
+        assert classify_family(pdf) == "partitioned"
+
+
+@st.composite
+def _runs_of_blocks(draw):
+    """Blocks in runs of equal sizes (0 to 4), ascending, or with a swap, a
+    repeat or a descent across a block end."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=5))
+    blocks = []
+    for k, m in runs:
+        for _ in range(m):
+            block = sorted(draw(st.lists(st.integers(0, 30), min_size=k, max_size=k, unique=True)))
+            if k > 1 and draw(st.integers(0, 5)) == 0:
+                i = draw(st.integers(0, k - 2))
+                block[i + 1] = draw(st.sampled_from([block[i], block[i] - 1, block[i + 1]]))
+            blocks.append(block)
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs_of_blocks())
+def test_ascending_blocks_are_those_with_every_descent_at_a_block_end(blocks):
+    """_ascending, which counts descents at the block ends of each run of
+    equal sizes, agrees with a check of each block."""
+    flat, sizes = [x for b in blocks for x in b], [len(b) for b in blocks]
+    expected = all(b and all(x < y for x, y in zip(b, b[1:])) for b in blocks)
+    assert _ascending(flat, sizes) == expected

@@ -446,3 +446,66 @@ def test_a_product_block_between_pairwise_blocks(group):
     report = verify_df(family, 1)
     assert report.stats["engine"] == "both"
     _same(report, oracle_deviations(group, blocks, lambda x: 1))
+
+
+# one-digit groups, whose pairwise keys are index differences in (-v, v)
+# tallied in a list of v counts
+ONE_DIGIT_GROUPS = [cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(10), GroupDescriptor([build_field(13)])]
+
+
+@pytest.mark.parametrize("group", ONE_DIGIT_GROUPS, ids=repr)
+def test_one_digit_tally_at_the_ends_of_the_group(group):
+    """Blocks holding 0 and v - 1, so that keys reach v - 1 and its negative
+    1 - v, the whole group (every key), a block that repeats an element of
+    another, and two blocks splitting the group: each count matches the
+    oracle, and the zero element counts 0."""
+    v = group.order
+    ends = sorted({0, v - 1})
+    cases = [[ends], [list(range(v))], [ends, [v - 1]], [list(range(0, v, 2)), list(range(1, v, 2)) or [0]]]
+    for indices in cases:
+        blocks = [group.elements_at(b) for b in indices]
+        flat = [i for b in indices for i in b]
+        counts = _pairwise_counts(group, flat, list(map(len, indices)))
+        assert as_dict(group, counts) == oracle_counts(group, blocks)
+
+
+@pytest.mark.parametrize("group", ONE_DIGIT_GROUPS[2:], ids=repr)
+def test_one_digit_tally_reads_negative_keys_as_their_residues(group):
+    """A tally of the keys 0, v - 1 and 1 - v counts them at indices 0,
+    v - 1 and 1; the mirrored counts add index x to index v - x, and index
+    0, its own mirror, to itself."""
+    layout, v = _Layout(group), group.order
+    tally = layout.tally([[0, v - 1, 1 - v, 1 - v]])
+    assert tally[0] == 1 and tally[v - 1] == 1 and tally[1] == 2
+    mirrored = layout.dense(layout.tally([[0, v - 1, 1 - v, 1 - v]]), mirror=True)
+    assert mirrored[0] == 2 and mirrored[1] == mirrored[v - 1] == 3
+    assert sum(mirrored) == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_digit_families_of_several_block_sizes(data):
+    """Blocks of sizes 1 to 6 in one family over Z_v or GF(p): the report's
+    deviation map matches the oracle's."""
+    group = data.draw(st.sampled_from(ONE_DIGIT_GROUPS[1:] + [cyclic_group(61), cyclic_group(125)]))
+    sizes = data.draw(st.lists(st.integers(1, min(6, group.order)), min_size=2, max_size=6))
+    elements = list(group.elements())
+    blocks = [data.draw(st.lists(st.sampled_from(elements), min_size=k, max_size=k, unique=True)) for k in sizes]
+    lam = data.draw(st.integers(0, 2))
+    _same(verify_df(Family(group, blocks), lam), oracle_deviations(group, blocks, lambda x: lam))
+
+
+@pytest.mark.parametrize("v", [2, 7, 12, 13])
+def test_matrices_over_one_digit_groups(v):
+    """Multiples of the elements of Z_v (an hdm when v is prime), with a
+    zero row prepended (a dm), and a constant row whose differences with
+    the zero row all fall at index 0: every deviation map matches the
+    oracle's."""
+    group = cyclic_group(v)
+    rows = [tuple((m * x % v,) for x in range(v)) for m in range(1, min(v, 4))]
+    zero = tuple((0,) for _ in range(v))
+    constant = tuple(((v - 1),) for _ in range(v))
+    for matrix in (rows, [zero] + rows, rows + [constant], [zero, constant]):
+        mat = DiffMatrix(group, matrix)
+        _same(verify_dm(mat), oracle_dm_deviations(group, matrix))
+        _same(verify_hdm(mat), oracle_hdm_deviations(group, matrix))

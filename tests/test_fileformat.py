@@ -2,10 +2,12 @@
 for every design kind, and byte-stable output."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diffam import groups
+from diffam import fileformat, groups
 from diffam.algebra import (
     ExhaustiveCapError,
     FieldDescriptor,
@@ -471,3 +473,49 @@ def test_a_refused_save_leaves_the_existing_file_unchanged(tmp_path):
         with pytest.raises(ValueError):
             save_design(path, refused)
         assert path.read_bytes() == before
+
+
+def _shape(sizes):
+    """The reader's shape of lists of these sizes, each element an "e"."""
+    return b"[" + b",".join(b"[" + b",".join([b"e"] * k) + b"]" for k in sizes) + b"]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 40)), max_size=6),
+    st.sampled_from([1, 7, 1 << 16]),
+    st.data(),
+)
+def test_the_reader_sizes_runs_of_equal_lists(runs, chunk, data):
+    """_sizes reads the sizes of any shape, run by run, whatever the chunk
+    that bounds its repeated text; a shape with one byte changed, added or
+    dropped is refused unless it is the shape of other sizes."""
+    sizes = [k for k, m in runs for _ in range(m)]
+    shape = _shape(sizes)
+    with mock.patch.object(fileformat, "_CHUNK", chunk):
+        assert fileformat._sizes(shape) == sizes
+        at = data.draw(st.integers(0, len(shape)))
+        byte = data.draw(st.sampled_from([b"", b"e", b",", b"[", b"]", b"x"]))
+        drop = data.draw(st.integers(0, 1))
+        mutated = shape[:at] + byte + shape[at + drop :]
+        read = fileformat._sizes(mutated)
+        assert read is None or _shape(read) == mutated
+
+
+class _Compared(bytes):
+    """A shape that adds up the bytes of every prefix it is asked to start
+    with: the work _sizes does comparing runs."""
+
+    def startswith(self, prefix, *span):
+        self.compared = getattr(self, "compared", 0) + len(prefix)
+        return super().startswith(prefix, *span)
+
+
+@pytest.mark.parametrize("sizes", [[1, 2] * 50_000, [3] * 100_000, [k for k in range(1, 300) for _ in range(k)]])
+def test_the_reader_sizes_compares_bytes_linear_in_the_shape(sizes):
+    """A run of m equal lists costs O(m) bytes compared, however short the
+    runs: 10^5 runs of one list each compare a few bytes per list, not a
+    repeated text of _CHUNK bytes per run."""
+    shape = _Compared(_shape(sizes))
+    assert fileformat._sizes(shape) == sizes
+    assert shape.compared <= 4 * len(shape)
