@@ -100,9 +100,10 @@ def _certified(family: Family, lam: int, what: str) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]:
-    """The action's orbits on the nonzero elements as sorted tuples of
-    canonical indices, or NotSemiregularError with the fixed-point witness.
+def _semiregular_orbits(group: GroupDescriptor, action) -> tuple[list[int], int]:
+    """The action's orbits on the nonzero elements, each sorted, in walk
+    order as one flat list of canonical indices, and their size k (1 when
+    there are none); or NotSemiregularError with the fixed-point witness.
     By orbit-stabilizer an orbit with fewer members than the action has
     distinct members holds a fixed point, so the walk stops there and only
     then looks for the witness (``fixed_point_witness``)."""
@@ -111,7 +112,7 @@ def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]
     else:
         perms = _validated_maps(group, action)
         walk, order = _image_orbits(perms), len(set(map(tuple, perms)))
-    blocks = []
+    flat: list[int] = []
     for orbit in walk:
         if len(orbit) < order:
             x, j = fixed_point_witness(group, action)
@@ -120,43 +121,38 @@ def _semiregular_orbits(group: GroupDescriptor, action) -> list[tuple[int, ...]]
                 f"(automorphism index {j})",
                 (x, j),
             )
-        blocks.append(orbit)
-    return blocks
+        flat += orbit
+    return flat, order if flat else 1
 
 
 def orbit_ddf(group: GroupDescriptor, action) -> Family:
     """The orbits of a semiregular order-k automorphism group on the nonzero
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
-    blocks = _semiregular_orbits(group, action)
-    k = len(blocks[0]) if blocks else 1
-    orbits = IndexLists(group, list(itertools.chain.from_iterable(blocks)), [k] * len(blocks))
-    del blocks  # the count runs with no orbit tuple alive
+    flat, k = _semiregular_orbits(group, action)
+    orbits = IndexLists(group, flat, [k] * (len(flat) // k))
     return _certified(Family.of_lists(orbits), k - 1, "orbit difference family")
-
-
-def _first_half(orbits: list[tuple[int, ...]], neg: list[int]) -> list[tuple[int, ...]]:
-    """The orbits B with min B < min(-B), in walk order.  The walk meets
-    orbits in order of their least member, so these are the orbits met
-    before their negations; an orbit fixed by negation is in neither half
-    and fails the count."""
-    return [b for b in orbits if b[0] < min(map(neg.__getitem__, b))]
 
 
 def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
     """The first half of the negation split of a semiregular order-k
-    action's orbits (``_first_half``), certified by one count as a
-    (v, k, (k-1)/2) family, and negation as a permutation of canonical
-    indices.  An even v*k is refused after the walk, which finds k."""
-    orbits = _semiregular_orbits(group, action)
+    action's orbits, certified by one count as a (v, k, (k-1)/2) family, and
+    negation as a permutation of canonical indices.  An even v*k is refused
+    after the walk, which finds k."""
+    flat, k = _semiregular_orbits(group, action)
     v = group.order
-    k = len(orbits[0]) if orbits else 1
     if (v * k) % 2 == 0:
         raise ConstructionError(
             f"v*k = {v}*{k} is even; the negation split needs v*k odd"
         )
     neg = ScalarAction(group, -1).index_map()
-    orbits = _first_half(orbits, neg)  # rebound twice: the count runs with no orbit tuple alive
-    orbits = IndexLists(group, list(itertools.chain.from_iterable(orbits)), [k] * len(orbits))
+    # the orbits B with min B < min(-B), in walk order: the walk meets orbits
+    # in order of their least member, so these are the orbits met before their
+    # negations; one fixed by negation is in neither half and fails the count
+    orbits = zip(*[iter(flat)] * k)  # one orbit tuple at a time
+    first = (b for b in orbits if b[0] < min(map(neg.__getitem__, b)))
+    half = list(itertools.chain.from_iterable(first))
+    del flat  # the count runs with only the half alive
+    orbits = IndexLists(group, half, [k] * (len(half) // k))
     return _certified(Family.of_lists(orbits), (k - 1) // 2, "half-index orbit family"), neg
 
 

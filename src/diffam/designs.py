@@ -17,10 +17,10 @@ report is itself a checkable certificate.
 
 from __future__ import annotations
 
-import sys
+import struct
 from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat, starmap, tee
 from math import prod
 from operator import add, eq, floordiv, ge, mod, mul, ne, not_, setitem, sub
@@ -173,8 +173,15 @@ class IndexLists(Sequence):
     def __len__(self) -> int:
         return len(self.sizes)
 
+    @cached_property
+    def _starts(self) -> list[int]:
+        """Where each list starts in flat, found on the first index."""
+        return list(accumulate(self.sizes, initial=0))
+
     def __getitem__(self, i: int) -> "IndexedElements":
-        return IndexedElements(self.group, self.cut()[i])
+        i = range(len(self.sizes))[i]  # negative indices and IndexError as a tuple's
+        start = self._starts[i]
+        return IndexedElements(self.group, self.flat[start : start + self.sizes[i]])
 
     def __iter__(self):
         return (IndexedElements(self.group, items) for items in self.cut())
@@ -380,7 +387,7 @@ def _dense_counts(family: Family) -> tuple[list[int], str]:
     group, flat, sizes = family.group, family.lists.flat, family.lists.sizes
     # the engine is chosen once per block size, not once per block
     kinds = set(sizes)
-    convolve = {k for k in kinds if _use_convolution(group, k)}
+    convolve = {k for k in kinds if _use_convolution(group, k, sizes.count(k))}
     dense = _pairwise_counts(group, flat, sizes, convolve)
     for start, k in zip(accumulate(sizes, initial=0), sizes) if convolve else ():
         if k in convolve:  # the block is a slice of the flat list
@@ -570,35 +577,32 @@ def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[in
     return layout.dense(layout.tally(starmap(layout.differences, pairs)), mirror=True)
 
 
-def _slot_bytes(k: int) -> int:
-    """Bytes per slot holding counts up to k without carry (k < 2^32: the
-    group-order cap bounds k)."""
-    return 1 if k < 1 << 8 else 2 if k < 1 << 16 else 4
+def _slot(k: int) -> tuple[int, str]:
+    """The bytes per slot that hold counts up to k without carry, and the
+    struct format of such a slot (k < 2^32: the group-order cap bounds k)."""
+    return (1, "B") if k < 1 << 8 else (2, "H") if k < 1 << 16 else (4, "I")
 
 
-def _use_convolution(group: GroupDescriptor, k: int) -> bool:
-    """Whether a k-element block over the group is counted as one big-int
-    product rather than pair by pair.
+def _use_convolution(group: GroupDescriptor, k: int, blocks: int = 1) -> bool:
+    """Whether a family's k-element blocks, ``blocks`` of them, are each
+    counted as one big-int product rather than pair by pair.
 
-    Blocks of at most 64 elements always take the pairwise loop (a few ms at
-    most).  So does a group whose digit padding makes more than 64 v slots
-    (GF(2^n) pads by 1.5^n), which keeps the packed ints O(v) in memory.
-    Otherwise the loop's k(k-1)/2 column subtractions, about 1 us each (a
-    lone block's column pair took 0.7-1.5 us on a 2-vCPU x86-64 VM in every
-    group shape), are weighed against the product's estimated microseconds:
-    CPython's Karatsuba multiply, about 4e-4 * P^1.585 for P packed bytes,
-    plus about 1 us per group element for the fold and the count dict
-    (fitted on an x86-64 VM; only the order of magnitude matters)."""
-    if k <= 64:
-        return False
+    A group whose padding makes more than 64 v slots (GF(2^n) pads by 1.5^n)
+    stays on the loop, which keeps the packed ints O(v).  Otherwise two
+    estimates in us are compared, fitted to both engines on a 2-vCPU x86-64
+    VM with CPython 3.11 (only the order of magnitude matters).  The loop
+    costs 1 per column pair and 0.2 per key (measured 0.4-1.5 per pair of a
+    lone block, 0.15-0.27 per key in orbit families).  The product costs, per
+    block, 4e-4 P^1.585 for P packed bytes (Karatsuba; measured 1.5e-4 to
+    5.7e-4 on full slots, less on sparse ones), 0.1 per group element for the
+    fold, the read and the add (measured 0.07-0.09), and 20 per call: above
+    the 4-8 measured on the smallest groups, so that a block of at most 5
+    elements, where the product saves a few us at most, stays on the loop."""
     slots = prod(2 * r - 1 for r in group.digit_radices())
     if slots > 64 * group.order:
         return False
-    cost = 4e-4 * (slots * _slot_bytes(k)) ** 1.585 + group.order
-    return k * (k - 1) // 2 > cost
-
-
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I"}  # native unsigned 1, 2, 4 bytes
+    product = 20 + 0.1 * group.order + 4e-4 * (slots * _slot(k)[0]) ** 1.585
+    return k * (k - 1) / 2 * (1 + 0.2 * blocks) > blocks * product
 
 
 def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[int]:
@@ -611,10 +615,11 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[in
     mirrored slot top - pos(y) of every y, so slot t of A*B counts the pairs
     whose shifted digitwise differences spell t.  No slot exceeds k < 256^w
     (x fixes y), so slots never carry.  Folding each digit t to
-    (t - (r - 1)) mod r leaves the counts of x - y in canonical order."""
+    (t - (r - 1)) mod r leaves the counts of x - y in canonical order, read
+    as little-endian slots on every host."""
     layout = _layout(group)
     slots, top = layout.slots, layout.top
-    w = _slot_bytes(len(block))
+    w, fmt = _slot(len(block))
     a = bytearray(slots * w)
     b = bytearray(slots * w)
     for pos in layout.at(block):
@@ -639,12 +644,7 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[in
         view.release()
         buf = b"".join(pieces)
         outer *= r
-    if sys.byteorder != "little":  # the cast below reads native byte order
-        native = bytearray(len(buf))
-        for i in range(w):
-            native[i::w] = buf[w - 1 - i :: w]
-        buf = native
-    counts = memoryview(buf).cast(_SLOT_FORMATS[w]).tolist()
+    counts = list(struct.unpack(f"<{group.order}{fmt}", buf))
     counts[0] = 0  # the zero element, counted k times by x - x
     return counts
 

@@ -181,6 +181,10 @@ def test_construct_bad_factors_value(tmp_path):
     )
     assert rc == 2
     assert "error: bad --factors value '7,x'" in err
+    rc, out, err = run(
+        ["construct", "furino", "--factors", ",", "--k", 3, "--out", tmp_path / "x.json"]
+    )
+    assert (rc, out, err) == (2, "", "error: bad --factors value ','\n")
 
 
 def test_construct_orbit_and_split(tmp_path):
@@ -328,6 +332,16 @@ def test_construct_cyclotomic_with_sigma_override(tmp_path):
     )
     assert rc == 0
     assert out.startswith("wrote ddf over GF(7) x GF(13) [k=3 lambda=1 v=91] (15 blocks)")
+    # an empty piece of the list is skipped
+    again = tmp_path / "c91-again.json"
+    rc, out, err = run(
+        [
+            "construct", "cyclotomic-half", "--factors", "7,13", "--k", 3,
+            "--sigma-choice", ",2:1,", "--out", again,
+        ]
+    )
+    assert rc == 0
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_construct_cyclotomic_sigma_errors(tmp_path):
@@ -915,6 +929,16 @@ def test_bad_option_values_and_a_wrong_matrix_file_are_usage_errors(tmp_path):
     assert run([*argv, "--out", tmp_path / "out.json"]) == (
         2, "", f"error: {path}: expected a difference-matrix design, found 'ddf'\n"
     )
+    hdm = tmp_path / "h7.json"
+    run(["construct", "units-hdm", "--factors", "7", "--k", 3, "--out", hdm])
+    argv = ["construct", "product", "--ddf-g", hdm, "--ddf-h", path, "--dm", hdm]
+    assert run([*argv, "--out", tmp_path / "out.json"]) == (
+        2, "", f"error: {hdm}: expected a block-family design, found 'hdm'\n"
+    )
+    argv = ["construct", "dds-product", "--ds", path, "--h", 2]
+    assert run([*argv, "--out", tmp_path / "out.json"]) == (
+        2, "", "error: --ds must point to a single-block ds design file\n"
+    )
 
 
 def test_verify_missing_and_malformed_files(tmp_path):
@@ -969,6 +993,17 @@ def test_verify_refuses_a_modulus_coefficient_out_of_range(tmp_path):
         assert (rc, out, err) == (
             2, "", f"error: modulus coefficient {c} out of range for GF(13)\n"
         )
+
+
+def test_verify_refuses_a_modulus_with_a_zero_constant_term(tmp_path):
+    """x^2 + x is divisible by x, so it defines no field GF(4)."""
+    path = tmp_path / "f4.json"
+    rc, out, err = run(["construct", "furino", "--factors", 4, "--k", 3, "--out", path])
+    assert rc == 0
+    obj = json.loads(path.read_text())
+    obj["group"]["factors"][0]["field"]["modulus"] = [0, 1, 1]
+    path.write_text(json.dumps(obj))
+    assert run(["verify", path]) == (2, "", "error: modulus [0, 1, 1] is reducible over GF(2)\n")
 
 
 def test_verify_refuses_over_cap_files_before_work(tmp_path, monkeypatch):

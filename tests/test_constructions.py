@@ -38,6 +38,7 @@ from diffam.constructions import (
 from diffam.designs import (
     DDSParams,
     DSParams,
+    Family,
     classify_family,
     delta_multiset,
     extend_to_pdf,
@@ -210,6 +211,16 @@ def test_furino_v1_is_empty_family():
     fam = furino_ddf(1, 3)
     assert fam.blocks == ()
     assert verify_df(fam, 2).ok
+
+
+def test_furino_k1_is_the_singleton_family_and_nonpositive_inputs_are_refused():
+    fam = furino_ddf(7, 1)
+    assert fam.blocks == tuple(((x,),) for x in range(1, 7))
+    assert verify_df(fam, 0).ok
+    with pytest.raises(ConstructionError, match=r"^block size must be positive, got 0$"):
+        furino_ddf(7, 0)
+    with pytest.raises(ConstructionError, match=r"^group order must be positive, got 0$"):
+        furino_ddf(0, 3)
 
 
 def test_cyclic_recipes_check_cap_before_work(monkeypatch):
@@ -472,6 +483,18 @@ def test_product_ddf_group_mismatch():
         product_ddf(fam_g, fam_h, hdm)
 
 
+def test_product_ddf_refuses_a_wrong_row_count_and_overlapping_factors():
+    fam_h = furino_ddf(7, 3)
+    dm = hdm_to_dm(units_hdm(build_ring([7]), 3))  # 4 rows, blocks of 3
+    with pytest.raises(ConstructionError, match=r"^matrix has 4 rows, families have block size 3$"):
+        product_ddf(trivial_family_z4(), fam_h, dm)
+    # the (7, 3, 1) set taken twice: a (7, 3, 2) family whose blocks overlap
+    twice = Family(cyclic_group(7), [[(1,), (2,), (4,)]] * 2)
+    assert verify_df(twice, 2).ok
+    with pytest.raises(ConstructionError, match=r"^factor families must be disjoint$"):
+        product_ddf(twice, fam_h, units_hdm(build_ring([7]), 3))
+
+
 def test_product_ddf_ingredient_must_verify():
     from diffam.designs import Family
 
@@ -606,6 +629,8 @@ def test_dds_from_ds_input_must_be_uniform():
     built = dds_from_ds([], cyclic_group(4), 2)
     assert built.params == DDSParams(4, 2, 0, 0, 0)
     assert built.elements == ()
+    with pytest.raises(ConstructionError, match=r"^difference set input has repeated elements$"):
+        dds_from_ds([(1,), (2,), (4,), (1,)], cyclic_group(7), 2)
 
 
 def test_result3star_13():

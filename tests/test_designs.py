@@ -23,6 +23,7 @@ from diffam.designs import (
     DSParams,
     DiffMatrix,
     Family,
+    IndexLists,
     _ascending,
     _coverage,
     classify_family,
@@ -97,6 +98,23 @@ def test_report_truthiness():
 # ---------------------------------------------------------------------------
 # families and difference multisets
 # ---------------------------------------------------------------------------
+
+
+def test_index_lists_read_a_list_by_index_as_iteration_does(monkeypatch):
+    g = cyclic_group(11)
+    lists = IndexLists(g, [1, 2, 3, 4, 5, 6, 7, 8, 9], [2, 0, 3, 1, 3])
+    items = list(lists)
+    assert items == [((1,), (2,)), (), ((3,), (4,), (5,)), ((6,),), ((7,), (8,), (9,))]
+    # an index slices its own list off flat and cuts no other list
+    monkeypatch.setattr(IndexLists, "cut", lambda self: pytest.fail("every list was cut"))
+    assert [lists[i] for i in range(5)] == items
+    assert [lists[i] for i in range(-5, 0)] == items
+    assert lists[-1] == ((7,), (8,), (9,))
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            lists[i]
+    with pytest.raises(IndexError):
+        IndexLists(g, [], [])[0]
 
 
 def test_family_normalizes_and_validates():
@@ -520,6 +538,16 @@ def test_dm_to_hdm_strips_zero_row_wherever_it_sits():
     g = cyclic_group(7)
     dm = DiffMatrix(g, mult_rows(7, (1, 2, 4, 0)))  # zero row is last
     assert dm_to_hdm(dm).rows == mult_rows(7, (1, 2, 4))
+
+
+def test_matrix_converters_refuse_a_non_matrix():
+    zeros = DiffMatrix(cyclic_group(7), (tuple((0,) for _ in range(7)),) * 2)
+    message = r"^not a homogeneous difference matrix: 14 \(row, element\) occurrence counts != 1$"
+    with pytest.raises(ValueError, match=message):
+        hdm_to_dm(zeros)
+    message = r"^not a difference matrix: 7 \(row pair, element\) difference counts != 1$"
+    with pytest.raises(ValueError, match=message):
+        dm_to_hdm(zeros)
 
 
 def test_dm_to_hdm_requires_a_zero_row():

@@ -431,6 +431,47 @@ def test_engine_choice():
     assert _use_convolution(cyclic_group(3280), 1093)
 
 
+# the groups of the sweep, cyclic-large and ext-products benchmark workloads,
+# whose blocks have 3 or 5 elements, and the (group, k) of each big-blocks file
+WORKLOAD_GROUPS = [
+    cyclic_group(11),
+    cyclic_group(500),
+    cyclic_group(125003),
+    GroupDescriptor([build_field(11, 2)]),
+    GroupDescriptor([build_field(2, 2), build_field(5, 2), build_field(7, 2)]),
+]
+BIG_BLOCKS = [
+    (cyclic_group(3280), 1093),
+    (cyclic_group(1093), 364),
+    (GroupDescriptor([1093, 3]), 1092),
+    (GroupDescriptor([1093, 2]), 728),
+]
+
+
+@pytest.mark.parametrize("group", WORKLOAD_GROUPS, ids=repr)
+def test_blocks_of_at_most_five_elements_stay_pairwise(group):
+    for k in (3, 5):
+        for blocks in (1, 2, (group.order - 1) // k):
+            assert not _use_convolution(group, k, blocks)
+
+
+@pytest.mark.parametrize("group, k", BIG_BLOCKS, ids=repr)
+def test_big_blocks_take_the_product(group, k):
+    assert _use_convolution(group, k)
+
+
+def test_mid_size_blocks_take_the_product_alone_but_not_in_a_large_family():
+    """A lone block of 64 or more elements over a cyclic group takes the
+    product; 96 blocks of 128 elements over Z_12289 stay on the loop, which
+    counts them together, and the family's count reports that."""
+    for v, k in [(3280, 64), (29524, 400), (125003, 5000), (12289, 128)]:
+        assert _use_convolution(cyclic_group(v), k)
+    assert not _use_convolution(cyclic_group(12289), 128, 96)
+    family = furino_ddf(12289, 128)
+    assert len(family.lists) == 96
+    assert verify_df(family, 127).stats["engine"] == "pairwise"
+
+
 @pytest.mark.parametrize("group", [cyclic_group(500), GroupDescriptor([4, build_field(5, 3)])], ids=repr)
 def test_a_product_block_between_pairwise_blocks(group):
     """A block the model sends to the product sits between blocks of other

@@ -252,6 +252,14 @@ def test_a_design_of_element_tuples_gives_the_family_and_matrix_they_spell():
         bad.matrix()
 
 
+def test_a_design_without_the_payload_asked_for_is_refused():
+    group = cyclic_group(7)
+    with pytest.raises(ValueError, match=r"^design of kind 'hdm' has no blocks$"):
+        DesignFile("hdm", group, {}, rows=(((0,), (1,)),)).family()
+    with pytest.raises(ValueError, match=r"^design of kind 'df' has no matrix rows$"):
+        DesignFile("df", group, {}, blocks=(((1,),),)).matrix()
+
+
 def test_design_payload_validated_at_serialization():
     # the writer and the JSON oracle refuse the same payloads, in the same words
     dset, group = trivial_ds(3)
