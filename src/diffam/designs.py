@@ -629,21 +629,30 @@ def _convolution_counts(group: GroupDescriptor, block: Sequence[int]) -> list[in
     del a, b
     buf = (a_int * b_int).to_bytes(slots * w, "little")
     del a_int, b_int
-    # fold digits most significant first: while folding digit j, every block
-    # of (2r - 1) * span bytes holds one value of the digits already folded
-    outer, span = 1, slots * w
-    for _, big, r, _ in reversed(layout.digits):
-        span //= big
-        low = (r - 1) * span
-        view = memoryview(buf)
-        pieces = []
-        for start in range(0, outer * big * span, big * span):
-            hi = int.from_bytes(view[start + low : start + big * span], "little")
-            lo = int.from_bytes(view[start : start + low], "little")
-            pieces.append((hi + (lo << (8 * span))).to_bytes(r * span, "little"))
-        view.release()
-        buf = b"".join(pieces)
-        outer *= r
+    # fold each digit, lowest first, into the top digit of the next buffer,
+    # whose lowest digit is then the next to fold, so the last buffer holds
+    # the digits in canonical order: a pass per value of the digit reads its
+    # slots strided, or a pass per value of the other digits reads one row;
+    # 1-byte slots are read strided fastest as bytes, wider ones by a cast
+    for _, big, r, _ in layout.digits:
+        view = buf if w == 1 else memoryview(buf).cast(fmt)
+        rest = len(view) // big
+        if r <= rest:
+            pieces = []
+            for d in range(r):
+                t = int.from_bytes(view[d + r - 1 :: big], "little")
+                if d:
+                    t += int.from_bytes(view[d - 1 :: big], "little")
+                pieces.append(t.to_bytes(rest * w, "little"))
+            buf = b"".join(pieces)
+        else:
+            folded = bytearray(r * rest * w)
+            target = memoryview(folded).cast(fmt)
+            for i in range(rest):
+                row = view[i * big : (i + 1) * big]
+                t = int.from_bytes(row[r - 1 :], "little") + (int.from_bytes(row[: r - 1], "little") << 8 * w)
+                target[i::rest] = memoryview(t.to_bytes(r * w, "little")).cast(fmt)
+            buf = folded
     counts = list(struct.unpack(f"<{group.order}{fmt}", buf))
     counts[0] = 0  # the zero element, counted k times by x - x
     return counts

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import chain, groupby, islice, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, cycle, islice, repeat
 from json.decoder import WHITESPACE, JSONObject
+from operator import add
 
 from .groups import AdditiveField, Element, GroupDescriptor, _is_int, check_cap, check_power_cap
 from .designs import KIND_TABLE, NONEMPTY, DiffMatrix, Family, IndexLists, _element_indices, _Record
@@ -253,20 +256,13 @@ def _payload_from_obj(group: GroupDescriptor, raw: list, name: str) -> IndexList
     return IndexLists(group, list(chain.from_iterable(lists)), list(map(len, lists)))
 
 
-def _runs(lengths) -> list[tuple[int, int]]:
-    """(length, count) for each run of equal consecutive list lengths: the
-    codec reads and writes a run of equal-length lists with one template."""
-    return [(k, len(list(run))) for k, run in groupby(lengths)]
-
-
-def _list_template(item: str, count: int, depth: int) -> str:
-    """A str.format template of a list of `count` items, each written by the
-    template `item`, laid out as json.dumps(indent=2) lays out a list that
-    opens at indent depth `depth`."""
-    if not count:
+def _list_template(items: list[str], depth: int) -> str:
+    """The template of a list holding `items` (each a template), laid out as
+    json.dumps(indent=2) lays out a list that opens at indent depth `depth`."""
+    if not items:
         return "[]"
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join([item] * count) + "\n" + "  " * depth + "]"
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
 
 def _header_text(obj) -> str:
@@ -287,27 +283,63 @@ def _index_lists(group: GroupDescriptor, lists) -> IndexLists:
     return IndexLists(group, flat, list(map(len, lists)))
 
 
+def _budget(width: int) -> int:
+    """The elements a chunk of lists may hold, each of at most `width`
+    characters, for its text to stay under _CHUNK characters."""
+    return max(1, _CHUNK // width)
+
+
 def _lists_texts(group: GroupDescriptor, lists: IndexLists, depth: int, sep: str = "") -> Iterator[str]:
-    """The text of each list of elements as json.dumps(indent=2) writes it
-    at indent depth `depth`, after `sep`, one template per run of
-    equal-length lists, made as it is read.  The coordinate texts are built
-    a column at a time from the indices: a cyclic coordinate is its decimal
-    text, a field coordinate looks its coefficient-list text up in a table
-    of the values present."""
-    columns = []
+    """The text of lists of elements as json.dumps(indent=2) writes them at
+    indent depth `depth`, each after `sep`, in pieces of at most _budget
+    elements, a list's brackets counting as one more.  A piece is one
+    %-format of a chunk of whole lists, its template joined from a template
+    per list size (the chunk's template reused while its sizes repeat), or
+    of part of a list too long for one piece; its coordinates are taken off
+    the interleaved columns.  A cyclic coordinate is written by %d, a field
+    coordinate by %s from a table of the coefficient-list texts of the
+    values present."""
+    columns, items, width = [], [], 0
     for fac, col in zip(group.factors, group.coordinates(lists.flat)):
         if isinstance(fac, AdditiveField):
             col = list(col)
-            fmt = _list_template("{}", fac.n, depth + 2).format
-            table = {c: fmt(*fac.coeffs(c)) for c in set(col)}
+            coeffs = _list_template(["%d"] * fac.n, depth + 2)
+            table = {c: coeffs % fac.coeffs(c) for c in set(col)}
             columns.append(map(table.__getitem__, col))
+            items.append("%s")
+            width += max(map(len, table.values()), default=0)
         else:
-            columns.append(map(int.__repr__, col))
-    element = _list_template("{}", len(columns), depth + 1)
-    runs = ((k, m, (sep + _list_template(element, k, depth)).format) for k, m in _runs(lists.sizes))
-    return chain.from_iterable(
-        islice(map(fmt, *(columns * k)), m) if k else repeat(sep + "[]", m) for k, m, fmt in runs
-    )
+            columns.append(col)
+            items.append("%d")
+            width += len(str(fac - 1))
+    args = columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
+    element = _list_template(items, depth + 1)
+    step = ",\n" + "  " * (depth + 1) + element  # an element after another
+    budget = _budget(len(step) + width)
+    sizes, start, last = lists.sizes, 0, None
+    # the template of a list of each size that fits in a piece, the last few kept
+    template_of = lru_cache(maxsize=64)(lambda k: sep + _list_template([element] * k, depth))
+    most = max(1, budget // (min(sizes, default=0) + 1))  # the lists a piece can hold
+    while start < len(sizes):
+        window = sizes[start : start + most]
+        ends = list(accumulate(map(add, window, repeat(1))))
+        n = bisect_right(ends, budget)
+        if n:
+            if window[:n] != last:
+                last = window[:n]
+                template = "".join(map(template_of, last))
+            yield template % tuple(islice(args, len(columns) * (ends[n - 1] - n)))
+        else:  # one list, a piece of budget - 1 elements at a time
+            k, n, per = window[0], 1, max(1, budget - 1)
+            for done in range(0, k, per):
+                count = min(per, k - done)
+                text = step * count
+                if not done:  # the first element follows the bracket
+                    text = sep + "[" + text[1:]
+                if done + count == k:
+                    text += "\n" + "  " * depth + "]"
+                yield text % tuple(islice(args, len(columns) * count))
+        start += n
 
 
 def _payload_parts(group: GroupDescriptor, lists: IndexLists) -> Iterator[str]:
@@ -426,27 +458,47 @@ def _scanned_lists(group: GroupDescriptor, text: str, start: int, end: int, one:
 def _sizes(items: bytes) -> list[int] | None:
     """The length of each list in items, the shape [[e,e],[e],...] of lists
     of elements with each element an "e", or None unless items is exactly
-    that.  A run of equal lists is read at a time: its first list's text is
-    checked, and then how often it repeats, by comparing the text repeated
-    once, then twice as often while it matches (up to _CHUNK bytes), then
-    half as often, down to once: a run of m lists costs O(m) bytes compared
-    in O(log m) calls.  No object is made per list."""
+    that.  A pattern of lists is read at a time: the lists up to the next
+    copy of its first list, if that copy is near, else the first list
+    alone.  Each list of the pattern is checked against the text of a list
+    of its size, and then how often the pattern repeats, by comparing it
+    repeated once, then twice as often while it matches (up to _CHUNK
+    bytes), then half as often, down to once: a run of m equal lists, or of
+    m copies of a pattern such as sizes 1, 2, costs O(m) bytes compared in
+    O(log m) calls.  No object is made per list."""
     sizes, pos, last = [], 1, len(items) - 1  # items[last] closes the outer list
     if not items.startswith(b"[") or not items.endswith(b"]"):
         return None
+    texts = {}  # k: the text of a list of k elements, alone and after a comma
     while pos < last:
-        if sizes:  # a comma after the last run
+        if sizes:  # a comma after the last pattern
             if not items.startswith(b",", pos):
                 return None
             pos += 1
-        close = items.find(b"]", pos, last)
-        k = (close - pos) // 2  # "[e,e]" spans 2k + 1 bytes
-        text = b"[" + b",".join([b"e"] * k) + b"]"
-        if close < 0 or not items.startswith(text, pos):
-            return None
-        pos, m = pos + len(text), 1
-        unit = b"," + text
-        step, most, repeated = 1, max(1, _CHUNK // len(unit)), unit
+        start, pattern, stop = pos, [], last
+        while pos < stop:
+            if pattern:  # a comma between the pattern's lists
+                if not items.startswith(b",", pos):
+                    return None
+                pos += 1
+            close = items.find(b"]", pos, stop)
+            k = (close - pos) // 2  # "[e,e]" spans 2k + 1 bytes
+            if close < 0:
+                return None
+            if k not in texts:
+                text = b"[" + b",".join([b"e"] * k) + b"]"
+                texts[k] = text, b"," + text
+            text, unit = texts[k]
+            if not items.startswith(text, pos):
+                return None
+            pos += len(text)
+            if not pattern:  # the next copy of the first list, if near, ends the pattern
+                stop = items.find(unit, pos, min(last, pos + 16 * len(unit)))
+                stop = pos if stop < 0 else stop
+            pattern.append(k)
+        if len(pattern) > 1:
+            unit = b"," + items[start:pos]
+        m, step, most, repeated = 1, 1, max(1, _CHUNK // len(unit)), unit
         while items.startswith(repeated, pos, last):
             pos, m = pos + len(repeated), m + step
             if 2 * step <= most:
@@ -456,7 +508,7 @@ def _sizes(items: bytes) -> list[int] | None:
             repeated = repeated[: len(unit) * step]
             if items.startswith(repeated, pos, last):
                 pos, m = pos + len(repeated), m + step
-        sizes += repeat(k, m)
+        sizes += islice(cycle(pattern), len(pattern) * m)
     return sizes
 
 
@@ -479,12 +531,10 @@ def loads_design(text: str) -> DesignFile:
 
 def save_design(path, design: DesignFile) -> None:
     # check before opening, so a design that fails to encode leaves the file
-    # as it was; then make and write a few thousand pieces at a time, never
-    # the whole text
+    # as it was; then write each piece as it is made, never the whole text
     parts = _design_parts(design)
     with open(path, "w", encoding="utf-8") as handle:
-        while batch := "".join(islice(parts, 2048)):
-            handle.write(batch)
+        handle.writelines(parts)
 
 
 def load_design(path) -> DesignFile:

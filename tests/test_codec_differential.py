@@ -155,6 +155,30 @@ def test_dumps_design_matches_the_json_oracle(design, data):
         assert fast[0] == oracle[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(groups(), st.sampled_from(tuple(KIND_TABLE)), st.data())
+def test_the_writer_pieces_join_to_the_oracle_at_any_chunk_budget(group, kind, data):
+    """With pieces of 1, 2 or 7 elements the writer still gives the oracle's
+    text: empty lists, alternating sizes and lists longer than a piece, over
+    cyclic, field and mixed groups, in blocks, rows and a subgroup."""
+    elements = list(group.elements())
+    sizes = data.draw(
+        st.one_of(
+            st.lists(st.integers(0, 9), max_size=8),
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 6)).map(lambda t: [t[0], t[1]] * t[2]),
+        )
+    )
+    lists = tuple(tuple(data.draw(st.lists(st.sampled_from(elements), min_size=k, max_size=k))) for k in sizes)
+    payload = dict.fromkeys(KIND_TABLE[kind].payload, lists)
+    if "subgroup" in payload:
+        payload["subgroup"] = tuple(data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=12)))
+    design = DesignFile(kind, group, {"v": group.order}, **payload)
+    oracle = _outcome(oracle_text, design)
+    for budget in (1, 2, 7):
+        with mock.patch.object(fileformat, "_budget", lambda width: budget):
+            assert _outcome(dumps_design, design) == oracle
+
+
 def _spoil_obj(obj, data):
     """Replace one element, coordinate or coefficient of a design object by
     junk, a bool, or an out-of-range or negative integer."""

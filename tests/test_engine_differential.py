@@ -27,6 +27,7 @@ from diffam.algebra import (
     build_ring,
     cyclic_group,
 )
+from diffam import designs
 from diffam.constructions import dds_from_ds, furino_ddf, units_hdm
 from diffam.designs import (
     DDSParams,
@@ -421,6 +422,24 @@ def test_convolution_counts_at_two_byte_boundary(factors, missing):
     counts = as_dict(group, _convolution_counts(group, group.indices(block)))
     assert len(counts) == group.order - 1
     assert set(counts.values()) == {expected}
+
+
+@pytest.mark.parametrize("width", [(1, "B"), (2, "H"), (4, "I")], ids=["1-byte", "2-byte", "4-byte"])
+@pytest.mark.parametrize(
+    "factors",
+    [(1093, 3), (build_field(2, 2), build_field(5, 2), build_field(7, 2))],
+    ids=["Z1093xZ3", "GF4xGF25xGF49"],
+)
+def test_convolution_counts_fold_slots_of_every_width(factors, width, monkeypatch):
+    """The fold moves whole slots of 1, 2 and 4 bytes, whether it reads a
+    digit strided (Z3 and each field digit) or a row at a time (Z1093)."""
+    group = GroupDescriptor(factors)
+    monkeypatch.setattr(designs, "_slot", lambda k: width)
+    elements = list(group.elements())
+    for k in (3, 40):
+        block = sorted(random.Random(k).sample(elements, k))
+        counts = _convolution_counts(group, group.indices(block))
+        assert as_dict(group, counts) == oracle_counts(group, [block])
 
 
 def test_engine_choice():

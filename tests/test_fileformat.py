@@ -460,8 +460,8 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_a_file_written_in_pieces_is_the_dumped_text(tmp_path):
-    """save_design writes the text a few thousand pieces at a time; 2050
-    blocks make more than one batch, and the bytes are dumps_design's."""
+    """save_design writes the text a piece at a time; 2050 blocks make
+    several pieces, and the bytes are dumps_design's."""
     design = family_file("ddf", furino_ddf(6151, 3), 2)
     path = tmp_path / "f6151.json"
     save_design(path, design)

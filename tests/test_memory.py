@@ -5,13 +5,15 @@ tracemalloc on; each operation's traced peak above what was live before it
 is bounded by a multiple of the family's own traced size.  Each bound sits
 between the transient of the current code and that of the code it
 replaced: a Counter of up to v int keys in the count, every block's text
-built before the first write, a set of every element in classify_family,
+built before the first write (for one block of 30000 elements, that
+block's text and template), a set of every element in classify_family,
 and a bytes object per block in the reader.  Measured ratios (CPython
 3.11, x86-64):
 
     operation       replaced   current   bound
     verify_df         1.77       0.57     1.0
     save_design       1.63       0.60     1.0
+    one long block    3.52       0.21     1.0
     classify_family   2.04       0.02     0.25
     loads_design      1.95       1.18     1.5
 
@@ -24,7 +26,8 @@ import tracemalloc
 import pytest
 
 from diffam.constructions import furino_ddf
-from diffam.designs import classify_family, family_params, verify_df
+from diffam.designs import Family, classify_family, family_params, verify_df
+from diffam.groups import GroupDescriptor
 from diffam.fileformat import DesignFile, dumps_design, loads_design, save_design
 
 V = 30001  # 30001 = 19 * 1579, both 1 mod 3
@@ -64,6 +67,19 @@ def test_the_count_holds_a_list_of_v_counts(traced):
 def test_the_writer_streams_the_block_texts(traced, tmp_path):
     _, design, size = traced
     path = tmp_path / "family.json"
+    assert _peak(lambda: save_design(path, design)) < 1.0 * size
+    assert path.read_text(encoding="utf-8") == dumps_design(design)
+
+
+def test_the_writer_streams_one_long_block(traced, tmp_path):
+    """A block longer than a piece is written a piece at a time too."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    family = Family(GroupDescriptor((V,)), [[(x,) for x in range(1, V)]])
+    gc.collect()
+    size = tracemalloc.get_traced_memory()[0] - before
+    design = DesignFile("df", family.group, family_params(family, 1), blocks=family.lists)
+    path = tmp_path / "block.json"
     assert _peak(lambda: save_design(path, design)) < 1.0 * size
     assert path.read_text(encoding="utf-8") == dumps_design(design)
 
