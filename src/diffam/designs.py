@@ -533,27 +533,15 @@ class _Layout:
 _layout = lru_cache(maxsize=16)(_Layout)
 
 
-class _Tally(list):
-    """A list of counts that ``Counter.update(tally, keys)`` tallies keys
-    into: ``get`` reads the slot of a key, whatever the default.  The loop
-    over the keys runs in C, but each key costs one call of this Python
-    ``get``: for a mapping that is not a dict, ``Counter.update`` passes it
-    to ``collections._count_elements``, which then reads and writes through
-    the mapping's own ``get`` and ``__setitem__``."""
-
-    __slots__ = ()
-
-    def get(self, key: int, default: int) -> int:
-        return self[key]
-
-
 def _index_counts(v: int, keys: Iterable[Iterable[int]]) -> list[int]:
     """How often each index below v occurs in the keys of every iterable in
-    keys, as a list of v counts; a key -d in (-v, 0) counts at v - d."""
-    tally = _Tally(repeat(0, v))
+    keys, as a list of v counts; a key -d in (-v, 0) counts at v - d as a
+    negative list index, in a plain loop with no Python call per key."""
+    counts = [0] * v
     for part in keys:
-        Counter.update(tally, part)
-    return tally
+        for key in part:
+            counts[key] += 1
+    return counts
 
 
 def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[int], skip=()) -> list[int]:
@@ -591,13 +579,16 @@ def _use_convolution(group: GroupDescriptor, k: int, blocks: int = 1) -> bool:
     stays on the loop, which keeps the packed ints O(v).  Otherwise two
     estimates in us are compared, fitted to both engines on a 2-vCPU x86-64
     VM with CPython 3.11 (only the order of magnitude matters).  The loop
-    costs 1 per column pair and 0.2 per key (measured 0.4-1.5 per pair of a
-    lone block, 0.15-0.27 per key in orbit families).  The product costs, per
-    block, 4e-4 P^1.585 for P packed bytes (Karatsuba; measured 1.5e-4 to
-    5.7e-4 on full slots, less on sparse ones), 0.1 per group element for the
-    fold, the read and the add (measured 0.07-0.09), and 20 per call: above
-    the 4-8 measured on the smallest groups, so that a block of at most 5
-    elements, where the product saves a few us at most, stays on the loop."""
+    costs 1 per column pair and 0.2 per key.  Measured: 0.25-0.55 per pair
+    of a lone block and 0.05-0.11 per key in orbit families of one-digit
+    groups up to v = 125000 (0.22-0.29 at v = 999979); 0.3-0.7 per pair and
+    0.18-0.74 per key in other groups, whose Counter folds each distinct key.  The
+    product costs, per block, 4e-4 P^1.585 for P packed bytes (Karatsuba;
+    measured 1.5e-4 to 5.7e-4 on full slots, less on sparse ones), 0.1 per
+    group element for the fold, the read and the add (measured 0.07-0.09),
+    and 20 per call: above the 4-8 measured on the smallest groups, so that
+    a block of at most 5 elements, where the product saves a few us at
+    most, stays on the loop."""
     slots = prod(2 * r - 1 for r in group.digit_radices())
     if slots > 64 * group.order:
         return False

@@ -476,7 +476,7 @@ def _sizes(items: bytes) -> list[int] | None:
                 return None
             pos += 1
         start, pattern, stop = pos, [], last
-        while pos < stop:
+        while pos < stop or not pattern:  # a comma before the closing "]" finds no list
             if pattern:  # a comma between the pattern's lists
                 if not items.startswith(b",", pos):
                     return None

@@ -15,6 +15,7 @@ checked against a group.sub oracle of the row differences.
 
 import random
 from collections import Counter
+from itertools import cycle, islice
 from math import prod
 
 import pytest
@@ -36,6 +37,7 @@ from diffam.designs import (
     Family,
     _convolution_counts,
     _dense_counts,
+    _index_counts,
     _Layout,
     _layout,
     _pairwise_counts,
@@ -553,6 +555,44 @@ def test_one_digit_families_of_several_block_sizes(data):
     blocks = [data.draw(st.lists(st.sampled_from(elements), min_size=k, max_size=k, unique=True)) for k in sizes]
     lam = data.draw(st.integers(0, 2))
     _same(verify_df(Family(group, blocks), lam), oracle_deviations(group, blocks, lambda x: lam))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_index_counts_count_each_key_at_its_residue(data):
+    """Keys in (-v, v), the ends 1 - v and v - 1 among them, in parts that
+    may be empty, counted by the one-digit tally: each index below v holds
+    the count of the keys congruent to it mod v, as a Counter counts them."""
+    v = data.draw(st.sampled_from([1, 2]) | st.integers(1, 40))
+    key = st.sampled_from([1 - v, v - 1]) | st.integers(1 - v, v - 1)
+    parts = data.draw(st.lists(st.lists(key, max_size=6), max_size=5))
+    oracle = Counter(x % v for part in parts for x in part)
+    assert _index_counts(v, map(iter, parts)) == [oracle[i] for i in range(v)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "unsorted"])
+@pytest.mark.parametrize("pattern", [(1, 2), (3, 1)], ids=str)
+@pytest.mark.parametrize(
+    "group", [cyclic_group(24), GroupDescriptor([build_field(3, 2)]), GroupDescriptor([build_field(2, 2), 3])], ids=repr
+)
+def test_families_whose_block_sizes_change_at_every_block(group, pattern, order):
+    """Sizes 1, 2, 1, 2, ... or 3, 1, 3, 1, ..., so that no size's blocks
+    form one run: a partition of the group and random overlapping blocks,
+    given ascending (kept as they stand) or reversed (sorted by Family)."""
+    rng = random.Random(f"{group!r}{pattern}")
+    elements = list(group.elements())
+    rank = {x: i for i, x in enumerate(elements)}  # canonical order
+    rng.shuffle(elements)
+    partition, start = [], 0
+    for k in islice(cycle(pattern), len(elements)):
+        if start < len(elements):
+            partition.append(elements[start : start + k])
+            start += k
+    overlapping = [rng.sample(elements, k) for k in pattern * 5]
+    for blocks in (partition, overlapping):
+        blocks = [sorted(b, key=rank.__getitem__, reverse=order == "unsorted") for b in blocks]
+        for lam in (0, 1):
+            _same(verify_df(Family(group, blocks), lam), oracle_deviations(group, blocks, lambda x: lam))
 
 
 @pytest.mark.parametrize("v", [2, 7, 12, 13])

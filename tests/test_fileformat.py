@@ -510,6 +510,14 @@ def test_the_reader_sizes_runs_of_equal_lists(runs, chunk, data):
         assert read is None or _shape(read) == mutated
 
 
+@pytest.mark.parametrize("shape", [b"[[e],]", b"[[],[e,e],[e,e],]", b"[[e,e],[e],[e,e],[e],]"])
+def test_the_reader_refuses_a_comma_before_the_closing_bracket(shape):
+    """A trailing comma, after one list or a repeated pattern, is no shape."""
+    for chunk in (1, 1 << 16):
+        with mock.patch.object(fileformat, "_CHUNK", chunk):
+            assert fileformat._sizes(shape) is None
+
+
 class _Compared(bytes):
     """A shape that adds up the bytes of every prefix it is asked to start
     with: the work _sizes does comparing runs."""
