@@ -130,7 +130,7 @@ def orbit_ddf(group: GroupDescriptor, action) -> Family:
     elements, returned as a verified (v, k, k-1) disjoint difference family."""
     flat, k = _semiregular_orbits(group, action)
     orbits = IndexLists(group, flat, [k] * (len(flat) // k))
-    return _certified(Family.of_lists(orbits), k - 1, "orbit difference family")
+    return _certified(Family(group, orbits), k - 1, "orbit difference family")
 
 
 def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
@@ -153,7 +153,7 @@ def _orbit_half(group: GroupDescriptor, action) -> tuple[Family, list[int]]:
     half = list(itertools.chain.from_iterable(first))
     del flat  # the count runs with only the half alive
     orbits = IndexLists(group, half, [k] * (len(half) // k))
-    return _certified(Family.of_lists(orbits), (k - 1) // 2, "half-index orbit family"), neg
+    return _certified(Family(group, orbits), (k - 1) // 2, "half-index orbit family"), neg
 
 
 def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
@@ -169,7 +169,7 @@ def orbit_ddf_split(group: GroupDescriptor, action) -> tuple[Family, Family]:
     # the negated blocks, each sorted by the constructor
     second = IndexLists(group, list(map(neg.__getitem__, first.lists.flat)), first.lists.sizes)
     lam = ((first.uniform_k() or 1) - 1) // 2  # (k-1)/2, and 0 for v = 1
-    return first, _certified(Family.of_lists(second), lam, "half-index orbit family")
+    return first, _certified(Family(group, second), lam, "half-index orbit family")
 
 
 def _least_semiregular_unit(v: int, k: int) -> int:
@@ -299,7 +299,8 @@ def cyclotomic_half_ddf(
     starts = ring.indices(transversal)
     columns = [list(map(row.__getitem__, starts)) for row in _unit_table(ring, k)]
     flat = list(itertools.chain.from_iterable(zip(*columns)))
-    family = Family.of_lists(IndexLists(ring.additive_group(), flat, [k] * len(starts)))
+    group = ring.additive_group()
+    family = Family(group, IndexLists(group, flat, [k] * len(starts)))
     return _certified(family, (k - 1) // 2, "half-index family")
 
 
@@ -338,7 +339,8 @@ def units_hdm(ring: RingDescriptor, k: int) -> DiffMatrix:
     u - u' is a unit; each row ux is a permutation for the same reason.
     """
     flat = list(itertools.chain.from_iterable(_unit_table(ring, k)))
-    mat = DiffMatrix.of_lists(IndexLists(ring.additive_group(), flat, [ring.order] * k))
+    group = ring.additive_group()
+    mat = DiffMatrix(group, IndexLists(group, flat, [ring.order] * k))
     _require(verify_hdm(mat), "unit multiplication table")
     return mat
 
@@ -396,7 +398,7 @@ def product_ddf(family_g: Family, family_h: Family, hdm_h: DiffMatrix) -> Family
     ]
     flat += [g0_index * v_h + y for y in family_h.lists.flat]
     product = IndexLists(big, flat, [k] * (len(flat) // k))
-    return _certified(Family.of_lists(product), k - 1, "product family")
+    return _certified(Family(big, product), k - 1, "product family")
 
 
 def result1_ddf(k: int, ring: RingDescriptor) -> Family:

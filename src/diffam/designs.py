@@ -21,7 +21,7 @@ import struct
 from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, count, groupby, islice, repeat, starmap, tee
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat, tee
 from math import prod
 from operator import add, eq, floordiv, ge, mod, mul, ne, not_, setitem, sub
 
@@ -154,7 +154,8 @@ NONEMPTY = ("rows", "subgroup")
 class IndexLists(Sequence):
     """Lists of group elements held as canonical indices: ``flat``, the
     index of every element in order, and ``sizes``, the length of each
-    list.  The indices are trusted to lie in the group.  This is the one
+    list.  Only Family and DiffMatrix check that the indices lie in the
+    group (one min and one max); other readers trust them.  This is the one
     store of a family's blocks, a matrix's rows and a read file's payload
     lists.  Each list reads as an IndexedElements, decoded on demand; the
     lists compare equal to the tuple of the element tuples they hold."""
@@ -198,15 +199,17 @@ class IndexLists(Sequence):
 class _Indexed:
     """Lists of canonical indices of a group, held as one IndexLists
     (``lists``) in the shape the class checks (``_shaped``); ``indices``
-    cuts them into tuples on demand.  The instance is treated as immutable."""
+    cuts them into tuples on demand.  The one constructor keeps an
+    IndexLists of the group as it stands, once one min and one max show its
+    indices lie in the group, and checks and encodes element lists; then
+    ``_shaped`` checks the shape.  The instance is treated as immutable."""
 
-    @classmethod
-    def of_lists(cls, lists: IndexLists):
-        """The one constructor from indices, trusted to lie in the group: only
-        the shape is checked, and the lists are copied only to sort a block."""
-        new = cls.__new__(cls)
-        new.group, new.lists = lists.group, cls._shaped(lists)
-        return new
+    def __init__(self, group: GroupDescriptor, lists: Iterable[Iterable[Element]]):
+        lists = _index_lists(group, lists)
+        flat = lists.flat
+        if flat and (min(flat) < 0 or max(flat) >= group.order):
+            raise ValueError(f"an index lies outside {group!r}")
+        self.group, self.lists = group, self._shaped(lists)
 
     @property
     def indices(self) -> tuple[tuple[int, ...], ...]:
@@ -223,18 +226,19 @@ class Family(_Indexed):
     order; ``blocks`` decodes the element tuples on demand."""
 
     def __init__(self, group: GroupDescriptor, blocks: Iterable):
-        normalized = list(map(tuple, blocks))
-        flat = list(chain.from_iterable(normalized))
-        # every element is checked in one column pass; the per-block loop
-        # runs only on failure, to name the first offender, and validates a
-        # block's elements before it sorts them
-        if not group.check_elements(flat):
-            for b in normalized:
-                for x in b:
-                    group.validate_element(x)
-                _check_block(sorted(b))
-        self.group = group
-        self.lists = self._shaped(IndexLists(group, group.indices(flat), list(map(len, normalized))))
+        if not (isinstance(blocks, IndexLists) and blocks.group == group):
+            blocks = list(map(tuple, blocks))
+            flat = list(chain.from_iterable(blocks))
+            # every element is checked in one column pass; the per-block loop
+            # runs only on failure, to name the first offender, and validates a
+            # block's elements before it sorts them
+            if not group.check_elements(flat):
+                for b in blocks:
+                    for x in b:
+                        group.validate_element(x)
+                    _check_block(sorted(b))
+            blocks = IndexLists(group, group.indices(flat), list(map(len, blocks)))
+        super().__init__(group, blocks)
 
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
@@ -409,11 +413,13 @@ class _Layout:
     canonical index of x - y, and top - (pos(x) - pos(y)) spells the digits
     2(r - 1) - t of y - x.  A Z_n or GF(p) coordinate's position is the
     coordinate times its place; only a GF(p^n) factor, n > 1, has a table of
-    its q positions.  A group of one digit needs no fold: its keys are the
-    index differences, in (-v, v), and a list tally counts the key -d at
-    slot v - d, the index of -d.  Other keys fold by one table lookup per run of
-    digits: runs of one digit until a tally pays for runs of at most 4 v
-    padded slots (built once, by dense), so each table stays O(v)."""
+    its q positions.  ``at`` reads positions, ``subtract`` folds position
+    differences to canonical indices and ``counts`` tallies them.  A group of
+    one digit needs no fold: its keys are the index differences, in
+    (-v, v), and a list tally counts the key -d at slot v - d, the index of
+    -d.  Other keys fold by one table lookup per run of digits: runs of one
+    digit until a fold pays for runs of at most 4 v padded slots (built
+    once, by ``_fold_runs``), so each table stays O(v)."""
 
     def __init__(self, group: GroupDescriptor):
         digits = group.digits()
@@ -438,7 +444,7 @@ class _Layout:
         self.terms = tuple(terms.values())
         self.coordinates = group.coordinates
         self.runs = () if self.cyclic else self._runs(0)  # one digit each
-        self.wide_runs = None  # runs of at most 4 v slots, built by dense
+        self.wide_runs = None  # runs of at most 4 v slots, built by _fold_runs
 
     def _runs(self, limit: int) -> tuple:
         """Runs of as many digits as fit in limit padded slots (at least one) as
@@ -455,11 +461,13 @@ class _Layout:
             runs.append((place, big, column))
         return tuple(runs)
 
-    def positions(self, columns: Iterable[Iterable[int]]) -> list[int]:
-        """The positions of elements given as coordinate columns, one per
-        factor (``group.coordinates``)."""
+    def at(self, flat: list[int]) -> list[int]:
+        """The positions of elements given by canonical index: the index list
+        itself in a group of one digit, else a sum of a term per factor."""
+        if self.cyclic:
+            return flat
         total = None
-        for term, coords in zip(self.terms, columns):
+        for term, coords in zip(self.terms, self.coordinates(flat)):
             if isinstance(term, list):
                 part = map(term.__getitem__, coords)
             else:
@@ -467,30 +475,38 @@ class _Layout:
             total = part if total is None else map(add, total, part)
         return [] if total is None else list(total)
 
-    def at(self, flat: list[int]) -> list[int]:
-        """The positions of elements given by canonical index: the index list
-        itself in a group of one digit."""
-        return flat if self.cyclic else self.positions(self.coordinates(flat))
-
-    def differences(self, xs: Sequence[int], ys: Sequence[int]) -> Iterable[int]:
-        """The keys of x - y for positions x, y taken in step: position
-        differences.  In a group of one digit a key is an index difference in
-        (-v, v), which a tally's list of v counts reads as it stands: the key
-        -d names the slot v - d, the index of -d."""
-        return map(sub, xs, ys)
-
     def subtract(self, xs: Sequence[int], ys: Sequence[int]) -> Iterable[int]:
         """The canonical index of x - y for positions x, y taken in step."""
-        keys = list(self.differences(xs, ys))  # a fold reads them once per run
         if self.cyclic:
-            return list(map(mod, keys, repeat(self.order)))
-        return self._indices(keys, self.wide_runs or self.runs, False)
+            return map(mod, map(sub, xs, ys), repeat(self.order))
+        keys = list(map(sub, xs, ys))  # a fold reads them once per run
+        return self._indices(keys, self._fold_runs(len(keys)), False)
 
-    def tally(self, keys: Iterable[Iterable[int]]) -> Counter | list[int]:
-        """The difference keys of every iterable in keys, counted: in a group
-        of one digit, a list of v counts in canonical element order; else a
-        Counter of position differences, which take up to 1.5^n v values."""
-        return _index_counts(self.order, keys) if self.cyclic else Counter(chain.from_iterable(keys))
+    def counts(self, keys: Iterable[Iterable[int]]) -> list[int]:
+        """How often each element is x - y or y - x, in canonical element
+        order, over the keys pos(x) - pos(y) of every iterable in keys: a
+        list tally in a group of one digit, else a Counter of keys, which
+        take up to 1.5^n v values, each distinct key folded for both orders."""
+        v = self.order
+        if self.cyclic:
+            dense = _index_counts(v, keys)
+            # the index of -x is v - x (and of -0 is 0)
+            return list(map(add, dense, chain(dense[:1], islice(reversed(dense), v - 1))))
+        tally = Counter(chain.from_iterable(keys))
+        runs = self._fold_runs(len(tally))
+        indices = chain(self._indices(tally, runs, False), self._indices(tally, runs, True))
+        dense = [0] * v
+        for index, c in zip(indices, chain(tally.values(), tally.values())):
+            dense[index] += c
+        return dense
+
+    def _fold_runs(self, n: int) -> tuple:
+        """The runs that fold n keys: the wide runs, built by the first fold
+        of at least v/2 keys (a key per 8 of their 4 v slots pays for them),
+        until then the runs of one digit."""
+        if self.wide_runs is None and 8 * n >= 4 * self.order:
+            self.wide_runs = self._runs(4 * self.order)
+        return self.wide_runs or self.runs
 
     def _indices(self, keys: Iterable[int], runs: tuple, mirror: bool) -> Iterable[int]:
         """The canonical index of x - y for each key pos(x) - pos(y), or of
@@ -505,28 +521,6 @@ class _Layout:
             term = map(table.__getitem__, shifted)
             index = term if index is None else map(add, index, term)
         return index
-
-    def dense(self, tally: Counter | list[int], mirror: bool = False) -> list[int]:
-        """A tally of difference keys (``tally``, or any Counter of them) as
-        counts in canonical element order; with mirror, each key counts as
-        x - y and as y - x."""
-        v = self.order
-        if self.cyclic:
-            dense = tally if isinstance(tally, list) else list(map(tally.get, range(v), repeat(0)))
-            # the index of -x is v - x (and of -0 is 0)
-            return list(map(add, dense, chain(dense[:1], islice(reversed(dense), v - 1)))) if mirror else dense
-        # wide runs pay for themselves at a key per 8 of a run's 4 v slots
-        if self.wide_runs is None and 8 * len(tally) >= 4 * v:
-            self.wide_runs = self._runs(4 * v)
-        runs = self.wide_runs or self.runs
-        indices, counts = self._indices(tally, runs, False), tally.values()
-        if mirror:
-            indices = chain(indices, self._indices(tally, runs, True))
-            counts = chain(counts, counts)
-        dense = [0] * v
-        for index, c in zip(indices, counts):
-            dense[index] += c
-        return dense
 
 
 # the position layout of a group, kept for the groups counted last
@@ -561,8 +555,8 @@ def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[in
             for i, column in enumerate(columns.setdefault(k, [[] for _ in range(k)])):
                 column += positions[start + i : stop : k]
         start = stop
-    pairs = ((xs, ys) for cut in columns.values() for i, xs in enumerate(cut) for ys in cut[:i])
-    return layout.dense(layout.tally(starmap(layout.differences, pairs)), mirror=True)
+    keys = (map(sub, xs, ys) for cut in columns.values() for i, xs in enumerate(cut) for ys in cut[:i])
+    return layout.counts(keys)
 
 
 def _slot(k: int) -> tuple[int, str]:
@@ -653,8 +647,9 @@ class Report(_Record):
     """Outcome of one verification: kind, derived parameters, and the full
     deviation map for failures (empty when ok).  ``stats``, not compared,
     is what the count did: "engine" (pairwise, convolution or both),
-    ordered "pairs" counted and nonzero "elements_scanned"; empty when no
-    count ran.  A dict left out is a new empty dict."""
+    ordered "pairs" counted and nonzero "elements_scanned"; empty on a
+    matrix report and when no count ran.  A dict left out is a new empty
+    dict."""
 
     _fields = ("ok", "kind", "params", "deviations", "message", "stats")
     _uncompared = ("stats",)
@@ -755,7 +750,7 @@ def extend_to_pdf(family: Family) -> Family:
         raise ValueError("blocks overlap; only disjoint families can be extended")
     extra = _uncovered(family)
     sizes = family.lists.sizes + [1] * len(extra)
-    return Family.of_lists(IndexLists(family.group, family.lists.flat + extra, sizes))
+    return Family(family.group, IndexLists(family.group, family.lists.flat + extra, sizes))
 
 
 def _element_indices(group: GroupDescriptor, xs: Iterable[Element]) -> list[int]:
@@ -770,11 +765,22 @@ def _element_indices(group: GroupDescriptor, xs: Iterable[Element]) -> list[int]
     return group.indices(xs)
 
 
+def _index_lists(group: GroupDescriptor, lists: Iterable[Iterable[Element]]) -> IndexLists:
+    """Lists of elements as canonical indices: an IndexLists of the group
+    (a read file's payload, a family's blocks) as it stands, element tuples
+    checked once, naming the first offender, and encoded."""
+    if isinstance(lists, IndexLists) and lists.group == group:
+        return lists
+    lists = [tuple(items) for items in lists]
+    flat = _element_indices(group, chain.from_iterable(lists))
+    return IndexLists(group, flat, list(map(len, lists)))
+
+
 def _set_family(group: GroupDescriptor, dset: Iterable[Element]) -> tuple[Family, int]:
     """A (divisible) difference set as a one-block family, and its size k;
     the empty set is the empty family."""
     block = _element_indices(group, dset)
-    return Family.of_lists(IndexLists(group, block, [len(block)] if block else [])), len(block)
+    return Family(group, IndexLists(group, block, [len(block)] if block else [])), len(block)
 
 
 def verify_ds(
@@ -803,7 +809,7 @@ def _check_subgroup(group: GroupDescriptor, members: Iterable[Element]) -> froze
     # then each nonzero member is the difference of n ordered pairs and no
     # other element is one, so one count of the set as a block decides closure
     block = sorted(mset)
-    family = Family.of_lists(IndexLists(group, block, [len(block)]))
+    family = Family(group, IndexLists(group, block, [len(block)]))
     deviations = _scan("subgroup", {}, family, 0, mset, len(mset)).deviations
     if deviations:
         elements = group.elements_at(block)
@@ -849,12 +855,6 @@ def verify_dds(
 class DiffMatrix(_Indexed):
     """A rectangular matrix of group elements, its rows held as canonical
     indices, all of one size; ``rows`` decodes the element tuples on demand."""
-
-    def __init__(self, group: GroupDescriptor, rows: Iterable[Iterable[Element]]):
-        normalized = [tuple(row) for row in rows]
-        flat = _element_indices(group, chain.from_iterable(normalized))
-        self.group = group
-        self.lists = self._shaped(IndexLists(group, flat, list(map(len, normalized))))
 
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
@@ -913,7 +913,9 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
     rows = _cut(layout.at(mat.lists.flat), mat.lists.sizes)
     for i in range(mat.k):
         for j in range(i + 1, mat.k):
-            counts = layout.dense(layout.tally([layout.differences(rows[i], rows[j])]))
+            # a list tally reads a key of one digit, in (-v, v), at its residue
+            keys = map(sub, rows[i], rows[j]) if layout.cyclic else layout.subtract(rows[i], rows[j])
+            counts = _index_counts(v, [keys])
             for x, c in _deviations(group, counts, ones).items():
                 deviations[(i, j, x)] = c
     message = f"{len(deviations)} (row pair, element) difference counts != 1"
@@ -929,7 +931,7 @@ def normalize_dm(mat: DiffMatrix) -> DiffMatrix:
     group, layout = mat.group, _layout(mat.group)
     rows = _cut(layout.at(mat.lists.flat), mat.lists.sizes)
     flat = list(chain.from_iterable(layout.subtract(row, rows[0]) for row in rows))
-    return DiffMatrix.of_lists(IndexLists(group, flat, mat.lists.sizes))
+    return DiffMatrix(group, IndexLists(group, flat, mat.lists.sizes))
 
 
 def hdm_to_dm(mat: DiffMatrix) -> DiffMatrix:
@@ -939,7 +941,7 @@ def hdm_to_dm(mat: DiffMatrix) -> DiffMatrix:
     if not report.ok:
         raise ValueError(f"not a homogeneous difference matrix: {report.message}")
     flat = [0] * mat.columns + mat.lists.flat  # index 0 is the zero element
-    return DiffMatrix.of_lists(IndexLists(mat.group, flat, [mat.columns] * (mat.k + 1)))
+    return DiffMatrix(mat.group, IndexLists(mat.group, flat, [mat.columns] * (mat.k + 1)))
 
 
 def dm_to_hdm(mat: DiffMatrix) -> DiffMatrix:
@@ -955,5 +957,5 @@ def dm_to_hdm(mat: DiffMatrix) -> DiffMatrix:
             remaining = flat[:start] + flat[start + c :]
             if not remaining:
                 raise ValueError("matrix has no rows besides the zero row")
-            return DiffMatrix.of_lists(IndexLists(mat.group, remaining, mat.lists.sizes[1:]))
+            return DiffMatrix(mat.group, IndexLists(mat.group, remaining, mat.lists.sizes[1:]))
     raise ValueError("no all-zero row; normalize the matrix first")

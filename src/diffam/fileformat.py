@@ -33,7 +33,7 @@ from json.decoder import WHITESPACE, JSONObject
 from operator import add
 
 from .groups import AdditiveField, Element, GroupDescriptor, _is_int, check_cap, check_power_cap
-from .designs import KIND_TABLE, NONEMPTY, DiffMatrix, Family, IndexLists, _element_indices, _Record
+from .designs import KIND_TABLE, NONEMPTY, DiffMatrix, Family, IndexLists, _element_indices, _index_lists, _Record
 
 KINDS = tuple(KIND_TABLE)  # a tuple: a kind read from a file may be unhashable
 
@@ -142,18 +142,13 @@ class DesignFile(_Record):
         self.blocks, self.rows, self.subgroup = blocks, rows, subgroup
 
     def family(self) -> Family:
-        blocks = self.blocks
-        if blocks is None:
+        if self.blocks is None:
             raise ValueError(f"design of kind {self.kind!r} has no blocks")
-        if isinstance(blocks, IndexLists) and blocks.group == self.group:
-            return Family.of_lists(blocks)
-        return Family(self.group, blocks)
+        return Family(self.group, self.blocks)
 
     def matrix(self) -> DiffMatrix:
         if self.rows is None:
             raise ValueError(f"design of kind {self.kind!r} has no matrix rows")
-        if isinstance(self.rows, IndexLists) and self.rows.group == self.group:
-            return DiffMatrix.of_lists(self.rows)
         return DiffMatrix(self.group, self.rows)
 
 
@@ -269,18 +264,6 @@ def _header_text(obj) -> str:
     """A small top-level value (group, params) as json.dumps(indent=2)
     writes it at depth 1; a JSON text holds no raw newline inside a string."""
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n  ")
-
-
-def _index_lists(group: GroupDescriptor, lists) -> IndexLists:
-    """Lists of elements as canonical indices.  Lists already held as
-    indices of the group (a read file's payload, a family's blocks) are
-    taken as they are; element tuples are checked once, naming the first
-    offender, and encoded."""
-    if isinstance(lists, IndexLists) and lists.group == group:
-        return lists
-    lists = [tuple(items) for items in lists]
-    flat = _element_indices(group, chain.from_iterable(lists))
-    return IndexLists(group, flat, list(map(len, lists)))
 
 
 def _budget(width: int) -> int:

@@ -145,6 +145,19 @@ def test_family_names_a_bad_element_before_sorting(blocks, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("flat", [[-3, 1], [2, 7], [1, 2, 3, 9, -1]])
+def test_index_lists_out_of_the_group_are_refused(flat):
+    """Family and DiffMatrix take an IndexLists of their group undecoded,
+    but not an index outside it: a negative one would count at a wrong
+    residue by negative list indexing."""
+    group = cyclic_group(7)
+    message = "^an index lies outside Z7$"
+    with pytest.raises(ValueError, match=message):
+        Family(group, IndexLists(group, flat, [len(flat)]))
+    with pytest.raises(ValueError, match=message):
+        DiffMatrix(group, IndexLists(group, flat, [len(flat)]))
+
+
 def test_family_block_sizes_and_covered():
     fam = cyc(9, (1, 2, 4), (3, 5), (6,))
     assert fam.block_sizes() == (3, 2, 1)

@@ -235,8 +235,8 @@ def test_wide_runs_fit_in_four_v_slots(group):
     run, and the runs' spans multiply to the padded slots."""
     layout, v = _Layout(group), group.order
     assert not layout.cyclic and layout.wide_runs is None
-    counts = layout.dense(Counter(range(1 - v, v)))  # 2v - 1 keys build them
-    assert sum(counts) == 2 * v - 1
+    counts = layout.counts([range(1 - v, v)])  # 2v - 1 keys build them
+    assert sum(counts) == 2 * (2 * v - 1)  # each key counts in both orders
     spans = [span for _, span, _ in layout.wide_runs]
     assert prod(spans) == layout.slots
     assert all(len(table) == span <= 4 * v for _, span, table in layout.wide_runs)
@@ -257,28 +257,40 @@ def test_wide_runs_fit_in_four_v_slots(group):
 )
 def test_layout_subtract_matches_group_sub(group):
     """_Layout.subtract, given the positions of random elements x and y in
-    step, yields the canonical index of group.sub(x, y): first through the
-    one-digit runs, then through the wide runs a large tally builds."""
-    layout, v = _Layout(group), group.order
+    step, yields the canonical index of group.sub(x, y).  On a fresh layout
+    a subtract of fewer than v/2 keys folds through the one-digit runs and
+    builds no wide runs, so every pair goes through them in slices of that
+    size; one of at least v/2 keys builds them, and both cuts then give
+    the same indices."""
+    v = group.order
     rng = random.Random(v)
-    for wide in (False, True):
-        if wide:
-            layout.dense(Counter(range(1 - v, v)))
-        assert (layout.wide_runs is not None) == (wide and not layout.cyclic)
-        xs = [rng.randrange(v) for _ in range(500)]
-        ys = [rng.randrange(v) for _ in range(500)]
-        positions = [layout.positions(group.coordinates(i)) for i in (xs, ys)]
-        pairs = zip(group.elements_at(xs), group.elements_at(ys))
-        expected = group.indices([group.sub(x, y) for x, y in pairs])
-        assert list(layout.subtract(*positions)) == expected
+    xs = [rng.randrange(v) for _ in range(max(500, v))]
+    ys = [rng.randrange(v) for _ in range(max(500, v))]
+    pairs = zip(group.elements_at(xs), group.elements_at(ys))
+    expected = group.indices([group.sub(x, y) for x, y in pairs])
+    few, many = (v - 1) // 2, (v + 1) // 2  # the most keys that fold narrow, the fewest that build
+    narrow, wide = _Layout(group), _Layout(group)
+    positions = narrow.at(xs), narrow.at(ys)
+    step = max(1, few)  # a group of order 1 has no narrow slice but one key
+    for start in range(0, len(xs), step):
+        cut = slice(start, start + step)
+        assert list(narrow.subtract(positions[0][cut], positions[1][cut])) == expected[cut]
+        assert narrow.wide_runs is None
+    assert list(wide.subtract(positions[0][:many], positions[1][:many])) == expected[:many]
+    assert (wide.wide_runs is not None) == (not wide.cyclic)
+    # the few keys through the wide runs, and every key through them
+    assert list(wide.subtract(positions[0][:few], positions[1][:few])) == expected[:few]
+    assert list(wide.subtract(*positions)) == expected
 
 
 def test_cyclic_layout_has_no_runs():
-    """A one-digit layout folds nothing: a full mirrored tally counts each
-    nonzero key twice and builds no run tables."""
+    """A one-digit layout folds nothing: a full tally counts each nonzero
+    key in both orders, a full subtract reduces each key mod v, and neither
+    builds run tables."""
     group = cyclic_group(125003)
-    layout = _Layout(group)
-    assert layout.dense(Counter(range(group.order)), mirror=True)[1] == 2
+    layout, v = _Layout(group), group.order
+    assert layout.counts([range(v)])[1] == 2
+    assert list(layout.subtract(range(v), [v - 1] * v)) == [*range(1, v), 0]
     assert layout.cyclic and layout.runs == () and layout.wide_runs is None
 
 
@@ -534,12 +546,12 @@ def test_one_digit_tally_at_the_ends_of_the_group(group):
 @pytest.mark.parametrize("group", ONE_DIGIT_GROUPS[2:], ids=repr)
 def test_one_digit_tally_reads_negative_keys_as_their_residues(group):
     """A tally of the keys 0, v - 1 and 1 - v counts them at indices 0,
-    v - 1 and 1; the mirrored counts add index x to index v - x, and index
+    v - 1 and 1; the layout's counts add index x to index v - x, and index
     0, its own mirror, to itself."""
     layout, v = _Layout(group), group.order
-    tally = layout.tally([[0, v - 1, 1 - v, 1 - v]])
+    tally = _index_counts(v, [[0, v - 1, 1 - v, 1 - v]])
     assert tally[0] == 1 and tally[v - 1] == 1 and tally[1] == 2
-    mirrored = layout.dense(layout.tally([[0, v - 1, 1 - v, 1 - v]]), mirror=True)
+    mirrored = layout.counts([[0, v - 1, 1 - v, 1 - v]])
     assert mirrored[0] == 2 and mirrored[1] == mirrored[v - 1] == 3
     assert sum(mirrored) == 8
 

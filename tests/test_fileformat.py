@@ -23,7 +23,16 @@ from diffam.constructions import (
     trivial_ds,
     units_hdm,
 )
-from diffam.designs import DiffMatrix, Family, extend_to_pdf, hdm_to_dm
+from diffam.designs import (
+    DiffMatrix,
+    Family,
+    IndexLists,
+    extend_to_pdf,
+    hdm_to_dm,
+    verify_df,
+    verify_dm,
+    verify_hdm,
+)
 from diffam.fileformat import (
     DesignFile,
     design_from_obj,
@@ -250,6 +259,46 @@ def test_a_design_of_element_tuples_gives_the_family_and_matrix_they_spell():
     bad = DesignFile("hdm", group, {}, rows=(((0,), (1,)), ((0,), (-1,))))
     with pytest.raises(ValueError, match=r"^\(-1,\) is not an element of Z7$"):
         bad.matrix()
+
+
+def test_index_lists_of_the_group_go_in_undecoded(tmp_path, monkeypatch):
+    """Family and DiffMatrix keep an IndexLists of their group as it
+    stands, and so do a read file's family() and matrix(): each builds and
+    verifies with no element decoded or checked.  An IndexLists of another
+    group takes the element path: its elements are checked and encoded."""
+    fam = furino_ddf(build_ring([7, 13]), 3)
+    hdm = units_hdm(build_ring([4, 7]), 3)
+    dm = hdm_to_dm(hdm)
+    save_design(tmp_path / "ddf.json", family_file("ddf", fam, 2))
+    for kind, mat in (("hdm", hdm), ("dm", dm)):
+        params = {"v": mat.columns, "k": mat.k, "lambda": 1}
+        save_design(tmp_path / f"{kind}.json", DesignFile(kind, mat.group, params, rows=mat.rows))
+
+    def copied(design):
+        return IndexLists(design.group, list(design.lists.flat), list(design.lists.sizes))
+
+    def refused(*args):
+        raise AssertionError("an element was decoded or checked")
+
+    monkeypatch.setattr(groups.GroupDescriptor, "elements_at", refused)
+    monkeypatch.setattr(groups.GroupDescriptor, "check_elements", refused)
+    family = Family(fam.group, copied(fam))
+    assert family == fam and verify_df(family, 2).ok
+    assert verify_df(load_design(tmp_path / "ddf.json").family(), 2).ok
+    for kind, mat, verify in (("hdm", hdm, verify_hdm), ("dm", dm, verify_dm)):
+        matrix = DiffMatrix(mat.group, copied(mat))
+        assert matrix == mat and verify(matrix).ok
+        assert verify(load_design(tmp_path / f"{kind}.json").matrix()).ok
+    monkeypatch.undo()
+    square, wide = GroupDescriptor([3, 3]), GroupDescriptor([5, 5])
+    other = IndexLists(square, [5, 1], [2])  # (1, 2) and (0, 1) of Z3 x Z3
+    assert Family(wide, other).lists.flat == [1, 7]  # their indices in Z5 x Z5
+    assert DiffMatrix(wide, other).lists.flat == [7, 1]
+    other = IndexLists(cyclic_group(20), [1, 19], [2])
+    with pytest.raises(ValueError, match=r"^\(19,\) is not an element of Z7$"):
+        Family(cyclic_group(7), other)
+    with pytest.raises(ValueError, match=r"^\(19,\) is not an element of Z7$"):
+        DiffMatrix(cyclic_group(7), other)
 
 
 def test_a_design_without_the_payload_asked_for_is_refused():

@@ -90,7 +90,7 @@ def _check(group, action, lam):
     assert fixed_point_witness(group, action) == witness
     checked = Family(group, expected)
     flat = [i for orbit in walk for i in orbit]
-    indexed = Family.of_lists(IndexLists(group, flat, list(map(len, walk))))
+    indexed = Family(group, IndexLists(group, flat, list(map(len, walk))))
     assert checked == indexed
     assert checked.blocks == indexed.blocks == tuple(expected)
     assert checked.block_sizes() == indexed.block_sizes()
