@@ -231,9 +231,10 @@ def build_field(p: int, n: int = 1) -> FieldDescriptor:
 def _mixed_radix(columns: Sequence[Sequence[int]], radices: Sequence[int]) -> list[int]:
     """A placewise map, one column per place, most significant first: entry
     i, read in the mixed radix of the column lengths, maps to the value whose
-    place j in the mixed radix ``radices`` is columns[j][place j of i]."""
-    out = [0]
-    for col, r in zip(columns, radices):
+    place j in the mixed radix ``radices`` is columns[j][place j of i].  A
+    lone column is the map, returned as it is, not copied."""
+    out = columns[0]
+    for col, r in zip(columns[1:], radices[1:]):
         out = [a * r + b for a in out for b in col]
     return out
 

@@ -155,10 +155,10 @@ class IndexLists(Sequence):
     """Lists of group elements held as canonical indices: ``flat``, the
     index of every element in order, and ``sizes``, the length of each
     list.  Only Family and DiffMatrix check that the indices lie in the
-    group (one min and one max); other readers trust them.  This is the one
-    store of a family's blocks, a matrix's rows and a read file's payload
-    lists.  Each list reads as an IndexedElements, decoded on demand; the
-    lists compare equal to the tuple of the element tuples they hold."""
+    group; other readers trust them.  This is the one store of a family's
+    blocks, a matrix's rows and a read file's payload lists.  Each list
+    reads as an IndexedElements, decoded on demand; the lists compare
+    equal to the tuple of the element tuples they hold."""
 
     def __init__(self, group: GroupDescriptor, flat: list[int], sizes: list[int]):
         self.group, self.flat, self.sizes = group, flat, sizes
@@ -200,16 +200,12 @@ class _Indexed:
     """Lists of canonical indices of a group, held as one IndexLists
     (``lists``) in the shape the class checks (``_shaped``); ``indices``
     cuts them into tuples on demand.  The one constructor keeps an
-    IndexLists of the group as it stands, once one min and one max show its
-    indices lie in the group, and checks and encodes element lists; then
-    ``_shaped`` checks the shape.  The instance is treated as immutable."""
+    IndexLists of the group as it stands and checks and encodes element
+    lists; then ``_shaped`` checks that the indices lie in the group and
+    the shape.  The instance is treated as immutable."""
 
     def __init__(self, group: GroupDescriptor, lists: Iterable[Iterable[Element]]):
-        lists = _index_lists(group, lists)
-        flat = lists.flat
-        if flat and (min(flat) < 0 or max(flat) >= group.order):
-            raise ValueError(f"an index lies outside {group!r}")
-        self.group, self.lists = group, self._shaped(lists)
+        self.group, self.lists = group, self._shaped(_index_lists(group, lists))
 
     @property
     def indices(self) -> tuple[tuple[int, ...], ...]:
@@ -243,13 +239,16 @@ class Family(_Indexed):
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
         """The blocks, each ascending.  diffam writes blocks ascending, and
-        then the lists are kept as they stand, with no sort or copy.
-        Otherwise each block is sorted into a new flat list, and a block
-        that is empty or repeats an element is refused, named by its
+        then the lists are kept as they stand, with no sort or copy, once
+        each block's first and last index lie in the group.  Otherwise every
+        index is checked, each block is sorted into a new flat list, and a
+        block that is empty or repeats an element is refused, named by its
         elements."""
         flat, sizes = lists.flat, lists.sizes
         if _ascending(flat, sizes):
+            _check_range(lists.group, *_block_ends(flat, sizes))
             return lists
+        _check_range(lists.group, flat, flat)
         blocks = list(map(sorted, _cut(flat, sizes)))
         if not all(sizes) or sum(map(len, map(set, blocks))) != len(flat):
             for block in blocks:
@@ -290,6 +289,14 @@ def _check_block(block: Sequence) -> None:
         raise ValueError(f"block {tuple(block)} has a repeated element")
 
 
+def _check_range(group: GroupDescriptor, lows: Iterable[int], highs: Iterable[int]) -> None:
+    """Refuse an index outside the group, found by the min of lows and the
+    max of highs: a negative one would count at a wrong residue by negative
+    list indexing."""
+    if min(lows, default=0) < 0 or max(highs, default=0) >= group.order:
+        raise ValueError(f"an index lies outside {group!r}")
+
+
 def _coverage(family: Family) -> bytearray:
     """One byte per group element in canonical order: 1 if a block holds
     it, filled at C level."""
@@ -316,6 +323,18 @@ def _ascending(flat: list[int], sizes: list[int]) -> bool:
         at_ends += descents[start + k - 1 : stop : k].count(1)
         start = stop
     return at_ends == descents.count(1)
+
+
+def _block_ends(flat: list[int], sizes: list[int]) -> tuple[Iterable[int], Iterable[int]]:
+    """The first and the last index of every block, all nonempty, read off
+    flat in one pass each with no list built: a run of m blocks of size k
+    takes its ends strided from the next m * k items of a shared iterator,
+    as an islice reads up to its stop."""
+    runs = [(k, k * len(list(run))) for k, run in groupby(sizes)]
+    heads, tails = iter(flat), iter(flat)
+    firsts = (islice(heads, 0, n, k) for k, n in runs)
+    lasts = (islice(tails, k - 1, n, k) for k, n in runs)
+    return chain.from_iterable(firsts), chain.from_iterable(lasts)
 
 
 def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
@@ -490,8 +509,15 @@ class _Layout:
         v = self.order
         if self.cyclic:
             dense = _index_counts(v, keys)
-            # the index of -x is v - x (and of -0 is 0)
-            return list(map(add, dense, chain(dense[:1], islice(reversed(dense), v - 1))))
+            # x and -x, of index v - x, each count both, written in place
+            # from a list of the lower half's sums; 0 is its own mirror
+            dense[0] *= 2
+            half = v // 2
+            sums = list(map(add, islice(dense, 1, half + 1), islice(reversed(dense), half)))
+            dense[1 : half + 1] = sums
+            sums.reverse()
+            dense[v - half :] = sums
+            return dense
         tally = Counter(chain.from_iterable(keys))
         runs = self._fold_runs(len(tally))
         indices = chain(self._indices(tally, runs, False), self._indices(tally, runs, True))
@@ -541,22 +567,34 @@ def _index_counts(v: int, keys: Iterable[Iterable[int]]) -> list[int]:
 def _pairwise_counts(group: GroupDescriptor, flat: list[int], sizes: Sequence[int], skip=()) -> list[int]:
     """The difference counts, in canonical element order, of blocks given as
     one flat list of canonical indices and their sizes, but for blocks of a
-    size in skip.  Column i of the size-k blocks holds the positions of their
-    i-th members, cut off the flat list's positions a run of equal sizes at a
-    time; each unordered pair of a size's columns is subtracted and tallied
-    once, and each distinct key is folded for both orders."""
+    size in skip.  Each unordered pair of a size's columns (``_columns``) is
+    subtracted and tallied once, and each distinct key is folded for both
+    orders."""
     layout = _layout(group)
-    positions = layout.at(flat)
+    columns = _columns(layout.at(flat), sizes, skip)
+    keys = (map(sub, xs, ys) for cut in columns.values() for i, xs in enumerate(cut) for ys in cut[:i])
+    del columns  # freed once tallied, before the counts are mirrored
+    return layout.counts(keys)
+
+
+def _columns(positions: list[int], sizes: Sequence[int], skip) -> dict[int, list[list[int]]]:
+    """Column i of the size-k blocks, for each size k not in skip: the
+    positions of their i-th members, cut off the positions a run of equal
+    sizes at a time.  A function of its own, so that no loop variable of
+    the caller still holds a column once the tally has read it."""
     columns: dict[int, list[list[int]]] = {}
     start = 0
     for k, run in groupby(sizes):
         stop = start + k * len(list(run))
         if k not in skip:
-            for i, column in enumerate(columns.setdefault(k, [[] for _ in range(k)])):
-                column += positions[start + i : stop : k]
+            cut = [positions[start + i : stop : k] for i in range(k)]
+            if k in columns:
+                for column, part in zip(columns[k], cut):
+                    column += part
+            else:
+                columns[k] = cut
         start = stop
-    keys = (map(sub, xs, ys) for cut in columns.values() for i, xs in enumerate(cut) for ys in cut[:i])
-    return layout.counts(keys)
+    return columns
 
 
 def _slot(k: int) -> tuple[int, str]:
@@ -684,14 +722,19 @@ def family_params(family: Family, lam: int) -> dict:
     return params
 
 
-def _deviations(group: GroupDescriptor, counts: list[int], expected: list[int]) -> dict:
-    """The elements whose count differs from the expected one, both lists in
-    canonical element order, mapped to their counts in that order.  Equal
-    lists are one C-level compare; only the deviating indices are decoded."""
-    if counts == expected:
-        return {}
-    bad = list(compress(count(), map(ne, counts, expected)))
-    return dict(zip(group.elements_at(bad), map(counts.__getitem__, bad)))
+def _off(counts: list[int], value: int, skip: frozenset[int] = frozenset()) -> list[int]:
+    """The indices not in skip whose count is not value, ascending.  When
+    one C-level count of value shows that there are none, no other pass
+    runs, and no list of expected counts is built."""
+    if counts.count(value) - sum(counts[i] == value for i in skip) == len(counts) - len(skip):
+        return []
+    return [i for i in compress(count(), map(ne, counts, repeat(value))) if i not in skip]
+
+
+def _deviations(group: GroupDescriptor, counts: list[int], bad: list[int]) -> dict:
+    """The elements of the ascending canonical indices bad mapped to their
+    counts, in canonical element order; only these indices are decoded."""
+    return dict(zip(group.elements_at(bad), map(counts.__getitem__, bad))) if bad else {}
 
 
 def _scan(
@@ -707,11 +750,9 @@ def _scan(
     Deviations are listed in canonical element order; the failure message
     names lam only when there is no subgroup."""
     dense, engine = _dense_counts(family)
-    expected = [lam] * family.v
-    for i in subgroup:
-        expected[i] = lam1
-    expected[0] = 0  # the zero element, whose count dense[0] is always 0
-    deviations = _deviations(family.group, dense, expected)
+    # the zero element, whose count dense[0] is always 0, is never off
+    bad = _off(dense, lam, subgroup | {0}) + [i for i in subgroup if i and dense[i] != lam1]
+    deviations = _deviations(family.group, dense, sorted(bad))
     message = ""
     if deviations:
         message = f"{len(deviations)} of {family.v - 1} nonzero elements deviate"
@@ -858,7 +899,9 @@ class DiffMatrix(_Indexed):
 
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
-        """The rows, refused unless there are some, all of one nonzero size."""
+        """The rows, refused unless every index lies in the group and there
+        are some rows, all of one nonzero size."""
+        _check_range(lists.group, lists.flat, lists.flat)
         sizes = lists.sizes
         if not sizes or not sizes[0]:
             raise ValueError("difference matrix must have at least one row and column")
@@ -902,9 +945,10 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
     if mat.columns != v:
         message = f"matrix has {mat.columns} columns but the group has order {v}"
         return Report(False, kind, params, message=message)
-    ones, deviations = [1] * v, {}
+    deviations = {}
     for i, row in enumerate(mat.lists.cut() if kind == "hdm" else ()):
-        for x, c in _deviations(group, _index_counts(v, [row]), ones).items():
+        counts = _index_counts(v, [row])
+        for x, c in _deviations(group, counts, _off(counts, 1)).items():
             deviations[("row", i, x)] = c
     if deviations:
         message = f"{len(deviations)} (row, element) occurrence counts != 1"
@@ -916,7 +960,7 @@ def _verify_matrix(kind: str, mat: DiffMatrix) -> Report:
             # a list tally reads a key of one digit, in (-v, v), at its residue
             keys = map(sub, rows[i], rows[j]) if layout.cyclic else layout.subtract(rows[i], rows[j])
             counts = _index_counts(v, [keys])
-            for x, c in _deviations(group, counts, ones).items():
+            for x, c in _deviations(group, counts, _off(counts, 1)).items():
                 deviations[(i, j, x)] = c
     message = f"{len(deviations)} (row pair, element) difference counts != 1"
     return Report(not deviations, kind, params, deviations, message if deviations else "")

@@ -26,10 +26,10 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
-from json.decoder import WHITESPACE, JSONObject
 from operator import add
 
 from .groups import AdditiveField, Element, GroupDescriptor, _is_int, check_cap, check_power_cap
@@ -374,58 +374,234 @@ def _parse(text: str):
 
 
 _SPACE = b" \t\n\r"  # JSON whitespace
-# a payload byte's shape: "d" for a digit or minus, "?" (in no shape) for all but "[],"
-_SHAPE = bytes(c if c in b"[]," else 100 if c in b"0123456789-" else 63 for c in range(256))
+# a payload byte's shape: "d" for a digit or minus, "?" (in no shape) for all
+# but "[]," and whitespace, which the shape deletes
+_SHAPE = bytes(c if c in b"[]," + _SPACE else 100 if c in b"0123456789-" else 63 for c in range(256))
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
-# characters read at a time: a chunk's buffers stay below glibc's mmap threshold
+# bytes of a file (characters of a text) read at a time: a chunk's buffers
+# stay below glibc's mmap threshold
 _CHUNK = 1 << 16
 _DECODER = json.JSONDecoder()
-# what follows a top-level value: the next key and its colon, or the last brace
-_MEMBER = re.compile(r'(?:,[ \t\n\r]*"(?:[^"\\]|\\.)*"[ \t\n\r]*:|\}[ \t\n\r]*\Z)')
+_WHITESPACE = re.compile(rb"[ \t\n\r]*")
+# what follows a whole top-level value or key
+_FOLLOW = re.compile(r"[ \t\n\r]*[,:}]")
 
 
-def _walk(text: str) -> dict | None:
-    """The top-level object of a text, read by json's object parser with each
-    list that holds no string or object kept as its span (start, end), up to
-    the comma or brace before the next member.  A span replaced by a
-    repeated key must be JSON."""
-
-    def value(text: str, i: int):
-        quote = text.find('"', i) % (len(text) + 1)  # the text's end if there is none
-        end = max(text.rfind(",", i, quote), text.rfind("}", i, quote))
-        if text.startswith("[", i) and end >= 0 and _MEMBER.match(text, end):
-            return (i, end), end  # a quote or brace inside the list opens no member
-        return _DECODER.scan_once(text, i)
-
-    brace = WHITESPACE.match(text).end()  # str.index refuses any other first token
-    pairs, end = JSONObject((text, text.index("{", brace, brace + 1) + 1), True, value, None, list)
-    obj = dict(pairs)
-    replaced = [span for key, span in pairs if isinstance(span, tuple) and obj[key] is not span]
-    valid = all(WHITESPACE.match(text, _DECODER.raw_decode(text, i)[1]).end() == j for i, j in replaced)
-    return obj if valid and WHITESPACE.match(text, end).end() == len(text) else None
+class _Again(Exception):
+    """A payload list the scan cannot take as it streams, named by its
+    occurrence (key, count of the key before it): the input is read once
+    more with that list decoded as JSON, as a repeated key may replace it."""
 
 
-def _scanned_lists(group: GroupDescriptor, text: str, start: int, end: int, one: bool):
-    """The lists of elements (one list if `one`) in text[start:end], or None
-    unless they are JSON in the writer's shape, whitespace aside, with each
-    int in range.  Each chunk of about _CHUNK characters, ending after a
-    comma, gives its shape (its brackets and commas, and "x" for each int)
-    and its ints, read by json.loads with the brackets blanked."""
-    shapes, nums = [], []
-    while start < end:
-        stop = text.find(",", start + _CHUNK, end) + 1 or end
-        chunk = text[start:stop].encode("ascii")
-        shape = chunk.translate(_SHAPE, _SPACE)
-        shapes.append(shape.replace(b"d]", b"x]").replace(b"d,", b"x,").translate(None, b"d"))
-        body = chunk.translate(_UNBRACKET)
+class _Scanned:
+    """A payload list as it streamed past: the shape of each piece (its
+    brackets and commas, and "x" for each int) and its ints, or None for
+    both once a piece holds no JSON ints."""
+
+    def __init__(self):
+        self.shapes, self.nums = [], []
+
+    def add(self, piece: bytes, shape: bytes) -> None:
+        """Take the next piece of the list, which starts with its first
+        bracket or with a comma and ends before a comma or at the list's
+        end, and its shape; its ints are read by json.loads with the
+        brackets blanked and that first comma dropped."""
+        if self.nums is None:
+            return
+        body = piece.translate(_UNBRACKET).removeprefix(b",")
         if b"[]" in shape:  # regroup the commas around an empty list
             body = b",".join(body.replace(b",", b" ").split())
-        nums += json.loads(b"[" + body.removesuffix(b",") + b"]")
-        start = stop
+        try:
+            self.nums += json.loads(b"[" + body + b"]")
+        except ValueError:
+            self.shapes = self.nums = None
+            return
+        # an int follows a bracket or a comma, in the same piece
+        self.shapes.append(shape.replace(b"[d", b"[x").replace(b",d", b",x").translate(None, b"d"))
+
+
+class _Reader:
+    """A design file's bytes, read a chunk at a time: buf[pos:] is what is
+    read and not yet taken."""
+
+    def __init__(self, chunks: Iterator[bytes]):
+        self.chunks, self.buf, self.pos, self.done = chunks, b"", 0, False
+
+    def grow(self) -> bool:
+        """Read chunks onto the bytes not yet taken until they are at least
+        twice as many, joined once; False if the input had already ended."""
+        rest = self.buf[self.pos :]
+        parts, size = [rest], len(rest)
+        for chunk in self.chunks:
+            parts.append(chunk)
+            size += len(chunk)
+            if size >= 2 * len(rest):
+                break
+        else:
+            self.done = True
+        self.buf, self.pos = b"".join(parts), 0
+        return size > len(rest)
+
+    def token(self) -> int | None:
+        """The next byte after whitespace, not taken, or None at the end."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self.grow():
+                return None
+
+    def take(self, token: bytes) -> None:
+        """Take the next byte after whitespace, refused unless it is token."""
+        if self.token() != token[0]:
+            raise ValueError(f"expected {token!r}")
+        self.pos += 1
+
+    def value(self):
+        """The JSON value that starts here, decoded from its own text once a
+        window of the bytes read holds it and what follows it up to a comma,
+        colon or brace, or the input has ended; refused unless its bytes are
+        UTF-8.  The window starts small and doubles, so a value costs bytes
+        decoded in proportion to its own length, not to the buffer's."""
+        window = 64
+        while True:
+            whole = self.pos + window >= len(self.buf)
+            text = self.buf[self.pos : self.pos + window].decode("utf-8", "replace")
+            try:
+                obj, end = _DECODER.raw_decode(text)
+            except ValueError:
+                end = None
+            if end is not None and (_FOLLOW.match(text, end) or whole and self.done):
+                raw = text[:end].encode("utf-8")
+                if not self.buf.startswith(raw, self.pos):
+                    raise ValueError("a value that is not UTF-8")
+                self.pos += len(raw)
+                return obj
+            if not whole:
+                window *= 2
+            elif self.done:
+                raise ValueError("the input ends inside a value")
+            else:
+                self.grow()
+
+    def payload(self) -> _Scanned:
+        """The payload list that starts here, read a piece at a time, each
+        piece up to the last comma read, which starts the next piece.  The
+        list ends before the first byte outside its shape: the last brace,
+        or the quote of the next key after a comma, left with that comma to
+        be read as the object's; any other byte is _Again."""
+        scanned = _Scanned()
+        while True:
+            buf, start = self.buf, self.pos
+            cut = buf.rfind(b",", start + 1)
+            piece = buf[start:] if cut < 0 else buf[start:cut]
+            shape = piece.translate(_SHAPE, _SPACE)
+            last = b"?" in shape
+            if last:
+                at = start + piece.translate(_SHAPE).find(b"?")
+                piece = buf[start:at].rstrip(_SPACE)
+                if buf[at] == ord('"') and piece.endswith(b","):
+                    piece = piece[:-1]
+                elif buf[at] != ord("}"):
+                    raise _Again
+                shape = piece.translate(_SHAPE, _SPACE)
+            elif cut < 0:  # neither a comma nor the list's end read yet
+                if not self.grow():
+                    raise ValueError("the input ends inside a payload list")
+                continue
+            self.pos = start + len(piece)
+            scanned.add(piece, shape)
+            if last:
+                return scanned
+
+
+def _members(reader: _Reader, generic: tuple | None) -> tuple[dict, dict]:
+    """The top-level object of the input as json.loads reads it (a repeated
+    key keeps its last value), each list under a payload name scanned as it
+    streams unless it is the occurrence generic, every other value decoded
+    from its own text; and every scanned list, by occurrence."""
+    obj, scanned, seen = {}, {}, Counter()
+    reader.take(b"{")
+    more, last = reader.token() != ord("}"), None
+    while more:
+        try:  # a list just scanned ends before a key and its colon, or is _Again
+            if reader.token() != ord('"'):
+                raise ValueError("expected a key")
+            key = reader.value()
+            reader.take(b":")
+        except ValueError:
+            if last:
+                raise _Again(last) from None
+            raise
+        occurrence = key, seen[key]
+        seen[key] += 1
+        if reader.token() == ord("[") and key in _NEEDS and occurrence != generic:
+            try:
+                obj[key] = scanned[occurrence] = reader.payload()
+            except _Again:
+                raise _Again(occurrence) from None
+            last = occurrence
+        else:
+            obj[key], last = reader.value(), None
+        more = reader.token() == ord(",")
+        reader.pos += more  # the comma
+    reader.take(b"}")
+    if reader.token() is not None:
+        raise ValueError("data after the object")
+    return obj, scanned
+
+
+def _read(reader: _Reader, generic: tuple | None) -> DesignFile:
+    """The design of the input, its payload lists scanned straight into
+    indices; refused unless each list its kind carries was scanned."""
+    obj, scanned = _members(reader, generic)
+    kind, group, params = _header_from_obj(obj)
+    names = KIND_TABLE[kind].payload
+    if "subgroup" in obj and "subgroup" not in names:
+        raise ValueError("a subgroup the kind does not carry")
+    lists = {}
+    for (name, i), payload in scanned.items():
+        items = _scanned_lists(group, payload, name == "subgroup")
+        if obj[name] is not payload:  # a replaced list need only be JSON
+            if items is None:
+                raise _Again((name, i))
+        elif items is None or (name in NONEMPTY and not items):
+            raise ValueError(f"no {name} in the writer's shape")
+        else:
+            lists[name] = items
+    if any(name not in lists for name in names):
+        raise ValueError("a payload list that was not scanned")
+    return DesignFile(kind, group, params, **lists)
+
+
+def _streamed(chunks) -> DesignFile | None:
+    """The design of the bytes that chunks() yields, read as they stream,
+    or None if the scan refuses them.  One payload list that is not in the
+    writer's shape (one holding a float, say) is read as JSON in a second
+    pass; an input with more is refused, so none is streamed more than
+    twice."""
+    generic = None
+    for _ in range(2):
+        try:
+            return _read(_Reader(chunks()), generic)
+        except _Again as again:
+            generic = again.args[0]
+        except (ValueError, RecursionError):
+            return None
+    return None
+
+
+def _scanned_lists(group: GroupDescriptor, scanned: _Scanned, one: bool):
+    """The lists of elements (one list if `one`) of a scanned payload list,
+    or None unless they are JSON in the writer's shape, whitespace aside,
+    with each int in range."""
+    nums = scanned.nums
+    if nums is None:
+        return None
     # an element's shape: the writer's text of a list holding the zero element
     zero = next(_lists_texts(group, IndexLists(group, [0], [1]), 0)).encode().translate(_SHAPE, _SPACE)
-    items = b"".join(shapes)
-    del shapes  # freed before the element pass copies items
+    items = b"".join(scanned.shapes)
+    scanned.shapes.clear()  # freed before the element pass copies items
     items = (b"[" * one + items + b"]" * one).replace(zero[1:-1].replace(b"d", b"x"), b"e")
     sizes = _sizes(items)
     radices = group.digit_radices()
@@ -496,19 +672,13 @@ def _sizes(items: bytes) -> list[int] | None:
 
 
 def loads_design(text: str) -> DesignFile:
-    """The design of a file text, its payload scanned straight into indices.
-    A text the scan refuses goes through json.loads and design_from_obj,
-    whose error names the first offender."""
-    try:
-        obj = _walk(text) if isinstance(text, str) else None
-        kind, group, params = _header_from_obj(obj)
-        names = KIND_TABLE[kind].payload
-        if ("subgroup" not in obj or "subgroup" in names) and all(isinstance(obj.get(n), tuple) for n in names):
-            lists = {n: _scanned_lists(group, text, *obj[n], n == "subgroup") for n in names}
-            if None not in lists.values() and all(lists[n] for n in names if n in NONEMPTY):
-                return DesignFile(kind, group, params, **lists)
-    except (ValueError, RecursionError):
-        pass  # the scan refuses the text; the tree path decides
+    """The design of a file text, read by the streamed scan of load_design,
+    fed _CHUNK characters at a time.  A text the scan refuses goes through
+    json.loads and design_from_obj, whose error names the first offender."""
+    if isinstance(text, str):
+        design = _streamed(lambda: (text[i : i + _CHUNK].encode() for i in range(0, len(text), _CHUNK)))
+        if design is not None:
+            return design
     return design_from_obj(_parse(text))
 
 
@@ -520,6 +690,18 @@ def save_design(path, design: DesignFile) -> None:
         handle.writelines(parts)
 
 
+def _file_chunks(path) -> Iterator[bytes]:
+    with open(path, "rb") as handle:
+        yield from iter(lambda: handle.read(_CHUNK), b"")
+
+
 def load_design(path) -> DesignFile:
+    """The design of a file, read as bytes _CHUNK at a time by the streamed
+    scan, so its whole text is never held.  A file the scan refuses is read
+    whole as text and goes through json.loads and design_from_obj, whose
+    error names the first offender."""
+    design = _streamed(lambda: _file_chunks(path))
+    if design is not None:
+        return design
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_design(handle.read())
+        return design_from_obj(_parse(handle.read()))

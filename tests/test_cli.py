@@ -978,6 +978,48 @@ def test_verify_missing_and_malformed_files(tmp_path):
     assert (rc, out, err) == (2, "", "error: design file param 'k' must be an integer\n")
 
 
+def _spoiled(data: bytes, case: str) -> bytes:
+    """The bytes of a written file with one fault of the named kind."""
+    v = data.index(b'"v": 31')
+    return {
+        "invalid UTF-8 in the payload": data[:150] + b"\xff" + data[151:],
+        "invalid UTF-8 in a header string": data.replace(b'"ddf"', b'"d\xffdf"'),
+        "a UTF-8 BOM": b"\xef\xbb\xbf" + data,
+        "trailing data": data + b"{}\n",
+        "a truncated payload": data[: len(data) // 2],
+        "a character cut by the end": data.replace(b'"v"', b'"v\xc3\xbc"')[: v + 3],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("invalid UTF-8 in the payload", "'utf-8' codec can't decode byte 0xff in position 150: invalid start byte"),
+        ("invalid UTF-8 in a header string", "'utf-8' codec can't decode byte 0xff in position 1061: invalid start byte"),
+        (
+            "a UTF-8 BOM",
+            "design file is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        ("trailing data", "design file is not valid JSON: Extra data: line 128 column 1 (char 1127)"),
+        ("a truncated payload", "design file is not valid JSON: Expecting value: line 66 column 7 (char 563)"),
+        ("a character cut by the end", "'utf-8' codec can't decode byte 0xc3 in position 1115: unexpected end of data"),
+    ],
+)
+def test_verify_refuses_a_spoiled_file_in_one_line(tmp_path, case, message):
+    """Whatever the reader does not take ends in the message that reading
+    the whole text and decoding it as JSON gives."""
+    path = tmp_path / "f.json"
+    assert run(["construct", "furino", "--v", 31, "--k", 3, "--out", path])[0] == 0
+    path.write_bytes(_spoiled(path.read_bytes(), case))
+    assert run(["verify", path]) == (2, "", f"error: {message}\n")
+
+
+def test_verify_refuses_a_directory_and_a_missing_path_in_one_line(tmp_path):
+    assert run(["verify", tmp_path]) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    path = tmp_path / "absent.json"
+    assert run(["verify", path]) == (2, "", f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+
 def test_verify_refuses_a_modulus_coefficient_out_of_range(tmp_path):
     """GF(13)'s modulus x written as 13 + x or -13 + x is the same residue
     list, but not a modulus with coefficients in GF(13): one error line."""

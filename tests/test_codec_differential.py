@@ -2,7 +2,8 @@
 
 The design-file writer is checked byte for byte against
 ``json.dumps(design_to_obj(d), sort_keys=True, indent=2) + "\\n"``, the
-reader's payload scan against ``design_from_obj(json.loads(text))``, which
+reader's streamed scan, of a text or of a file read a chunk at a time,
+against ``design_from_obj(json.loads(text))``, which
 decodes the JSON tree element by element, the family and the
 matrix of a read file against ``Family`` and ``DiffMatrix`` of the decoded
 blocks and rows, the shared column element check against
@@ -31,6 +32,7 @@ from diffam.fileformat import (
     design_to_obj,
     dumps_design,
     element_from_obj,
+    load_design,
     loads_design,
     save_design,
 )
@@ -562,3 +564,39 @@ def test_the_scan_keeps_json_and_the_tree_on_edge_tokens(text, expected, chunk, 
     with mock.patch.object(fileformat, "_parse", wraps=fileformat._parse) as tree:
         assert _outcome(loads_design, text) == oracle
     assert tree.called == (oracle[0] != "ok")
+
+
+@settings(max_examples=150, deadline=None)
+@given(designs(), st.data())
+def test_load_design_streams_any_layout_at_any_chunk(tmp_path_factory, design, data):
+    """load_design reads a file a _CHUNK of bytes at a time.  With chunks of
+    1, 2, 7 and 64 bytes, any key order, repeated key and JSON whitespace,
+    and now and then a list longer than a chunk, a file the tree reads is
+    read by the scan alone, to the tree's design, family and matrix; any
+    other file gives the tree's error."""
+    if data.draw(st.booleans()):  # a list longer than a chunk
+        name = KIND_TABLE[design.kind].payload[0]
+        elements = list(design.group.elements())
+        long = tuple(data.draw(st.lists(st.sampled_from(elements), min_size=20, max_size=40)))
+        design = DesignFile(**{**vars(design), name: tuple(getattr(design, name) or ()) + (long,)})
+    obj = _outcome(design_to_obj, design)
+    if obj[0] != "ok":
+        return
+    pairs = data.draw(st.permutations(list(obj[1].items())))
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        junk = data.draw(st.sampled_from(JUNK + [pairs[j][1]]))
+        pairs.insert(data.draw(st.integers(0, j)), (pairs[j][0], junk))
+    path = tmp_path_factory.getbasetemp() / "layout.json"
+    path.write_text(_layout(pairs, data.draw(st.randoms(use_true_random=False))), encoding="utf-8")
+    oracle = _outcome(lambda: design_from_obj(fileformat._parse(path.read_text(encoding="utf-8"))))
+    for chunk in (1, 2, 7, 64):
+        with mock.patch.object(fileformat, "_CHUNK", chunk):
+            if oracle[0] == "ok":
+                with mock.patch.object(fileformat, "_parse", side_effect=AssertionError("tree")):
+                    design = load_design(path)
+                assert design == oracle[1]
+                made = [_outcome(d.family if d.rows is None else d.matrix) for d in (design, oracle[1])]
+                assert made[0] == made[1]
+            else:
+                assert _outcome(load_design, path) == oracle

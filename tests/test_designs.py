@@ -5,6 +5,8 @@ The expected difference counts are recomputed in-test by a plain double loop
 over ordered pairs, independent of the module's counting code.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,6 +158,21 @@ def test_index_lists_out_of_the_group_are_refused(flat):
         Family(group, IndexLists(group, flat, [len(flat)]))
     with pytest.raises(ValueError, match=message):
         DiffMatrix(group, IndexLists(group, flat, [len(flat)]))
+
+
+def test_ascending_blocks_of_alternating_sizes_are_range_checked_quickly():
+    """Ascending blocks are range-checked at their ends in one pass over the
+    list: 10^5 runs of one block each, sizes 1, 2, 1, 2, ..., take
+    milliseconds, where stepping to every run from the list's start would
+    take minutes.  The last index is checked."""
+    group = cyclic_group(150_000)
+    sizes = [1, 2] * 50_000
+    started = time.perf_counter()
+    family = Family(group, IndexLists(group, list(range(150_000)), sizes))
+    assert time.perf_counter() - started < 3
+    assert family.lists.sizes == sizes
+    with pytest.raises(ValueError, match="^an index lies outside Z150000$"):
+        Family(group, IndexLists(group, list(range(1, 150_001)), sizes))
 
 
 def test_family_block_sizes_and_covered():

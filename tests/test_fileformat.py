@@ -584,3 +584,41 @@ def test_the_reader_sizes_compares_bytes_linear_in_the_shape(sizes):
     shape = _Compared(_shape(sizes))
     assert fileformat._sizes(shape) == sizes
     assert shape.compared <= 4 * len(shape)
+
+
+_FILE = (
+    '{"blocks": [[[1], [2], [4]]], "group": {"factors": [{"cyclic": 7}]},'
+    ' "kind": "df", "params": {"k": 3, "lambda": 1, "v": 7}}'
+)
+
+
+def test_the_reader_decodes_repeated_keys_in_linear_work(tmp_path, monkeypatch):
+    """Each key and value is decoded from a window about its own length, not
+    from the rest of the chunk read: 5000 repeated header keys before the
+    file's own cost a few bytes decoded per byte of the file."""
+    path = tmp_path / "keys.json"
+    path.write_text(_FILE.replace("{", "{" + '"kind": "ds", ' * 5000, 1), encoding="utf-8")
+    decoded = []
+
+    class Counting:
+        def raw_decode(self, text):
+            decoded.append(len(text))
+            return json.JSONDecoder().raw_decode(text)
+
+    monkeypatch.setattr(fileformat, "_DECODER", Counting())
+    monkeypatch.setattr(fileformat, "_parse", _never_called)
+    assert load_design(path) == design_from_obj(json.loads(_FILE))
+    assert sum(decoded) <= 12 * path.stat().st_size
+
+
+def test_the_reader_streams_a_file_at_most_twice(tmp_path, monkeypatch):
+    """A payload list out of the writer's shape is read as JSON in a second
+    pass; 2000 of them send the file to the tree after two passes, not
+    after a pass per list."""
+    path = tmp_path / "floats.json"
+    path.write_text(_FILE.replace("{", "{" + '"blocks": [[1.5]], ' * 2000, 1), encoding="utf-8")
+    streamed = []
+    chunks = fileformat._file_chunks
+    monkeypatch.setattr(fileformat, "_file_chunks", lambda p: (streamed.append(len(c)) or c for c in chunks(p)))
+    assert load_design(path) == design_from_obj(json.loads(_FILE))
+    assert sum(streamed) <= 2 * path.stat().st_size

@@ -1,4 +1,5 @@
-"""Memory bounds on the exact count, the writer and the reader.
+"""Memory bounds on the exact count, the writer, the reader and the
+orbit walk.
 
 A cyclic Furino family at v = 30001 (10000 blocks of 3) is built once with
 tracemalloc on; each operation's traced peak above what was live before it
@@ -6,18 +7,24 @@ is bounded by a multiple of the family's own traced size.  Each bound sits
 between the transient of the current code and that of the code it
 replaced: a Counter of up to v int keys in the count, every block's text
 built before the first write (for one block of 30000 elements, that
-block's text and template), a set of every element in classify_family,
-and a bytes object per block in the reader.  Measured ratios (CPython
-3.11, x86-64):
+block's text and template), a set of every element in classify_family, a
+bytes object per block in the reader, the whole file text held while the
+reader scans it, and a copy of the index map of a one-digit group in the
+scalar action and in the orbit walk of furino_ddf.  Measured ratios
+(CPython 3.11, x86-64):
 
     operation       replaced   current   bound
-    verify_df         1.77       0.57     1.0
-    save_design       1.63       0.60     1.0
+    verify_df         1.77       0.38     1.0
+    save_design       1.63       0.19     1.0
     one long block    3.52       0.21     1.0
     classify_family   2.04       0.02     0.25
-    loads_design      1.95       1.18     1.5
+    loads_design      1.95       1.14     1.5
+    load_design       1.99       1.14     1.5
+    index_map         1.87       0.93     1.2
+    furino_ddf        1.87       1.40     1.6
 
-The saved file's reader result is itself about the family's size.
+The saved file's reader result is itself about the family's size, and so
+is the index map, a list of v ints.
 """
 
 import gc
@@ -25,10 +32,11 @@ import tracemalloc
 
 import pytest
 
+from diffam.algebra import ScalarAction
 from diffam.constructions import furino_ddf
 from diffam.designs import Family, classify_family, family_params, verify_df
 from diffam.groups import GroupDescriptor
-from diffam.fileformat import DesignFile, dumps_design, loads_design, save_design
+from diffam.fileformat import DesignFile, dumps_design, load_design, loads_design, save_design
 
 V = 30001  # 30001 = 19 * 1579, both 1 mod 3
 
@@ -95,3 +103,23 @@ def test_the_reader_makes_no_object_per_block(traced):
     read = []
     assert _peak(lambda: read.append(loads_design(text))) < 1.5 * size
     assert read[0].family() == family
+
+
+def test_the_reader_streams_the_file(traced, tmp_path):
+    """load_design never holds the file's whole text."""
+    family, design, size = traced
+    path = tmp_path / "family.json"
+    save_design(path, design)
+    read = []
+    assert _peak(lambda: read.append(load_design(path))) < 1.5 * size
+    assert read[0].family() == family
+
+
+def test_the_index_map_of_one_digit_is_its_column(traced):
+    family, _, size = traced
+    assert _peak(lambda: ScalarAction(family.group, -1).index_map()) < 1.2 * size
+
+
+def test_the_orbit_walk_builds_one_index_map(traced):
+    _, _, size = traced
+    assert _peak(lambda: furino_ddf(V, 3)) < 1.6 * size
