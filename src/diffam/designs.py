@@ -154,13 +154,18 @@ NONEMPTY = ("rows", "subgroup")
 class IndexLists(Sequence):
     """Lists of group elements held as canonical indices: ``flat``, the
     index of every element in order, and ``sizes``, the length of each
-    list.  Only Family and DiffMatrix check that the indices lie in the
-    group; other readers trust them.  This is the one store of a family's
-    blocks, a matrix's rows and a read file's payload lists.  Each list
-    reads as an IndexedElements, decoded on demand; the lists compare
-    equal to the tuple of the element tuples they hold."""
+    list.  The constructor refuses an index outside the group, found by
+    one min and one max: a negative one would count at a wrong residue by
+    negative list indexing.  So every IndexLists, however it was made,
+    holds indices of its group, and no reader checks them again.  This is
+    the one store of a family's blocks, a matrix's rows and a read file's
+    payload lists.  Each list reads as an IndexedElements, decoded on
+    demand; the lists compare equal to the tuple of the element tuples
+    they hold."""
 
     def __init__(self, group: GroupDescriptor, flat: list[int], sizes: list[int]):
+        if min(flat, default=0) < 0 or max(flat, default=0) >= group.order:
+            raise ValueError(f"an index lies outside {group!r}")
         self.group, self.flat, self.sizes = group, flat, sizes
 
     def cut(self) -> tuple[tuple[int, ...], ...]:
@@ -201,8 +206,8 @@ class _Indexed:
     (``lists``) in the shape the class checks (``_shaped``); ``indices``
     cuts them into tuples on demand.  The one constructor keeps an
     IndexLists of the group as it stands and checks and encodes element
-    lists; then ``_shaped`` checks that the indices lie in the group and
-    the shape.  The instance is treated as immutable."""
+    lists; then ``_shaped`` checks the shape.  The instance is treated as
+    immutable."""
 
     def __init__(self, group: GroupDescriptor, lists: Iterable[Iterable[Element]]):
         self.group, self.lists = group, self._shaped(_index_lists(group, lists))
@@ -239,16 +244,13 @@ class Family(_Indexed):
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
         """The blocks, each ascending.  diffam writes blocks ascending, and
-        then the lists are kept as they stand, with no sort or copy, once
-        each block's first and last index lie in the group.  Otherwise every
-        index is checked, each block is sorted into a new flat list, and a
-        block that is empty or repeats an element is refused, named by its
+        then the lists are kept as they stand, with no sort or copy.
+        Otherwise each block is sorted into a new flat list, and a block
+        that is empty or repeats an element is refused, named by its
         elements."""
         flat, sizes = lists.flat, lists.sizes
         if _ascending(flat, sizes):
-            _check_range(lists.group, *_block_ends(flat, sizes))
             return lists
-        _check_range(lists.group, flat, flat)
         blocks = list(map(sorted, _cut(flat, sizes)))
         if not all(sizes) or sum(map(len, map(set, blocks))) != len(flat):
             for block in blocks:
@@ -289,14 +291,6 @@ def _check_block(block: Sequence) -> None:
         raise ValueError(f"block {tuple(block)} has a repeated element")
 
 
-def _check_range(group: GroupDescriptor, lows: Iterable[int], highs: Iterable[int]) -> None:
-    """Refuse an index outside the group, found by the min of lows and the
-    max of highs: a negative one would count at a wrong residue by negative
-    list indexing."""
-    if min(lows, default=0) < 0 or max(highs, default=0) >= group.order:
-        raise ValueError(f"an index lies outside {group!r}")
-
-
 def _coverage(family: Family) -> bytearray:
     """One byte per group element in canonical order: 1 if a block holds
     it, filled at C level."""
@@ -323,18 +317,6 @@ def _ascending(flat: list[int], sizes: list[int]) -> bool:
         at_ends += descents[start + k - 1 : stop : k].count(1)
         start = stop
     return at_ends == descents.count(1)
-
-
-def _block_ends(flat: list[int], sizes: list[int]) -> tuple[Iterable[int], Iterable[int]]:
-    """The first and the last index of every block, all nonempty, read off
-    flat in one pass each with no list built: a run of m blocks of size k
-    takes its ends strided from the next m * k items of a shared iterator,
-    as an islice reads up to its stop."""
-    runs = [(k, k * len(list(run))) for k, run in groupby(sizes)]
-    heads, tails = iter(flat), iter(flat)
-    firsts = (islice(heads, 0, n, k) for k, n in runs)
-    lasts = (islice(tails, k - 1, n, k) for k, n in runs)
-    return chain.from_iterable(firsts), chain.from_iterable(lasts)
 
 
 def _cut(flat: Iterable, sizes: Iterable[int]) -> list[tuple]:
@@ -899,9 +881,7 @@ class DiffMatrix(_Indexed):
 
     @staticmethod
     def _shaped(lists: IndexLists) -> IndexLists:
-        """The rows, refused unless every index lies in the group and there
-        are some rows, all of one nonzero size."""
-        _check_range(lists.group, lists.flat, lists.flat)
+        """The rows, refused unless there are some, all of one nonzero size."""
         sizes = lists.sizes
         if not sizes or not sizes[0]:
             raise ValueError("difference matrix must have at least one row and column")

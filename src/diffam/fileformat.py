@@ -394,12 +394,12 @@ class _Again(Exception):
 
 
 class _Scanned:
-    """A payload list as it streamed past: the shape of each piece (its
-    brackets and commas, and "x" for each int) and its ints, or None for
-    both once a piece holds no JSON ints."""
+    """A payload list as it streamed past: its shape, each piece's brackets
+    and commas, and "x" for each int, appended to one buffer, and its ints,
+    or None for both once a piece holds no JSON ints."""
 
     def __init__(self):
-        self.shapes, self.nums = [], []
+        self.shapes, self.nums = bytearray(), []
 
     def add(self, piece: bytes, shape: bytes) -> None:
         """Take the next piece of the list, which starts with its first
@@ -417,7 +417,7 @@ class _Scanned:
             self.shapes = self.nums = None
             return
         # an int follows a bracket or a comma, in the same piece
-        self.shapes.append(shape.replace(b"[d", b"[x").replace(b",d", b",x").translate(None, b"d"))
+        self.shapes += shape.replace(b"[d", b"[x").replace(b",d", b",x").translate(None, b"d")
 
 
 class _Reader:
@@ -594,23 +594,27 @@ def _streamed(chunks) -> DesignFile | None:
 def _scanned_lists(group: GroupDescriptor, scanned: _Scanned, one: bool):
     """The lists of elements (one list if `one`) of a scanned payload list,
     or None unless they are JSON in the writer's shape, whitespace aside,
-    with each int in range."""
+    with each element in the group.  Each digit below the top one is
+    checked here; IndexLists refuses an index outside the group, and with
+    the lower digits in range that puts the top digit in range too."""
     nums = scanned.nums
     if nums is None:
         return None
     # an element's shape: the writer's text of a list holding the zero element
     zero = next(_lists_texts(group, IndexLists(group, [0], [1]), 0)).encode().translate(_SHAPE, _SPACE)
-    items = b"".join(scanned.shapes)
-    scanned.shapes.clear()  # freed before the element pass copies items
-    items = (b"[" * one + items + b"]" * one).replace(zero[1:-1].replace(b"d", b"x"), b"e")
-    sizes = _sizes(items)
+    items = scanned.shapes.replace(zero[1:-1].replace(b"d", b"x"), b"e")
+    scanned.shapes.clear()  # freed before _sizes runs
+    sizes = _sizes(b"[" + items + b"]" if one else items)
     radices = group.digit_radices()
     if sizes is None or len(nums) != len(radices) * sum(sizes):
         return None
     columns = [nums[j :: len(radices)] for j in range(len(radices))] if len(radices) > 1 else [nums]
-    if nums and any(min(col) < 0 or max(col) >= r for col, r in zip(columns, radices)):
+    if nums and any(min(col) < 0 or max(col) >= r for col, r in zip(columns[1:], radices[1:])):
         return None
-    lists = IndexLists(group, group.column_indices(columns, radices), sizes)
+    try:
+        lists = IndexLists(group, group.column_indices(columns, radices), sizes)
+    except ValueError:
+        return None
     return lists[0] if one else lists
 
 

@@ -624,6 +624,11 @@ def test_unit_subgroup_of_order():
         unit_subgroup_of_order(build_ring([7, 13]), 4)  # 4 does not divide 6
 
 
+def test_unit_subgroup_order_must_be_positive():
+    with pytest.raises(ValueError, match=r"^subgroup order must be positive, got 0$"):
+        unit_subgroup_of_order(build_ring([7]), 0)
+
+
 def test_unit_subgroup_differences_are_units():
     """Distinct members of the order-k unit subgroup differ by a unit, the
     property that makes the subgroup usable as a block multiplier set."""
@@ -737,6 +742,11 @@ def test_orbits_examples():
     ]
     g5 = cyclic_group(5)
     assert orbits(g5, ScalarAction(g5, 1)) == [((1,),), ((2,),), ((3,),), ((4,),)]
+
+
+def test_orbits_refuse_an_action_on_another_group():
+    with pytest.raises(ValueError, match="^action is defined on Z13, not on Z7$"):
+        orbits(cyclic_group(7), ScalarAction(cyclic_group(13), 3))
 
 
 def test_orbits_partition_nonzero():

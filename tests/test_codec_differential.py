@@ -566,6 +566,42 @@ def test_the_scan_keeps_json_and_the_tree_on_edge_tokens(text, expected, chunk, 
     assert tree.called == (oracle[0] != "ok")
 
 
+MIXED = (
+    '{"blocks": [[%s]], "group": {"factors": [{"cyclic": 3}, {"cyclic": 5}]},'
+    ' "kind": "df", "params": {"k": 1, "lambda": 0, "v": 15}}'
+)
+GF4 = (
+    '{"blocks": [[%s]], "group": {"factors": [{"field": {"modulus": [1, 1, 1], "n": 2, "p": 2}}]},'
+    ' "kind": "df", "params": {"k": 1, "lambda": 0, "v": 4}}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (MIXED % "[2, 4]", "ok"),
+        (MIXED % "[3, 0]", "coordinate 0 out of range for Z_3: 3"),
+        (MIXED % "[-1, 4]", "coordinate 0 out of range for Z_3: -1"),
+        (GF4 % "[[1, 1]]", "ok"),
+        (GF4 % "[[2, 0]]", "coefficient 2 out of range for GF(2^2)"),
+        (GF4 % "[[-1, 1]]", "coefficient -1 out of range for GF(2^2)"),
+    ],
+    ids=lambda value: repr(value)[:40],
+)
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+def test_the_scan_leaves_a_top_digit_out_of_range_to_the_tree(text, expected, chunk, monkeypatch):
+    """The scan checks every digit but the top one, whose range follows
+    from the index's, which IndexLists checks: a bad top digit under good
+    lower ones gives the tree's exact error, and a good element is read by
+    the scan alone."""
+    monkeypatch.setattr(fileformat, "_CHUNK", chunk)
+    oracle = _outcome(lambda: design_from_obj(fileformat._parse(text)))
+    assert oracle[0] == "ok" if expected == "ok" else oracle == ("ValueError", expected)
+    with mock.patch.object(fileformat, "_parse", wraps=fileformat._parse) as tree:
+        assert _outcome(loads_design, text) == oracle
+    assert tree.called == (expected != "ok")
+
+
 @settings(max_examples=150, deadline=None)
 @given(designs(), st.data())
 def test_load_design_streams_any_layout_at_any_chunk(tmp_path_factory, design, data):

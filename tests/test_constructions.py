@@ -101,6 +101,17 @@ def test_orbit_ddf_takes_a_map_list():
     assert info.value.witness == ((2,), 1)
 
 
+def test_orbit_ddf_refuses_a_map_that_is_not_additive():
+    """Swapping 1 and 2 of Z5 is a bijection fixing zero, but 1 + 1 goes to
+    2 + 2 = 4, not to the image of 2."""
+    g = cyclic_group(5)
+    identity = {x: x for x in g.elements()}
+    swap = {**identity, (1,): (2,), (2,): (1,)}
+    with pytest.raises(ValueError) as info:
+        orbit_ddf(g, [identity, swap])
+    assert str(info.value) == "map is not additive: differs at (1,) + (1,)"
+
+
 def test_a_semiregular_map_list_is_validated_once(monkeypatch):
     """On a semiregular list every orbit is as long as the list has distinct
     maps, so the list is validated once; only a short orbit looks for the
@@ -493,6 +504,14 @@ def test_product_ddf_refuses_a_wrong_row_count_and_overlapping_factors():
     assert verify_df(twice, 2).ok
     with pytest.raises(ConstructionError, match=r"^factor families must be disjoint$"):
         product_ddf(twice, fam_h, units_hdm(build_ring([7]), 3))
+
+
+def test_product_ddf_needs_one_uncovered_element_per_factor():
+    # {1} leaves 0 and 2 of Z3 uncovered
+    fam_g, fam_h = Family(cyclic_group(3), [[(1,)]]), Family(cyclic_group(5), [[(1,)]])
+    with pytest.raises(ConstructionError) as info:
+        product_ddf(fam_g, fam_h, units_hdm(build_ring([5]), 1))
+    assert str(info.value) == "first factor family leaves 2 elements uncovered; need exactly 1"
 
 
 def test_product_ddf_ingredient_must_verify():

@@ -160,6 +160,13 @@ def test_index_lists_out_of_the_group_are_refused(flat):
         DiffMatrix(group, IndexLists(group, flat, [len(flat)]))
 
 
+def test_index_lists_refuse_an_index_outside_their_group():
+    """The range check is the constructor's, so no IndexLists, however it
+    was made, holds an index outside its group."""
+    with pytest.raises(ValueError, match="^an index lies outside Z7$"):
+        IndexLists(cyclic_group(7), [-3, 1], [2])
+
+
 def test_ascending_blocks_of_alternating_sizes_are_range_checked_quickly():
     """Ascending blocks are range-checked at their ends in one pass over the
     list: 10^5 runs of one block each, sizes 1, 2, 1, 2, ..., take

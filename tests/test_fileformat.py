@@ -559,6 +559,12 @@ def test_the_reader_sizes_runs_of_equal_lists(runs, chunk, data):
         assert read is None or _shape(read) == mutated
 
 
+def test_the_reader_refuses_a_missing_comma_inside_a_pattern():
+    """[e] comes back after [e,e], so the two make a pattern, but the comma
+    between them is missing."""
+    assert fileformat._sizes(b"[[e][e,e],[e]]") is None
+
+
 @pytest.mark.parametrize("shape", [b"[[e],]", b"[[],[e,e],[e,e],]", b"[[e,e],[e],[e,e],[e],]"])
 def test_the_reader_refuses_a_comma_before_the_closing_bracket(shape):
     """A trailing comma, after one list or a repeated pattern, is no shape."""
