@@ -18,6 +18,7 @@ report is itself a checkable certificate.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
@@ -184,7 +185,9 @@ class IndexLists(Sequence):
         """Where each list starts in flat, found on the first index."""
         return list(accumulate(self.sizes, initial=0))
 
-    def __getitem__(self, i: int) -> "IndexedElements":
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):  # a slice as the equal tuple's
+            return tuple(self)[i]
         i = range(len(self.sizes))[i]  # negative indices and IndexError as a tuple's
         start = self._starts[i]
         return IndexedElements(self.group, self.flat[start : start + self.sizes[i]])
@@ -341,7 +344,9 @@ class IndexedElements(Sequence):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, i: int) -> Element:
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):  # a slice as the equal tuple's
+            return tuple(self)[i]
         return self.group.elements_at((self.indices[i],))[0]
 
     def __iter__(self):
@@ -390,9 +395,14 @@ def _dense_counts(family: Family) -> tuple[list[int], str]:
     """The family's difference counts as one list in canonical element order
     (index 0, the zero element, stays 0), and the engine that counted them."""
     group, flat, sizes = family.group, family.lists.flat, family.lists.sizes
-    # the engine is chosen once per block size, not once per block
-    kinds = set(sizes)
-    convolve = {k for k in kinds if _use_convolution(group, k, sizes.count(k))}
+    # the engine is chosen once per block size, not once per block; the
+    # blocks of each size are one bisection of the sorted sizes
+    ordered, kinds, i = sorted(sizes), {}, 0
+    while i < len(ordered):
+        j = bisect_right(ordered, ordered[i], i)
+        kinds[ordered[i]], i = j - i, j
+    del ordered  # a list of every block's size, freed before the count
+    convolve = {k for k, b in kinds.items() if _use_convolution(group, k, b)}
     dense = _pairwise_counts(group, flat, sizes, convolve)
     for start, k in zip(accumulate(sizes, initial=0), sizes) if convolve else ():
         if k in convolve:  # the block is a slice of the flat list

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, cycle, islice, repeat
@@ -387,16 +386,9 @@ _WHITESPACE = re.compile(rb"[ \t\n\r]*")
 _FOLLOW = re.compile(r"[ \t\n\r]*[,:}]")
 
 
-class _Again(Exception):
-    """A payload list the scan cannot take as it streams, named by its
-    occurrence (key, count of the key before it): the input is read once
-    more with that list decoded as JSON, as a repeated key may replace it."""
-
-
 class _Scanned:
     """A payload list as it streamed past: its shape, each piece's brackets
-    and commas, and "x" for each int, appended to one buffer, and its ints,
-    or None for both once a piece holds no JSON ints."""
+    and commas, and "x" for each int, appended to one buffer, and its ints."""
 
     def __init__(self):
         self.shapes, self.nums = bytearray(), []
@@ -405,17 +397,12 @@ class _Scanned:
         """Take the next piece of the list, which starts with its first
         bracket or with a comma and ends before a comma or at the list's
         end, and its shape; its ints are read by json.loads with the
-        brackets blanked and that first comma dropped."""
-        if self.nums is None:
-            return
+        brackets blanked and that first comma dropped, refused unless they
+        are JSON ints."""
         body = piece.translate(_UNBRACKET).removeprefix(b",")
         if b"[]" in shape:  # regroup the commas around an empty list
             body = b",".join(body.replace(b",", b" ").split())
-        try:
-            self.nums += json.loads(b"[" + body + b"]")
-        except ValueError:
-            self.shapes = self.nums = None
-            return
+        self.nums += json.loads(b"[" + body + b"]")
         # an int follows a bracket or a comma, in the same piece
         self.shapes += shape.replace(b"[d", b"[x").replace(b",d", b",x").translate(None, b"d")
 
@@ -489,7 +476,7 @@ class _Reader:
         piece up to the last comma read, which starts the next piece.  The
         list ends before the first byte outside its shape: the last brace,
         or the quote of the next key after a comma, left with that comma to
-        be read as the object's; any other byte is _Again."""
+        be read as the object's; any other byte is refused."""
         scanned = _Scanned()
         while True:
             buf, start = self.buf, self.pos
@@ -503,7 +490,7 @@ class _Reader:
                 if buf[at] == ord('"') and piece.endswith(b","):
                     piece = piece[:-1]
                 elif buf[at] != ord("}"):
-                    raise _Again
+                    raise ValueError("a byte outside a payload list's shape")
                 shape = piece.translate(_SHAPE, _SPACE)
             elif cut < 0:  # neither a comma nor the list's end read yet
                 if not self.grow():
@@ -515,34 +502,24 @@ class _Reader:
                 return scanned
 
 
-def _members(reader: _Reader, generic: tuple | None) -> tuple[dict, dict]:
+def _members(reader: _Reader) -> tuple[dict, list]:
     """The top-level object of the input as json.loads reads it (a repeated
     key keeps its last value), each list under a payload name scanned as it
-    streams unless it is the occurrence generic, every other value decoded
-    from its own text; and every scanned list, by occurrence."""
-    obj, scanned, seen = {}, {}, Counter()
+    streams, every other value decoded from its own text; and every scanned
+    list with its name, in file order."""
+    obj, scanned = {}, []
     reader.take(b"{")
-    more, last = reader.token() != ord("}"), None
+    more = reader.token() != ord("}")
     while more:
-        try:  # a list just scanned ends before a key and its colon, or is _Again
-            if reader.token() != ord('"'):
-                raise ValueError("expected a key")
-            key = reader.value()
-            reader.take(b":")
-        except ValueError:
-            if last:
-                raise _Again(last) from None
-            raise
-        occurrence = key, seen[key]
-        seen[key] += 1
-        if reader.token() == ord("[") and key in _NEEDS and occurrence != generic:
-            try:
-                obj[key] = scanned[occurrence] = reader.payload()
-            except _Again:
-                raise _Again(occurrence) from None
-            last = occurrence
+        if reader.token() != ord('"'):
+            raise ValueError("expected a key")
+        key = reader.value()
+        reader.take(b":")
+        if reader.token() == ord("[") and key in _NEEDS:
+            obj[key] = reader.payload()
+            scanned.append((key, obj[key]))
         else:
-            obj[key], last = reader.value(), None
+            obj[key] = reader.value()
         more = reader.token() == ord(",")
         reader.pos += more  # the comma
     reader.take(b"}")
@@ -551,55 +528,40 @@ def _members(reader: _Reader, generic: tuple | None) -> tuple[dict, dict]:
     return obj, scanned
 
 
-def _read(reader: _Reader, generic: tuple | None) -> DesignFile:
-    """The design of the input, its payload lists scanned straight into
-    indices; refused unless each list its kind carries was scanned."""
-    obj, scanned = _members(reader, generic)
-    kind, group, params = _header_from_obj(obj)
-    names = KIND_TABLE[kind].payload
-    if "subgroup" in obj and "subgroup" not in names:
-        raise ValueError("a subgroup the kind does not carry")
-    lists = {}
-    for (name, i), payload in scanned.items():
-        items = _scanned_lists(group, payload, name == "subgroup")
-        if obj[name] is not payload:  # a replaced list need only be JSON
-            if items is None:
-                raise _Again((name, i))
-        elif items is None or (name in NONEMPTY and not items):
-            raise ValueError(f"no {name} in the writer's shape")
-        else:
-            lists[name] = items
-    if any(name not in lists for name in names):
-        raise ValueError("a payload list that was not scanned")
-    return DesignFile(kind, group, params, **lists)
-
-
-def _streamed(chunks) -> DesignFile | None:
-    """The design of the bytes that chunks() yields, read as they stream,
-    or None if the scan refuses them.  One payload list that is not in the
-    writer's shape (one holding a float, say) is read as JSON in a second
-    pass; an input with more is refused, so none is streamed more than
-    twice."""
-    generic = None
-    for _ in range(2):
-        try:
-            return _read(_Reader(chunks()), generic)
-        except _Again as again:
-            generic = again.args[0]
-        except (ValueError, RecursionError):
+def _streamed(chunks: Iterator[bytes]) -> DesignFile | None:
+    """The design of the bytes chunks yields, read once as they stream,
+    its payload lists scanned straight into indices; or None if the scan
+    refuses them: a byte outside a payload list's shape, a payload list,
+    kept or replaced by a repeated key, out of the writer's shape, or a
+    header or kind rule.  The kept lists its kind carries must all have
+    been scanned, and a NONEMPTY one must not be empty."""
+    try:
+        obj, scanned = _members(_Reader(chunks))
+        kind, group, params = _header_from_obj(obj)
+        names = KIND_TABLE[kind].payload
+        if "subgroup" in obj and "subgroup" not in names:
             return None
-    return None
+        lists = {}
+        for name, payload in scanned:
+            items = _scanned_lists(group, payload, name == "subgroup")
+            if items is None:
+                return None
+            if obj[name] is payload:
+                lists[name] = items
+        if any(name not in lists or (name in NONEMPTY and not lists[name]) for name in names):
+            return None
+        return DesignFile(kind, group, params, **lists)
+    except (ValueError, RecursionError):
+        return None
 
 
 def _scanned_lists(group: GroupDescriptor, scanned: _Scanned, one: bool):
     """The lists of elements (one list if `one`) of a scanned payload list,
-    or None unless they are JSON in the writer's shape, whitespace aside,
+    or None unless its ints are in the writer's shape, whitespace aside,
     with each element in the group.  Each digit below the top one is
     checked here; IndexLists refuses an index outside the group, and with
     the lower digits in range that puts the top digit in range too."""
     nums = scanned.nums
-    if nums is None:
-        return None
     # an element's shape: the writer's text of a list holding the zero element
     zero = next(_lists_texts(group, IndexLists(group, [0], [1]), 0)).encode().translate(_SHAPE, _SPACE)
     items = scanned.shapes.replace(zero[1:-1].replace(b"d", b"x"), b"e")
@@ -676,11 +638,12 @@ def _sizes(items: bytes) -> list[int] | None:
 
 
 def loads_design(text: str) -> DesignFile:
-    """The design of a file text, read by the streamed scan of load_design,
-    fed _CHUNK characters at a time.  A text the scan refuses goes through
-    json.loads and design_from_obj, whose error names the first offender."""
+    """The design of a file text, read in one pass by the streamed scan of
+    load_design, fed _CHUNK characters at a time.  A text the scan refuses
+    goes straight through json.loads and design_from_obj, which read it or
+    name its first offender."""
     if isinstance(text, str):
-        design = _streamed(lambda: (text[i : i + _CHUNK].encode() for i in range(0, len(text), _CHUNK)))
+        design = _streamed(text[i : i + _CHUNK].encode() for i in range(0, len(text), _CHUNK))
         if design is not None:
             return design
     return design_from_obj(_parse(text))
@@ -700,11 +663,11 @@ def _file_chunks(path) -> Iterator[bytes]:
 
 
 def load_design(path) -> DesignFile:
-    """The design of a file, read as bytes _CHUNK at a time by the streamed
-    scan, so its whole text is never held.  A file the scan refuses is read
-    whole as text and goes through json.loads and design_from_obj, whose
-    error names the first offender."""
-    design = _streamed(lambda: _file_chunks(path))
+    """The design of a file, read once as bytes _CHUNK at a time by the
+    streamed scan, so its whole text is never held.  A file the scan
+    refuses is then read whole as text and goes through json.loads and
+    design_from_obj, which read it or name its first offender."""
+    design = _streamed(_file_chunks(path))
     if design is not None:
         return design
     with open(path, "r", encoding="utf-8") as handle:

@@ -25,6 +25,7 @@ from diffam.designs import (
     DSParams,
     DiffMatrix,
     Family,
+    IndexedElements,
     IndexLists,
     _ascending,
     _coverage,
@@ -117,6 +118,22 @@ def test_index_lists_read_a_list_by_index_as_iteration_does(monkeypatch):
             lists[i]
     with pytest.raises(IndexError):
         IndexLists(g, [], [])[0]
+
+
+def test_index_lists_and_indexed_elements_read_as_their_tuples():
+    """Both compare equal to the tuple of their items, so an int, a
+    negative int, an int out of range and a slice read as that tuple's."""
+    g = cyclic_group(7)
+    for seq, items in (
+        (IndexedElements(g, [1, 2, 4]), ((1,), (2,), (4,))),
+        (IndexLists(g, [1, 2, 4, 3, 5], [3, 0, 2]), (((1,), (2,), (4,)), (), ((3,), (5,)))),
+    ):
+        assert seq == items and (seq[0], seq[-1]) == (items[0], items[-1])
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                seq[i]
+        for cut in (slice(0, 2), slice(None, None, -1), slice(1, 1), slice(-2, None), slice(0, 9, 2)):
+            assert isinstance(seq[cut], tuple) and seq[cut] == items[cut]
 
 
 def test_family_normalizes_and_validates():

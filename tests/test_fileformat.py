@@ -617,14 +617,13 @@ def test_the_reader_decodes_repeated_keys_in_linear_work(tmp_path, monkeypatch):
     assert sum(decoded) <= 12 * path.stat().st_size
 
 
-def test_the_reader_streams_a_file_at_most_twice(tmp_path, monkeypatch):
-    """A payload list out of the writer's shape is read as JSON in a second
-    pass; 2000 of them send the file to the tree after two passes, not
-    after a pass per list."""
+def test_the_reader_streams_a_file_at_most_once(tmp_path, monkeypatch):
+    """A payload list out of the writer's shape sends the file to the tree
+    after one streamed pass: 2000 of them are not read again one by one."""
     path = tmp_path / "floats.json"
     path.write_text(_FILE.replace("{", "{" + '"blocks": [[1.5]], ' * 2000, 1), encoding="utf-8")
     streamed = []
     chunks = fileformat._file_chunks
     monkeypatch.setattr(fileformat, "_file_chunks", lambda p: (streamed.append(len(c)) or c for c in chunks(p)))
     assert load_design(path) == design_from_obj(json.loads(_FILE))
-    assert sum(streamed) <= 2 * path.stat().st_size
+    assert sum(streamed) <= path.stat().st_size

@@ -9,9 +9,10 @@ replaced: a Counter of up to v int keys in the count, every block's text
 built before the first write (for one block of 30000 elements, that
 block's text and template), a set of every element in classify_family, a
 bytes object per block in the reader, the whole file text held while the
-reader scans it, and a copy of the index map of a one-digit group in the
-scalar action and in the orbit walk of furino_ddf.  Measured ratios
-(CPython 3.11, x86-64):
+reader scans it, a second streamed pass that decodes a refused payload
+list as JSON before the tree reads the file, and a copy of the index map
+of a one-digit group in the scalar action and in the orbit walk of
+furino_ddf.  Measured ratios (CPython 3.11, x86-64):
 
     operation       replaced   current   bound
     verify_df         1.77       0.38     1.0
@@ -20,6 +21,7 @@ scalar action and in the orbit walk of furino_ddf.  Measured ratios
     classify_family   2.04       0.02     0.25
     loads_design      1.95       1.14     1.5
     load_design       1.99       1.14     1.5
+    refused file      6.68       4.25     5.5
     index_map         1.87       0.93     1.2
     furino_ddf        1.87       1.40     1.6
 
@@ -28,6 +30,8 @@ is the index map, a list of v ints.
 """
 
 import gc
+import json
+import re
 import tracemalloc
 
 import pytest
@@ -36,7 +40,7 @@ from diffam.algebra import ScalarAction
 from diffam.constructions import furino_ddf
 from diffam.designs import Family, classify_family, family_params, verify_df
 from diffam.groups import GroupDescriptor
-from diffam.fileformat import DesignFile, dumps_design, load_design, loads_design, save_design
+from diffam.fileformat import DesignFile, design_from_obj, dumps_design, load_design, loads_design, save_design
 
 V = 30001  # 30001 = 19 * 1579, both 1 mod 3
 
@@ -123,3 +127,29 @@ def test_the_index_map_of_one_digit_is_its_column(traced):
 def test_the_orbit_walk_builds_one_index_map(traced):
     _, _, size = traced
     assert _peak(lambda: furino_ddf(V, 3)) < 1.6 * size
+
+
+def test_a_refused_file_is_streamed_once_then_read_by_the_tree(traced, tmp_path):
+    """A file with one coordinate near the middle replaced by 1.5 is
+    refused by the scan in one streamed pass and then read whole by the
+    tree, whose error it gives."""
+    _, design, size = traced
+    text = dumps_design(design)
+    digits = re.compile(r"[0-9]+").search(text, len(text) // 2)
+    text = text[: digits.start()] + "1.5" + text[digits.end() :]
+    path = tmp_path / "float.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as tree:
+        design_from_obj(json.loads(text))
+    expected = str(tree.value)
+    del tree, text
+    errors = []
+
+    def read():
+        try:
+            load_design(path)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    assert _peak(read) < 5.5 * size
+    assert errors == [expected]
